@@ -2,10 +2,10 @@
 
 Four independent engines compute the same quantities: the defining
 recurrence, two closed forms built from binomial coefficients and powers
-of two, and companion-matrix powering for large indices.  A tiling
-laboratory re-derives the closed forms by exhaustive enumeration at desk
-scale: ruler tilings, the 2^n hash-mark count, the mark-expansion
-bijection and inclusion-exclusion.
+of two, and binary powering of x^n modulo x^(k+1) - 2x^k + 1 for large
+indices.  A tiling laboratory re-derives the closed forms by exhaustive
+enumeration at desk scale: ruler tilings, the 2^n hash-mark count, the
+mark-expansion bijection and inclusion-exclusion.
 """
 
 from .closed_form import (
@@ -19,13 +19,7 @@ from .closed_form import (
     term_breakdown,
 )
 from .engines import Engine, compute_sum, compute_value
-from .matrix_power import (
-    OpCount,
-    augmented_matrix,
-    companion_matrix,
-    kbonacci_matrix,
-    partial_sum_matrix,
-)
+from .matrix_power import OpCount, kbonacci_matrix, partial_sum_matrix
 from .sequence import kbonacci_prefix, kbonacci_recurrence, partial_sum_direct, values
 from .tilings import (
     DEFAULT_CAP,
@@ -59,9 +53,7 @@ __all__ = [
     "SUM_FORMULA",
     "TERM_FORMULA",
     "Tiling",
-    "augmented_matrix",
     "binomial",
-    "companion_matrix",
     "compute_sum",
     "compute_value",
     "count_by_rightmost_tile",

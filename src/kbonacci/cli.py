@@ -250,6 +250,8 @@ def cmd_bench(args) -> int:
     tokens = [t for t in args.engines.split(",") if t]
     if not tokens:
         raise ValueError("--engines must name at least one engine")
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     plan = _bench_plan(tokens, args.k, args.n, args.m)
     records = []
     for token in sorted(plan):
@@ -352,15 +354,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # Exact decimal output for indices like 10^5 needs the str() digit
-    # limit lifted (values run to tens of thousands of digits).
-    if hasattr(sys, "set_int_max_str_digits"):
+    # limit lifted (values run to tens of thousands of digits).  It is
+    # interpreter-wide, so put it back for in-process callers.  0 means no
+    # limit, as on interpreters that predate it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

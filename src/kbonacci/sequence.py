@@ -17,12 +17,20 @@ from itertools import islice
 from typing import Iterator
 
 
+def _check_int(name: str, value: int) -> None:
+    # exactly int: bool is an int subclass, and k=True must not read as k=1
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _check_k(k: int) -> None:
+    _check_int("k", k)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
 
 
 def _check_n(n: int) -> None:
+    _check_int("n", n)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
 
@@ -50,6 +58,7 @@ def values(k: int) -> Iterator[int]:
 def kbonacci_recurrence(k: int, n: int) -> int:
     """Return f(n) for window length k; n may be negative (value 0)."""
     _check_k(k)
+    _check_int("n", n)
     if n < 0:
         return 0
     return next(islice(values(k), n, None))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -297,8 +298,31 @@ class TestBench:
         assert code == 2
         assert "unknown engine" in err
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_nonpositive_reps_rejected(self, capsys, reps):
+        code, out, err = run(capsys, "bench", "--k", "2", "--n", "10", "--reps", reps)
+        assert code == 2
+        assert out == ""
+        assert "--reps must be at least 1" in err
+
 
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--k", "2"])  # --n missing
     assert exc.value.code == 2
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_digit_limit_restored_after_main(capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        code, out, _ = run(capsys, "eval", "--k", "2", "--n", "30000", "--engine", "matrix")
+        assert code == 0
+        assert len(out.strip()) > 5000  # lifted while main runs
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            main(["eval", "--k", "2"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -1,6 +1,18 @@
 import pytest
 
-from kbonacci import Engine, compute_sum, compute_value
+from kbonacci import (
+    Engine,
+    compute_sum,
+    compute_value,
+    kbonacci_closed,
+    kbonacci_matrix,
+    kbonacci_prefix,
+    kbonacci_recurrence,
+    partial_sum_direct,
+    partial_sum_dunkel,
+    partial_sum_dunkel_extended,
+    partial_sum_matrix,
+)
 
 
 def test_value_engines_agree():
@@ -30,3 +42,27 @@ def test_value_only_engine_rejected_for_sums():
 def test_limit_requires_dunkel_engine():
     with pytest.raises(ValueError):
         compute_sum(2, 10, Engine.MATRIX, m=5)
+
+
+def _extended(k, n):
+    return partial_sum_dunkel_extended(k, n, 2)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        kbonacci_recurrence,
+        kbonacci_closed,
+        kbonacci_matrix,
+        kbonacci_prefix,
+        partial_sum_direct,
+        partial_sum_dunkel,
+        _extended,
+        partial_sum_matrix,
+    ],
+)
+@pytest.mark.parametrize("k, n", [(True, 5), (2, True), (2.0, 5), (2, 5.0), ("2", 5), (2, None)])
+def test_non_int_arguments_raise_type_error(fn, k, n):
+    fn(2, 5)  # the same cell with ints is valid for every function
+    with pytest.raises(TypeError):
+        fn(k, n)

@@ -4,15 +4,12 @@ from hypothesis import strategies as st
 
 from kbonacci import (
     OpCount,
-    augmented_matrix,
-    companion_matrix,
     kbonacci_matrix,
     kbonacci_prefix,
     kbonacci_recurrence,
     partial_sum_direct,
     partial_sum_matrix,
 )
-from kbonacci.matrix_power import identity_matrix, mat_mul, mat_pow, mat_vec
 
 
 @pytest.mark.parametrize("k, n, expected", [(2, 4, 5), (3, 0, 1), (5, 2, 2)])
@@ -45,50 +42,13 @@ def test_large_indices_match_linear_engine(k, n):
     assert kbonacci_matrix(k, n) == kbonacci_recurrence(k, n)
 
 
-def test_companion_matrix_shape():
-    m = companion_matrix(4)
-    assert m == [
-        [1, 1, 1, 1],
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-    ]
-
-
-def test_companion_advances_the_state():
-    k = 3
-    prefix = kbonacci_prefix(k, 10)
-    m = companion_matrix(k)
-    for n in range(2, 9):
-        state = [prefix[n], prefix[n - 1], prefix[n - 2]]
-        assert mat_vec(m, state) == [prefix[n + 1], prefix[n], prefix[n - 1]]
-
-
-def test_augmented_advances_state_and_sum():
-    k = 3
-    prefix = kbonacci_prefix(k, 10)
-    m = augmented_matrix(k)
-    for n in range(2, 9):
-        state = [sum(prefix[: n + 1]), prefix[n], prefix[n - 1], prefix[n - 2]]
-        expected = [sum(prefix[: n + 2]), prefix[n + 1], prefix[n], prefix[n - 1]]
-        assert mat_vec(m, state) == expected
-
-
-def test_power_zero_is_identity():
-    m = companion_matrix(3)
-    assert mat_pow(m, 0) == identity_matrix(3)
-
-
-def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        mat_pow(companion_matrix(2), -1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(k=st.integers(1, 4), a=st.integers(0, 12), b=st.integers(0, 12))
-def test_exponent_additivity(k, a, b):
-    m = companion_matrix(k)
-    assert mat_pow(m, a + b) == mat_mul(mat_pow(m, a), mat_pow(m, b))
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 40), n=st.integers(0, 3000))
+def test_wide_windows_match_linear_engines(k, n):
+    # the reduction x^e = 2x^(e-1) - x^(e-k-1) indexes by k, so reach past
+    # the grid's k <= 6
+    assert kbonacci_matrix(k, n) == kbonacci_recurrence(k, n)
+    assert partial_sum_matrix(k, n) == partial_sum_direct(k, n)
 
 
 def test_domain_errors():
@@ -116,3 +76,13 @@ def test_delegates_below_k_without_matrix_work():
     ops = OpCount()
     assert partial_sum_matrix(6, 3, ops) == partial_sum_direct(6, 3)
     assert ops.matrix_products == 0
+
+
+def test_op_count_of_a_small_cell():
+    # k=2, n=10=0b1010: the leading bits 0b10 = 2 <= k give the start x^2
+    # for free.  The two remaining bits each cost one squaring of the
+    # 3-coefficient residue: 3 squares + 3 cross products = 6 multiplications.
+    # Bit 1 also multiplies by x (x^5), bit 0 does not (x^10).
+    ops = OpCount()
+    assert kbonacci_matrix(2, 10, ops) == 89
+    assert ops == OpCount(matrix_products=2, scalar_mults=12)
