@@ -1,14 +1,19 @@
 """Command-line front end: eval | sum | terms | tilings | verify | bench.
 
-Values are always rendered as exact decimal strings, whatever their size;
-results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or parameter error.
+Values are always rendered as exact decimal strings, whatever their size.
+Every value the CLI writes goes through one renderer, `_decimal_str`, which
+converts by divide and conquer through the `decimal` module: subquadratic
+in the digit count, where `int.__str__` is quadratic on CPython before 3.12,
+and independent of the interpreter's int/str digit limit.  Results go to
+stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
+failure, 2 usage or parameter error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import json
 import os
 import sys
@@ -42,6 +47,53 @@ SUM_ENGINES = {
     "matrix": Engine.MATRIX,
 }
 FORMATS = ("plain", "json", "csv")
+
+# Widest piece converted by Decimal(int) directly.  Render times of 3,000
+# to 694,000-bit values were flat for leaves of 2,048 to 8,192 bits
+# (CPython 3.11.7, libmpdec 2.5.1, 2-vCPU Xeon VM).
+_LEAF_BITS = 4096
+
+
+def _decimal_str(n: int) -> str:
+    """The exact decimal string of n.
+
+    n = lo + hi * 2^half splits the bits in half; each half is converted
+    alike and the two are combined with Decimal arithmetic, whose large
+    multiplications are subquadratic (Brent & Zimmermann, Modern Computer
+    Arithmetic, section 1.7; CPython 3.12's _pylong does the same).  A value
+    of at most _LEAF_BITS bits is a single leaf.  Inexact is trapped, so a
+    rounding error raises instead of printing a wrong digit.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(_to_decimal(n, n.bit_length(), {}))
+
+
+def _to_decimal(n: int, width: int, powers: dict) -> decimal.Decimal:
+    """n, which fits in width bits, as a Decimal; powers caches 2^w by w."""
+    if width <= _LEAF_BITS:
+        return decimal.Decimal(n)
+    half = width >> 1
+    hi = n >> half
+    lo = _to_decimal(n - (hi << half), half, powers)
+    return lo + _to_decimal(hi, width - half, powers) * _pow2(half, powers)
+
+
+def _pow2(w: int, powers: dict) -> decimal.Decimal:
+    """2^w as the product of two cached halves, which the levels below use
+    too: about 10% faster than Decimal(2) ** w on 10^5 to 7*10^5-bit
+    values, on the machine named at _LEAF_BITS."""
+    p = powers.get(w)
+    if p is None:
+        if w <= _LEAF_BITS:
+            p = decimal.Decimal(1 << w)
+        else:
+            p = _pow2(w >> 1, powers) * _pow2(w - (w >> 1), powers)
+        powers[w] = p
+    return p
 
 
 def parse_range(text: str) -> range:
@@ -90,7 +142,7 @@ def _emit_value_records(records, fmt: str) -> None:
         writer = _csv_writer()
         records = list(records)
         fields = ["k", "n", "engine", "value"]
-        extras = [f for f in ("elapsed_ns", "ops") if records and f in records[0]]
+        extras = [f for f in ("elapsed_ns", "ops", "render_ns") if records and f in records[0]]
         writer.writerow(fields + extras)
         for rec in records:
             writer.writerow([rec[f] for f in fields + extras])
@@ -99,7 +151,12 @@ def _emit_value_records(records, fmt: str) -> None:
 def cmd_eval(args) -> int:
     engine = EVAL_ENGINES[args.engine]
     records = [
-        {"k": args.k, "n": n, "engine": args.engine, "value": str(compute_value(args.k, n, engine))}
+        {
+            "k": args.k,
+            "n": n,
+            "engine": args.engine,
+            "value": _decimal_str(compute_value(args.k, n, engine)),
+        }
         for n in args.n
     ]
     _emit_value_records(records, args.format)
@@ -116,7 +173,7 @@ def cmd_sum(args) -> int:
             if args.m is not None:
                 raise ValueError("--m is only meaningful with --engine dunkel-extended")
             value = compute_sum(args.k, n, SUM_ENGINES[args.engine])
-        records.append({"k": args.k, "n": n, "engine": args.engine, "value": str(value)})
+        records.append({"k": args.k, "n": n, "engine": args.engine, "value": _decimal_str(value)})
     _emit_value_records(records, args.format)
     return 0
 
@@ -125,15 +182,15 @@ def cmd_terms(args) -> int:
     terms = term_breakdown(args.k, args.n, args.which)
     if args.format == "plain":
         for t in terms:
-            print(f"{t.j} {'+' if t.sign > 0 else '-'} {t.magnitude}")
+            print(f"{t.j} {'+' if t.sign > 0 else '-'} {_decimal_str(t.magnitude)}")
     elif args.format == "json":
         for t in terms:
-            print(_jdump({"j": t.j, "sign": t.sign, "magnitude": str(t.magnitude)}))
+            print(_jdump({"j": t.j, "sign": t.sign, "magnitude": _decimal_str(t.magnitude)}))
     else:
         writer = _csv_writer()
         writer.writerow(["j", "sign", "magnitude"])
         for t in terms:
-            writer.writerow([t.j, t.sign, t.magnitude])
+            writer.writerow([t.j, t.sign, _decimal_str(t.magnitude)])
     return 0
 
 
@@ -265,21 +322,26 @@ def cmd_bench(args) -> int:
             value = fn()
             elapsed = time.perf_counter_ns() - start
             best = elapsed if best is None else min(best, elapsed)
+        start = time.perf_counter_ns()
+        text = _decimal_str(value)
+        render_ns = time.perf_counter_ns() - start
         records.append(
             {
                 "k": args.k,
                 "n": args.n,
                 "engine": token,
-                "value": str(value),
+                "value": text,
                 "elapsed_ns": best,
                 "ops": ops.scalar_mults if isinstance(ops, OpCount) else ops,
+                "render_ns": render_ns,
             }
         )
     if args.format == "plain":
         for rec in records:
             print(
                 f"engine={rec['engine']} k={rec['k']} n={rec['n']} "
-                f"elapsed_ns={rec['elapsed_ns']} ops={rec['ops']} value={rec['value']}"
+                f"elapsed_ns={rec['elapsed_ns']} ops={rec['ops']} "
+                f"render_ns={rec['render_ns']} value={rec['value']}"
             )
     else:
         _emit_value_records(records, args.format)
@@ -353,22 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Exact decimal output for indices like 10^5 needs the str() digit
-    # limit lifted (values run to tens of thousands of digits).  It is
-    # interpreter-wide, so put it back for in-process callers.  0 means no
-    # limit, as on interpreters that predate it.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

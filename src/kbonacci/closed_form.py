@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sequence import _check_k, _check_n
+from .sequence import _check_int, _check_k, _check_n
 
 SUM_FORMULA = "sum-formula"
 TERM_FORMULA = "term-formula"
@@ -141,6 +141,7 @@ def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
     """
     _check_k(k)
     _check_n(n)
+    _check_int("m", m)
     low, high = n // (k + 1), n // k
     if not low <= m <= high:
         raise ValueError(f"limit m={m} outside [{low}, {high}] for k={k}, n={n}")

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .closed_form import binomial
-from .sequence import _check_k
+from .sequence import _check_int, _check_k
 
 DEFAULT_CAP = 24
 
@@ -43,6 +43,7 @@ class CapExceededError(ValueError):
 
 
 def _check_enumerable(n: int, cap: int | None) -> None:
+    _check_int("n", n)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     effective = DEFAULT_CAP if cap is None else cap

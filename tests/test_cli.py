@@ -1,15 +1,73 @@
 import json
+import random
 import sys
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kbonacci.cli import main, parse_range
+from kbonacci import kbonacci_recurrence, partial_sum_direct, term_breakdown
+from kbonacci.cli import _LEAF_BITS, FORMATS, _decimal_str, main, parse_range
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def digit_limit(limit):
+    """Set the interpreter's int/str digit limit (0: none) for the block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _edge_values():
+    """0, then 2^w - 1, 2^w, 2^w + 1, 10^d - 1 and 10^d around one leaf
+    and two leaves."""
+    values = [0]
+    for w in (_LEAF_BITS, 2 * _LEAF_BITS):
+        d = len(str(1 << w)) - 1  # 10^d <= 2^w < 10^(d+1)
+        values += [(1 << w) - 1, 1 << w, (1 << w) + 1]
+        values += [10**e + delta for e in (d, d + 1) for delta in (-1, 0)]
+    return values
+
+
+# n below 2^200000: a random width filled with random bits, or a few
+# scattered set bits, whose long runs of zeros leave some halves 0.
+_wide_ints = st.one_of(
+    st.builds(
+        lambda width, seed: random.Random(seed).getrandbits(width),
+        st.integers(0, 200_000),
+        st.integers(0, 2**64 - 1),
+    ),
+    st.sets(st.integers(0, 199_999), max_size=8).map(lambda bits: sum(1 << b for b in bits)),
+)
+
+
+def _with_edge_examples(test):
+    for value in _edge_values():
+        test = example(value)(test)
+    return test
+
+
+@needs_digit_limit
+@settings(max_examples=60, deadline=None)
+@_with_edge_examples
+@given(_wide_ints)
+def test_decimal_str_matches_int_str(n):
+    with digit_limit(0):
+        assert _decimal_str(n) == str(n)
 
 
 class TestParseRange:
@@ -255,6 +313,7 @@ class TestBench:
         assert len(rows) == 3
         assert len({row["value"] for row in rows}) == 1
         assert all(row["elapsed_ns"] >= 0 for row in rows)
+        assert all(row["render_ns"] >= 0 for row in rows)
         by_engine = {row["engine"]: row for row in rows}
         assert by_engine["matrix"]["ops"] < by_engine["recurrence"]["ops"]
 
@@ -326,3 +385,48 @@ def test_digit_limit_restored_after_main(capsys):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture(scope="module")
+def digits_at_100000():
+    """str() of f(100000) and S(100000) at k=2, from the linear engines."""
+    with digit_limit(0):
+        return {
+            "eval": str(kbonacci_recurrence(2, 100_000)),
+            "sum": str(partial_sum_direct(2, 100_000)),
+        }
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("sub", ["eval", "sum"])
+def test_large_values_print_every_digit(capsys, digits_at_100000, sub, fmt):
+    argv = (sub, "--k", "2", "--n", "100000", "--engine", "matrix", "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if fmt == "plain":
+        value = out.strip()
+    elif fmt == "json":
+        value = json.loads(out)["value"]
+    else:
+        header, row = out.splitlines()
+        assert header == "k,n,engine,value"
+        value = row.split(",")[3]
+    assert value == digits_at_100000[sub]
+
+
+@needs_digit_limit
+def test_output_ignores_the_digit_limit(capsys):
+    with digit_limit(0):
+        value = str(kbonacci_recurrence(2, 30_000))
+        rows = [
+            f"{t.j} {'+' if t.sign > 0 else '-'} {t.magnitude}"
+            for t in term_breakdown(2, 5000)
+        ]
+    assert len(value) > 640
+    assert max(len(row) for row in rows) > 640
+    with digit_limit(640):
+        code, out, _ = run(capsys, "eval", "--k", "2", "--n", "30000", "--engine", "matrix")
+        assert (code, out) == (0, value + "\n")
+        code, out, _ = run(capsys, "terms", "--k", "2", "--n", "5000", "--format", "plain")
+        assert (code, out.splitlines()) == (0, rows)

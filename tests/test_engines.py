@@ -4,6 +4,8 @@ from kbonacci import (
     Engine,
     compute_sum,
     compute_value,
+    iter_bounded_tilings,
+    iter_tilings,
     kbonacci_closed,
     kbonacci_matrix,
     kbonacci_prefix,
@@ -48,6 +50,12 @@ def _extended(k, n):
     return partial_sum_dunkel_extended(k, n, 2)
 
 
+def _extended_limit(k, n):
+    # n doubles as the limit m: the int cell (2, 10, m=5) is legal, and a
+    # bool n reaches the formula only as m, since 2 * True is an int
+    return partial_sum_dunkel_extended(k, 2 * n, n)
+
+
 @pytest.mark.parametrize(
     "fn",
     [
@@ -59,6 +67,9 @@ def _extended(k, n):
         partial_sum_dunkel,
         _extended,
         partial_sum_matrix,
+        iter_tilings,
+        iter_bounded_tilings,
+        _extended_limit,
     ],
 )
 @pytest.mark.parametrize("k, n", [(True, 5), (2, True), (2.0, 5), (2, 5.0), ("2", 5), (2, None)])
