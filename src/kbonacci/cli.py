@@ -4,9 +4,11 @@ Values are always rendered as exact decimal strings, whatever their size.
 Every value the CLI writes goes through one renderer, `_decimal_str`, which
 converts by divide and conquer through the `decimal` module: subquadratic
 in the digit count, where `int.__str__` is quadratic on CPython before 3.12,
-and independent of the interpreter's int/str digit limit.  Results go to
-stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parameter error.
+and independent of the interpreter's int/str digit limit.  `eval` and `sum`
+check their whole --n range before writing anything, then write each
+record as soon as it is rendered, so a range holds one record at a time.
+Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
+1 verification failure, 2 usage or parameter error.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 
 from .closed_form import (
     SUM_FORMULA,
@@ -27,9 +30,9 @@ from .closed_form import (
     partial_sum_dunkel_extended,
     term_breakdown,
 )
-from .engines import Engine, compute_sum, compute_value
+from .engines import Engine, stream_sums, stream_values
 from .matrix_power import OpCount, kbonacci_matrix, partial_sum_matrix
-from .sequence import kbonacci_recurrence, partial_sum_direct
+from .sequence import _check_k, kbonacci_recurrence, partial_sum_direct
 from .tilings import DEFAULT_CAP, iter_bounded_tilings, iter_tilings
 from .verify import SUITES, run_suites
 
@@ -47,6 +50,7 @@ SUM_ENGINES = {
     "matrix": Engine.MATRIX,
 }
 FORMATS = ("plain", "json", "csv")
+VALUE_FIELDS = ["k", "n", "engine", "value"]
 
 # Widest piece converted by Decimal(int) directly.  Render times of 3,000
 # to 694,000-bit values were flat for leaves of 2,048 to 8,192 bits
@@ -130,8 +134,8 @@ def _resolve_cap(args) -> int | None:
         raise ValueError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
-def _emit_value_records(records, fmt: str) -> None:
-    """records: iterable of dicts with keys k, n, engine, value (+ extras)."""
+def _emit_value_records(records, fmt: str, fields: list[str]) -> None:
+    """Write each record as it arrives; csv writes the given fields."""
     if fmt == "plain":
         for rec in records:
             print(rec["value"])
@@ -140,41 +144,52 @@ def _emit_value_records(records, fmt: str) -> None:
             print(_jdump(rec))
     else:
         writer = _csv_writer()
-        records = list(records)
-        fields = ["k", "n", "engine", "value"]
-        extras = [f for f in ("elapsed_ns", "ops", "render_ns") if records and f in records[0]]
-        writer.writerow(fields + extras)
+        writer.writerow(fields)
         for rec in records:
-            writer.writerow([rec[f] for f in fields + extras])
+            writer.writerow([rec[f] for f in fields])
+
+
+def _range_records(args, values):
+    """Records of the range args.n from an iterator of its values.
+
+    The first value is computed before this returns, so a parameter the
+    engine rejects raises before anything is written; each later value is
+    computed and rendered only when its record is asked for.
+    """
+    values = chain([next(values)], values)
+    return (
+        {"k": args.k, "n": n, "engine": args.engine, "value": _decimal_str(value)}
+        for n, value in zip(args.n, values)
+    )
 
 
 def cmd_eval(args) -> int:
-    engine = EVAL_ENGINES[args.engine]
-    records = [
-        {
-            "k": args.k,
-            "n": n,
-            "engine": args.engine,
-            "value": _decimal_str(compute_value(args.k, n, engine)),
-        }
-        for n in args.n
-    ]
-    _emit_value_records(records, args.format)
+    values = stream_values(args.k, args.n[0], EVAL_ENGINES[args.engine])
+    _emit_value_records(_range_records(args, values), args.format, VALUE_FIELDS)
     return 0
 
 
 def cmd_sum(args) -> int:
-    records = []
-    for n in args.n:
-        if args.engine == "dunkel-extended":
-            m = args.m if args.m is not None else n // args.k
-            value = partial_sum_dunkel_extended(args.k, n, m)
-        else:
-            if args.m is not None:
-                raise ValueError("--m is only meaningful with --engine dunkel-extended")
-            value = compute_sum(args.k, n, SUM_ENGINES[args.engine])
-        records.append({"k": args.k, "n": n, "engine": args.engine, "value": _decimal_str(value)})
-    _emit_value_records(records, args.format)
+    if args.engine == "dunkel-extended":
+        _check_k(args.k)
+        m = args.m
+        if m is not None:
+            # the legal limits of n are n//(k+1)..n//k, and both ends grow with n
+            low, high = args.n[-1] // (args.k + 1), args.n[0] // args.k
+            if not low <= m <= high:
+                raise ValueError(
+                    f"limit m={m} outside [{low}, {high}] for k={args.k}, "
+                    f"n={args.n[0]}..{args.n[-1]}"
+                )
+        values = (
+            partial_sum_dunkel_extended(args.k, n, n // args.k if m is None else m)
+            for n in args.n
+        )
+    else:
+        if args.m is not None:
+            raise ValueError("--m is only meaningful with --engine dunkel-extended")
+        values = stream_sums(args.k, args.n[0], SUM_ENGINES[args.engine])
+    _emit_value_records(_range_records(args, values), args.format, VALUE_FIELDS)
     return 0
 
 
@@ -344,7 +359,7 @@ def cmd_bench(args) -> int:
                 f"render_ns={rec['render_ns']} value={rec['value']}"
             )
     else:
-        _emit_value_records(records, args.format)
+        _emit_value_records(records, args.format, VALUE_FIELDS + ["elapsed_ns", "ops", "render_ns"])
     return 0
 
 

@@ -18,6 +18,15 @@ Three identities are implemented:
   which stays in the integers: whenever e = 0 the second binomial is
   C(j-1, j) = 0, so the halved power is never actually formed.
 
+Both engines read a range of indices from the row of binomials C(n-jk, j),
+j = 0..floor(n/(k+1)).  The first index folds its row as the row is made;
+for the indices after it the row is kept, and the row of n+1 follows from
+the row of n by C(m+1, j) = C(m, j) (m+1) / (m+1-j), one small
+multiplication and one exact division per entry, plus an entry
+C(j, j) = 1 when k+1 divides n+1.  Every summand's power of two is
+2^(n mod (k+1)) times a power of 2^(k+1), so the row folds by Horner's
+rule in 2^(k+1).  The per-term formula keeps the rows of n and n-1.
+
 Powers of two are produced by shifting; no floating point anywhere.
 """
 
@@ -25,6 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, zip_longest
+from typing import Iterator
 
 from .sequence import _check_int, _check_k, _check_n
 
@@ -115,10 +126,20 @@ def _term_terms(k: int, n: int):
         yield j, -1 if j & 1 else 1, first - second
 
 
-def _fold(terms) -> int:
-    total = 0
-    for _, sign, magnitude in terms:
-        total += sign * magnitude
+def _step_row(row: list[int], k: int, n: int) -> None:
+    """Turn the row C(n - jk, j), j = 0..floor(n/(k+1)), into that of n+1.
+
+    With m = n - jk, C(m+1, j) = C(m, j) (m+1) / (m+1-j); the division is
+    exact and its divisor n+1 - j(k+1) is at least 1 on the row.
+    """
+    for j in range(1, len(row)):
+        top = n + 1 - j * k  # m + 1
+        row[j] = row[j] * top // (top - j)
+    if (n + 1) % (k + 1) == 0:
+        row.append(1)  # C(j, j) for the new j = (n+1)/(k+1)
+
+
+def _nonnegative(total: int) -> int:
     if total < 0:
         # Impossible for a correct implementation; a user input cannot
         # trigger this, so treat it as a defect, not a ValueError.
@@ -126,11 +147,67 @@ def _fold(terms) -> int:
     return total
 
 
+def _fold(terms) -> int:
+    return _nonnegative(sum(sign * magnitude for _, sign, magnitude in terms))
+
+
+def _fold_row(row, k: int) -> int:
+    """sum_j (-1)^j row[j] 2^((L-j)(k+1)) for a row of L+1 entries, by
+    Horner's rule in 2^(k+1)."""
+    total = 0
+    for j, c in enumerate(row):
+        total = (total << (k + 1)) + (-c if j & 1 else c)
+    return _nonnegative(total)
+
+
+def _row(k: int, n: int):
+    """C(n - jk, j) for j = 0..floor(n/(k+1)), one entry at a time."""
+    return _shifted_binomials(k, n, n // (k + 1))
+
+
+def dunkel_sums_from(k: int, start: int) -> Iterator[int]:
+    """Yield f(0) + ... + f(n) via the alternating closed form, n = start, start+1, ...
+
+    The summand of j carries 2^(n - j(k+1)), and the last j carries
+    2^(n mod (k+1)).  The first value folds its row as the row is made, so
+    one index holds O(n) bits; later indices keep the row, O(n^2/k) bits.
+    """
+    _check_k(k)
+    _check_n(start)
+    yield _fold_row(_row(k, start), k) << start % (k + 1)
+    row = list(_row(k, start))
+    for n in count(start + 1):
+        _step_row(row, k, n - 1)
+        yield _fold_row(row, k) << n % (k + 1)
+
+
+def _term_fold(row, prev, k: int, n: int) -> int:
+    """f(n) from the rows of n and n-1 by the per-term formula."""
+    doubled = (2 * c - p for c, p in zip_longest(row, prev, fillvalue=0))
+    return (_fold_row(doubled, k) << n % (k + 1)) >> 1
+
+
+def closed_values_from(k: int, start: int) -> Iterator[int]:
+    """Yield f(n) via the per-term closed form, n = start, start+1, ...
+
+    term_j = (-1)^j (2 C(n-jk, j) - C(n-jk-1, j)) 2^(e-1), e = n - j(k+1).
+    The row of n-1 lacks the last j when e = 0 there, and is empty at
+    n = 0, which leaves the base case's lone term 2 * 2^-1 = 1.  Memory as
+    in dunkel_sums_from, for the rows of n and n-1.
+    """
+    _check_k(k)
+    _check_n(start)
+    yield _term_fold(_row(k, start), _row(k, start - 1), k, start)
+    row = list(_row(k, start))
+    for n in count(start + 1):
+        prev = row.copy()
+        _step_row(row, k, n - 1)
+        yield _term_fold(row, prev, k, n)
+
+
 def partial_sum_dunkel(k: int, n: int) -> int:
     """Return f(0) + ... + f(n) via the alternating closed form."""
-    _check_k(k)
-    _check_n(n)
-    return _fold(_sum_terms(k, n, n // (k + 1)))
+    return next(dunkel_sums_from(k, n))
 
 
 def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
@@ -150,9 +227,7 @@ def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
 
 def kbonacci_closed(k: int, n: int) -> int:
     """Return f(n) via the per-term closed form."""
-    _check_k(k)
-    _check_n(n)
-    return _fold(_term_terms(k, n))
+    return next(closed_values_from(k, n))
 
 
 def term_breakdown(k: int, n: int, which: str = SUM_FORMULA) -> list[SignedTerm]:

@@ -11,13 +11,20 @@ S(i) = 2^i and f(i) = 2^(i-1), except f(0) = 1, so
 The residue is reached by binary powering: O(log n) squarings of k+1
 big-integer coefficients, each (k+1)(k+2)/2 multiplications, with the
 reduction x^e = 2x^(e-1) - x^(e-k-1) costing only shifts and additions.
-No floats: exactness is the point.
+
+A range of indices pays for one powering.  The residue of x^(n+1) is x
+times that of x^n: the coefficients move up by one place, and the one that
+leaves, t = r[k], comes back by x^(k+1) = 2x^k - 1 as 2t at x^k and -t at
+x^0.  Since P(2) = 1, the new r(2) is 2r(2) - t, so each later index costs
+a few additions and no multiplication.  No floats: exactness is the point.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from operator import mul
+from typing import Iterator
 
 from .sequence import _check_k, _check_n
 
@@ -73,12 +80,38 @@ def _at_two(r: list[int]) -> int:
     return sum(c << i for i, c in enumerate(r))
 
 
+def _residues_from(k: int, start: int, ops: OpCount | None) -> Iterator[tuple[int, int]]:
+    """Yield (r(2), r(0)) for r = x^n mod x^(k+1) - 2x^k + 1, n = start, start+1, ...
+
+    Only the powering to start is counted in ops.
+    """
+    r = deque(_residue(k, start, ops))
+    at_two = _at_two(r)
+    while True:
+        yield at_two, r[0]
+        top = r.pop()
+        r.appendleft(-top)
+        r[-1] += top << 1
+        at_two = (at_two << 1) - top
+
+
+def matrix_values_from(k: int, start: int, ops: OpCount | None = None) -> Iterator[int]:
+    """Yield f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ..."""
+    for at_two, at_zero in _residues_from(k, start, ops):
+        yield (at_two + at_zero) >> 1
+
+
+def matrix_sums_from(k: int, start: int, ops: OpCount | None = None) -> Iterator[int]:
+    """Yield S(n) = r(2) for n = start, start+1, ..."""
+    for at_two, _ in _residues_from(k, start, ops):
+        yield at_two
+
+
 def kbonacci_matrix(k: int, n: int, ops: OpCount | None = None) -> int:
     """Return f(n) = (r(2) + r(0)) / 2 for r = x^n mod x^(k+1) - 2x^k + 1."""
-    r = _residue(k, n, ops)
-    return (_at_two(r) + r[0]) >> 1
+    return next(matrix_values_from(k, n, ops))
 
 
 def partial_sum_matrix(k: int, n: int, ops: OpCount | None = None) -> int:
     """Return f(0) + ... + f(n) = r(2) for r = x^n mod x^(k+1) - 2x^k + 1."""
-    return _at_two(_residue(k, n, ops))
+    return next(matrix_sums_from(k, n, ops))

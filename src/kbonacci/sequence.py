@@ -13,7 +13,7 @@ the sibling modules are validated against it.
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import Iterator
 
 
@@ -55,13 +55,27 @@ def values(k: int) -> Iterator[int]:
         n += 1
 
 
+def values_from(k: int, start: int) -> Iterator[int]:
+    """Yield f(start), f(start+1), ...; negative indices give 0.
+
+    One pass of `values`: each later index costs one window step.
+    """
+    _check_k(k)
+    _check_int("n", start)
+    yield from repeat(0, -start)
+    yield from islice(values(k), max(start, 0), None)
+
+
+def sums_from(k: int, start: int) -> Iterator[int]:
+    """Yield S(start), S(start+1), ... for S(n) = f(0) + ... + f(n)."""
+    _check_k(k)
+    _check_n(start)
+    yield from islice(accumulate(values(k)), start, None)
+
+
 def kbonacci_recurrence(k: int, n: int) -> int:
     """Return f(n) for window length k; n may be negative (value 0)."""
-    _check_k(k)
-    _check_int("n", n)
-    if n < 0:
-        return 0
-    return next(islice(values(k), n, None))
+    return next(values_from(k, n))
 
 
 def kbonacci_prefix(k: int, n: int) -> list[int]:
@@ -73,6 +87,4 @@ def kbonacci_prefix(k: int, n: int) -> list[int]:
 
 def partial_sum_direct(k: int, n: int) -> int:
     """Return f(0) + f(1) + ... + f(n) by direct accumulation."""
-    _check_k(k)
-    _check_n(n)
-    return sum(islice(values(k), n + 1))
+    return next(sums_from(k, n))

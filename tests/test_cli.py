@@ -1,13 +1,30 @@
+import io
 import json
+import os
 import random
+import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
+from itertools import accumulate, count
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kbonacci import kbonacci_recurrence, partial_sum_direct, term_breakdown
+from kbonacci import (
+    Engine,
+    kbonacci_closed,
+    kbonacci_matrix,
+    kbonacci_prefix,
+    kbonacci_recurrence,
+    partial_sum_direct,
+    partial_sum_dunkel,
+    partial_sum_dunkel_extended,
+    partial_sum_matrix,
+    term_breakdown,
+)
+from kbonacci import engines
 from kbonacci.cli import _LEAF_BITS, FORMATS, _decimal_str, main, parse_range
 
 needs_digit_limit = pytest.mark.skipif(
@@ -157,6 +174,93 @@ class TestSum:
         )
         assert code == 2
         assert "outside" in err
+
+
+# (subcommand, engine) -> the engine's single-index function
+_SINGLE_CALLS = {
+    ("eval", "recurrence"): kbonacci_recurrence,
+    ("eval", "dunkel-term"): kbonacci_closed,
+    ("eval", "matrix"): kbonacci_matrix,
+    ("sum", "direct"): partial_sum_direct,
+    ("sum", "dunkel"): partial_sum_dunkel,
+    ("sum", "dunkel-extended"): lambda k, n: partial_sum_dunkel_extended(k, n, n // k),
+    ("sum", "matrix"): partial_sum_matrix,
+}
+
+
+def _stdout_of(*argv):
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(list(argv))
+    assert code == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@example(k=1, start=0, length=40)
+@example(k=12, start=0, length=40)
+@given(k=st.integers(1, 12), start=st.integers(0, 200), length=st.integers(1, 40))
+def test_range_matches_single_calls_and_recurrence(k, start, length):
+    ns = range(start, start + length)
+    prefix = kbonacci_prefix(k, ns[-1])
+    expected = {"eval": prefix[start:], "sum": list(accumulate(prefix))[start:]}
+    for (sub, engine), single in _SINGLE_CALLS.items():
+        out = _stdout_of(sub, "--k", str(k), "--n", f"{ns[0]}..{ns[-1]}", "--engine", engine)
+        printed = [int(line) for line in out.splitlines()]
+        assert printed == [single(k, n) for n in ns] == expected[sub], (sub, engine)
+
+
+class TestRanges:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sum", "--k", "2", "--n", "4..9", "--engine", "dunkel-extended", "--m", "2"),
+            ("eval", "--k", "2", "--n=-1..3", "--engine", "matrix"),
+            ("eval", "--k", "2", "--n=-1..3", "--engine", "dunkel-term"),
+            ("sum", "--k", "0", "--n", "0..5"),
+            ("sum", "--k", "0", "--n", "5..7", "--engine", "dunkel-extended"),
+        ],
+    )
+    def test_range_invalid_anywhere_writes_nothing(self, capsys, argv, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_negative_start_on_recurrence(self, capsys):
+        code, out, _ = run(capsys, "eval", "--k", "2", "--n=-2..3")
+        assert (code, out.split()) == (0, ["0", "0", "1", "1", "2", "3"])
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("sub, table", [("eval", "_VALUE_DISPATCH"), ("sum", "_SUM_DISPATCH")])
+    def test_each_record_written_before_the_next_is_computed(self, monkeypatch, sub, table, fmt):
+        out = io.StringIO()
+        lines_seen = []
+
+        def watched(k, start):
+            for n in count(start):
+                lines_seen.append(out.getvalue().count("\n"))
+                yield n
+
+        monkeypatch.setitem(getattr(engines, table), Engine.RECURRENCE, watched)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main([sub, "--k", "2", "--n", "10..14", "--format", fmt]) == 0
+        header = fmt == "csv"
+        # the first value is computed before anything is written, the header included
+        assert lines_seen == [0] + [header + i for i in range(1, 5)]
+        lines = out.getvalue().splitlines()
+        assert len(lines) == header + 5
+        if header:
+            assert lines[0] == "k,n,engine,value"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "kbonacci", "eval", "--k", "2", "--n", "4"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "5\n")
 
 
 class TestTerms:
@@ -378,7 +482,7 @@ def test_digit_limit_restored_after_main(capsys):
     try:
         code, out, _ = run(capsys, "eval", "--k", "2", "--n", "30000", "--engine", "matrix")
         assert code == 0
-        assert len(out.strip()) > 5000  # lifted while main runs
+        assert len(out.strip()) > 5000  # the output does not depend on the limit
         assert sys.get_int_max_str_digits() == 5000
         with pytest.raises(SystemExit):
             main(["eval", "--k", "2"])

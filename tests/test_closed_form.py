@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,3 +181,16 @@ def test_sum_identity_random(k, n):
 @given(k=st.integers(1, 7), n=st.integers(0, 80))
 def test_value_identity_random(k, n):
     assert kbonacci_closed(k, n) == kbonacci_recurrence(k, n)
+
+
+@pytest.mark.parametrize("fn", [kbonacci_closed, partial_sum_dunkel])
+def test_single_index_streams_its_row(fn):
+    # At k=2, n=12000 the row C(n-2j, j) holds about 2.3 MiB of binomials;
+    # one index folds it as it is made and keeps only a few n-bit values.
+    tracemalloc.start()
+    try:
+        fn(2, 12_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

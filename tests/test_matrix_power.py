@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from kbonacci import (
     partial_sum_direct,
     partial_sum_matrix,
 )
+from kbonacci.matrix_power import matrix_sums_from, matrix_values_from
 
 
 @pytest.mark.parametrize("k, n, expected", [(2, 4, 5), (3, 0, 1), (5, 2, 2)])
@@ -86,3 +89,13 @@ def test_op_count_of_a_small_cell():
     ops = OpCount()
     assert kbonacci_matrix(2, 10, ops) == 89
     assert ops == OpCount(matrix_products=2, scalar_mults=12)
+
+
+@pytest.mark.parametrize("stream", [matrix_values_from, matrix_sums_from])
+def test_range_counts_only_the_jump(stream):
+    # 40 steps past n=10 shift the residue without multiplying
+    ops = OpCount()
+    values = list(islice(stream(2, 10, ops), 41))
+    assert ops == OpCount(matrix_products=2, scalar_mults=12)
+    single = kbonacci_matrix if stream is matrix_values_from else partial_sum_matrix
+    assert values == [single(2, n) for n in range(10, 51)]
