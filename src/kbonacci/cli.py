@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from itertools import chain
+from itertools import chain, islice
 
 from .closed_form import (
     SUM_FORMULA,
@@ -33,7 +33,7 @@ from .closed_form import (
 from .engines import Engine, stream_sums, stream_values
 from .matrix_power import OpCount, kbonacci_matrix, partial_sum_matrix
 from .sequence import _check_k, kbonacci_recurrence, partial_sum_direct
-from .tilings import DEFAULT_CAP, iter_bounded_tilings, iter_tilings
+from .tilings import DEFAULT_CAP, bounded_tiles, exact_tiles
 from .verify import SUITES, run_suites
 
 ENV_CAP = "KBONACCI_ENUM_CAP"
@@ -209,9 +209,13 @@ def cmd_terms(args) -> int:
     return 0
 
 
+# Listing rows are written in blocks of this many lines, one write each.
+_ROWS_PER_WRITE = 1024
+
+
 def cmd_tilings(args) -> int:
     cap = _resolve_cap(args)
-    producer = iter_bounded_tilings if args.bounded else iter_tilings
+    producer = bounded_tiles if args.bounded else exact_tiles
     tilings = producer(args.k, args.n, cap)
     if args.count:
         count = sum(1 for _ in tilings)
@@ -224,17 +228,23 @@ def cmd_tilings(args) -> int:
             writer.writerow(["k", "n", "bounded", "count"])
             writer.writerow([args.k, args.n, args.bounded, count])
         return 0
+    # Rows are joined by hand: they match the json/csv modules' output byte
+    # for byte, as no field needs escaping or quoting.  No tile or total
+    # exceeds n, so each number is one lookup.
+    digits = [str(t) for t in range(args.n + 1)]
     if args.format == "plain":
-        for t in tilings:
-            print(_jdump(list(t.tiles)))
+        rows = ("[" + ",".join([digits[t] for t in tiles]) + "]" for tiles in tilings)
     elif args.format == "json":
-        for t in tilings:
-            print(_jdump({"tiles": list(t.tiles), "total": t.total}))
+        rows = (
+            '{"tiles":[' + ",".join([digits[t] for t in tiles])
+            + '],"total":' + digits[sum(tiles)] + "}"
+            for tiles in tilings
+        )
     else:
-        writer = _csv_writer()
-        writer.writerow(["total", "tiles"])
-        for t in tilings:
-            writer.writerow([t.total, " ".join(map(str, t.tiles))])
+        print("total,tiles")
+        rows = (digits[sum(tiles)] + "," + " ".join([digits[t] for t in tiles]) for tiles in tilings)
+    while block := list(islice(rows, _ROWS_PER_WRITE)):
+        print("\n".join(block))
     return 0
 
 
@@ -243,6 +253,8 @@ def cmd_verify(args) -> int:
     names = []
     for chunk in args.suite or [",".join(SUITES)]:
         names.extend(s for s in chunk.split(",") if s)
+    if not names:
+        raise ValueError(f"no suite named; choose from {sorted(SUITES)}")
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {sorted(SUITES)}")
@@ -429,9 +441,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_range_values(argv: list[str]) -> list[str]:
+    """Rewrite '--n A..B' as '--n=A..B', and --k alike.  argparse takes a
+    token such as '-1..3' for an option, since it starts with '-' and is
+    not a plain number, and would leave --n without its value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--k", "--n") and token.startswith("-") and ".." in token:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _attach_range_values(sys.argv[1:] if argv is None else argv)
+        )
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,21 @@ dashed mark by k units, shifting everything to its right.
 `verify_intersection_identity` checks both the count identity and that the
 construction is a bijection, by brute force.
 
+Inside the module a tiling is a plain tuple of tile lengths, and a member
+of U is an int whose bit p is set when position p carries a mark: the
+members are M = (s << 1) | 1 for s in range(2^n), as position 0 is always
+marked.  The tile ending at mark j is oversized when none of the k
+positions below j is marked, so the oversized right ends of M are the bits
+of M & ~(M<<1 | ... | M<<k) & ~1.  Mark expansion works on bits too: mark
+p of the reduced ruler moves right by l*k, where l counts the dashed
+positions at or left of p.  So the dashed r_l lands on the end
+j_l = r_l + l*k, and the free positions between r_l and r_(l+1) form a
+segment that shifts by l*k as one block.  Shifting the free positions
+once per choice of dashed marks and walking the submasks of the result
+yields the image of every configuration.  `Tiling` and `MarkConfig`
+objects are built only at the public boundary: the iter_* functions,
+expand_marks and tiling_from_marks.
+
 Everything here is exponential in n by design; the enumeration cap keeps
 calls at desk scale and is overridable per call.
 """
@@ -30,12 +45,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import sub
 from typing import Iterable, Iterator
 
 from .closed_form import binomial
 from .sequence import _check_int, _check_k
 
 DEFAULT_CAP = 24
+
+Tiles = tuple[int, ...]
 
 
 class CapExceededError(ValueError):
@@ -65,12 +83,12 @@ class Tiling:
     unique tiling of total 0.
     """
 
-    tiles: tuple[int, ...] = ()
+    tiles: Tiles = ()
 
     def __post_init__(self):
         if not isinstance(self.tiles, tuple):
             object.__setattr__(self, "tiles", tuple(self.tiles))
-        if any(t < 1 for t in self.tiles):
+        if min(self.tiles, default=1) < 1:
             raise ValueError(f"tile lengths must be positive, got {self.tiles}")
 
     @property
@@ -104,16 +122,12 @@ def tiling_from_marks(marks: Iterable[int]) -> Tiling:
     Marks must be distinct positive integers.
     """
     sorted_marks = sorted(marks)
-    if sorted_marks and sorted_marks[0] < 1:
+    tiles = tuple(map(sub, sorted_marks, [0, *sorted_marks]))
+    if tiles and tiles[0] < 1:
         raise ValueError("mark positions must be >= 1 (position 0 is implicit)")
-    if any(a == b for a, b in zip(sorted_marks, sorted_marks[1:])):
+    if min(tiles, default=1) < 1:  # a repeated mark leaves a tile of length 0
         raise ValueError("mark positions must be distinct")
-    prev = 0
-    tiles = []
-    for m in sorted_marks:
-        tiles.append(m - prev)
-        prev = m
-    return Tiling(tuple(tiles))
+    return Tiling(tiles)
 
 
 @dataclass(frozen=True)
@@ -144,22 +158,35 @@ class MarkConfig:
             raise ValueError("normal and dashed positions must be disjoint")
 
 
+def exact_tiles(k: int, n: int, cap: int | None = None) -> Iterator[Tiles]:
+    """Stream the tile tuples of all tilings of total exactly n with tiles
+    in 1..k, in lexicographic order."""
+    _check_k(k)
+    _check_enumerable(n, cap)
+    return _exact(k, n)
+
+
+def _exact(k: int, n: int) -> Iterator[Tiles]:
+    # Lexicographic successor: drop tiles from the end until one can grow by
+    # one (below k, with room in the dropped total), grow it, and complete
+    # with 1s, the smallest completion.
+    tiles = [1] * n
+    yield tuple(tiles)
+    dropped = 0
+    while tiles:
+        t = tiles.pop()
+        dropped += t
+        if t < k and t < dropped:
+            tiles.append(t + 1)
+            tiles += [1] * (dropped - t - 1)
+            dropped = 0
+            yield tuple(tiles)
+
+
 def iter_tilings(k: int, n: int, cap: int | None = None) -> Iterator[Tiling]:
     """Stream all tilings of total exactly n with tiles in 1..k, in
     lexicographic order of the tile lists."""
-    _check_k(k)
-    _check_enumerable(n, cap)
-    return _gen_exact(k, n, [])
-
-
-def _gen_exact(k: int, remaining: int, acc: list[int]) -> Iterator[Tiling]:
-    if remaining == 0:
-        yield Tiling(tuple(acc))
-        return
-    for t in range(1, min(k, remaining) + 1):
-        acc.append(t)
-        yield from _gen_exact(k, remaining - t, acc)
-        acc.pop()
+    return map(Tiling, exact_tiles(k, n, cap))
 
 
 def enumerate_tilings(k: int, n: int, cap: int | None = None) -> list[Tiling]:
@@ -167,24 +194,50 @@ def enumerate_tilings(k: int, n: int, cap: int | None = None) -> list[Tiling]:
     return list(iter_tilings(k, n, cap))
 
 
-def iter_bounded_tilings(k: int, n: int, cap: int | None = None) -> Iterator[Tiling]:
-    """Stream all tilings of total at most n with tiles in 1..k, lex order."""
+def bounded_tiles(k: int, n: int, cap: int | None = None) -> Iterator[Tiles]:
+    """Stream the tile tuples of all tilings of total at most n with tiles
+    in 1..k, in lexicographic order."""
     _check_k(k)
     _check_enumerable(n, cap)
-    return _gen_bounded(k, n, [])
+    return _bounded(k, n)
 
 
-def _gen_bounded(k: int, budget: int, acc: list[int]) -> Iterator[Tiling]:
-    yield Tiling(tuple(acc))  # every prefix is itself a tiling of total <= n
-    for t in range(1, min(k, budget) + 1):
-        acc.append(t)
-        yield from _gen_bounded(k, budget - t, acc)
-        acc.pop()
+def _bounded(k: int, n: int) -> Iterator[Tiles]:
+    # Depth-first preorder: every prefix is itself a tiling of total <= n.
+    tiles: list[int] = []
+    room = n
+    while True:
+        yield tuple(tiles)
+        if room:
+            tiles.append(1)
+            room -= 1
+            continue
+        while tiles:  # back up to the last tile that can grow by one
+            t = tiles.pop()
+            room += t
+            if t < k and t < room:
+                tiles.append(t + 1)
+                room -= t + 1
+                break
+        else:
+            return
+
+
+def iter_bounded_tilings(k: int, n: int, cap: int | None = None) -> Iterator[Tiling]:
+    """Stream all tilings of total at most n with tiles in 1..k, lex order."""
+    return map(Tiling, bounded_tiles(k, n, cap))
 
 
 def enumerate_bounded_tilings(k: int, n: int, cap: int | None = None) -> list[Tiling]:
     """All tilings of total at most n with tiles in 1..k; length sum f(0..n)."""
     return list(iter_bounded_tilings(k, n, cap))
+
+
+def unrestricted_tiles(n: int, cap: int | None = None) -> Iterator[Tiles]:
+    """Stream the tile tuples of U, in lexicographic order; see
+    iter_unrestricted."""
+    _check_enumerable(n, cap)
+    return _bounded(n, n)  # no tile of a tiling of total <= n exceeds n
 
 
 def iter_unrestricted(n: int, cap: int | None = None) -> Iterator[Tiling]:
@@ -194,20 +247,45 @@ def iter_unrestricted(n: int, cap: int | None = None) -> Iterator[Tiling]:
     tilings; emitted in lexicographic order of the tile lists (which is
     also lexicographic order of the mark subsets).
     """
-    _check_enumerable(n, cap)
-    return _gen_unrestricted(n, 0, [])
-
-
-def _gen_unrestricted(n: int, prev_mark: int, acc: list[int]) -> Iterator[Tiling]:
-    yield Tiling(tuple(acc))
-    for m in range(prev_mark + 1, n + 1):
-        acc.append(m - prev_mark)
-        yield from _gen_unrestricted(n, m, acc)
-        acc.pop()
+    return map(Tiling, unrestricted_tiles(n, cap))
 
 
 def enumerate_unrestricted(n: int, cap: int | None = None) -> list[Tiling]:
     return list(iter_unrestricted(n, cap))
+
+
+def _mask(positions: Iterable[int]) -> int:
+    return sum(1 << p for p in positions)
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask as single-bit ints, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
+
+
+def _positions(mask: int) -> tuple[int, ...]:
+    return tuple(b.bit_length() - 1 for b in _bits(mask))
+
+
+def _ends_and_marks(k: int, n: int) -> Iterator[tuple[int, int]]:
+    """(oversized right ends, marks) as bitmasks, for every member of U in
+    increasing order of marks."""
+    # cover |= cover << step over these steps ORs marks << 0..k-1 together
+    steps = []
+    width = 1
+    while width < k:
+        steps.append(min(width, k - width))
+        width += steps[-1]
+    for marks in range(1, 2 << n, 2):
+        cover = marks
+        for step in steps:
+            cover |= cover << step
+        yield marks & ~(cover << 1 | 1), marks
 
 
 def _check_ends(n: int, ends: Iterable[int]) -> tuple[int, ...]:
@@ -228,13 +306,18 @@ def intersection_count(k: int, n: int, ends: Iterable[int], cap: int | None = No
     inputs denoting an empty intersection.
     """
     _check_k(k)
-    ends = _check_ends(n, ends)
-    count = 0
-    for tiling in iter_unrestricted(n, cap):
-        oversized = tiling.oversized_right_ends(k)
-        if all(j in oversized for j in ends):
-            count += 1
-    return count
+    wanted = _mask(_check_ends(n, ends))
+    _check_enumerable(n, cap)
+    return sum(1 for found, _ in _ends_and_marks(k, n) if (found & wanted) == wanted)
+
+
+def _lengthen(k: int, dashed: tuple[int, ...], marks: int) -> int:
+    """Move each mark p of the reduced ruler right by l*k, where l counts
+    the dashed positions at or left of p."""
+    for r in reversed(dashed):
+        low = (1 << r) - 1
+        marks = (marks & low) | ((marks & ~low) << k)
+    return marks
 
 
 def expand_marks(k: int, n: int, cfg: MarkConfig) -> tuple[Tiling, tuple[int, ...]]:
@@ -255,18 +338,9 @@ def expand_marks(k: int, n: int, cfg: MarkConfig) -> tuple[Tiling, tuple[int, ..
             f"inconsistent config: n_reduced={cfg.n_reduced} but n - i*k = {n - i * k} "
             f"for n={n}, k={k}, i={i}"
         )
-    dashed = set(cfg.dashed)
-    tiles = []
-    ends = []
-    prev = 0
-    for m in sorted(dashed | cfg.normal):
-        length = m - prev
-        if m in dashed:
-            length += k
-            ends.append(m + len(ends) * k + k)  # j_l = r_l + l*k, l counted from 1
-        tiles.append(length)
-        prev = m
-    return Tiling(tuple(tiles)), tuple(ends)
+    ends = _lengthen(k, cfg.dashed, _mask(cfg.dashed))
+    marks = _lengthen(k, cfg.dashed, _mask(cfg.normal)) | ends
+    return tiling_from_marks(_positions(marks)), _positions(ends)
 
 
 @dataclass(frozen=True)
@@ -278,7 +352,7 @@ class IntersectionIdentityReport:
     i: int
     lhs: int  # sum of |U_{j_1} ∩ ... ∩ U_{j_i}| over all end tuples
     rhs: int  # C(n-ik, i) * 2^(n-i(k+1))
-    configurations: int  # number of mark configurations fed to expand_marks
+    configurations: int  # number of mark configurations expanded
     injective: bool
     image_matches: bool
 
@@ -292,6 +366,80 @@ class IntersectionIdentityReport:
         )
 
 
+def oversized_members(k: int, n: int, cap: int | None = None) -> dict[int, list[int]]:
+    """The members of U that have an oversized tile, from one sweep of U.
+
+    Maps each oversized-ends bitmask (bit j set when a tile longer than k
+    ends at j) to the marks bitmasks of the members with exactly those
+    oversized ends, in increasing order.  Members without an oversized
+    tile are left out.
+    """
+    _check_k(k)
+    _check_enumerable(n, cap)
+    members: dict[int, list[int]] = {}
+    for ends, marks in _ends_and_marks(k, n):
+        if ends:
+            members.setdefault(ends, []).append(marks)
+    return members
+
+
+def _check_i(k: int, n: int, i: int) -> None:
+    _check_int("i", i)
+    max_i = n // (k + 1)
+    if i < 1 or i > max_i:
+        raise ValueError(f"i must lie in 1..{max_i} for k={k}, n={n}, got {i}")
+
+
+def identity_report(
+    k: int, n: int, i: int, members: dict[int, list[int]]
+) -> IntersectionIdentityReport:
+    """The report of verify_intersection_identity(k, n, i), from
+    members = oversized_members(k, n).
+
+    Both sides are sets of (ends, marks) pairs, each packed into the int
+    ends << (n+1) | marks.  The left side takes every i-subset of each
+    member's oversized ends; the image lengthens every mark configuration.
+    """
+    _check_i(k, n, i)
+    n_reduced = n - i * k
+    rhs = binomial(n_reduced, i) << (n_reduced - i)
+    width = n + 1
+
+    # Disjoint union counted by the left side.
+    union = {
+        ends | marks
+        for found, group in members.items()
+        if found.bit_count() >= i
+        for ends in map(sum, combinations(_bits(found << width), i))
+        for marks in group
+    }
+
+    # Image of the construction: the submasks of the shifted free
+    # positions are the lengthened normal marks of every configuration.
+    full = (2 << n_reduced) - 2  # positions 1..n_reduced
+    image: set[int] = set()
+    configurations = 0
+    for dashed in combinations(range(1, n_reduced + 1), i):
+        chosen = _mask(dashed)
+        ends = _lengthen(k, dashed, chosen)
+        pairs = [ends << width | ends | 1]
+        for bit in _bits(_lengthen(k, dashed, full ^ chosen)):
+            pairs += [pair | bit for pair in pairs]
+        configurations += len(pairs)
+        image.update(pairs)
+
+    return IntersectionIdentityReport(
+        k=k,
+        n=n,
+        i=i,
+        lhs=len(union),
+        rhs=rhs,
+        configurations=configurations,
+        injective=len(image) == configurations,
+        image_matches=image == union,
+    )
+
+
 def verify_intersection_identity(
     k: int, n: int, i: int, cap: int | None = None
 ) -> IntersectionIdentityReport:
@@ -299,56 +447,17 @@ def verify_intersection_identity(
     and check that the mark-expansion construction is a bijection.
 
     The left side is the sum of intersection counts over all end tuples
-    j_1 < ... < j_i; it is accumulated in a single sweep over U (each
-    tiling contributes one pair per i-subset of its oversized right ends),
-    which keeps full grids at desk scale inside a minutes budget.  The
-    image of expand_marks over all mark configurations must hit exactly
-    those (ends, tiling) pairs, with no two configurations colliding.
+    j_1 < ... < j_i; it is accumulated from a single sweep over U (each
+    tiling contributes one pair per i-subset of its oversized right ends).
+    The image of the construction over all mark configurations must hit
+    exactly those (ends, tiling) pairs, with no two configurations
+    colliding.  To check every i of a cell, sweep once with
+    oversized_members and pass the result to identity_report.
     """
     _check_k(k)
     _check_enumerable(n, cap)
-    max_i = n // (k + 1)
-    if i < 1 or i > max_i:
-        raise ValueError(f"i must lie in 1..{max_i} for k={k}, n={n}, got {i}")
-
-    n_reduced = n - i * k
-    rhs = binomial(n_reduced, i) << (n_reduced - i)
-
-    # Disjoint union counted by the left side, as (ends, tiling) pairs.
-    union_pairs: set[tuple[tuple[int, ...], Tiling]] = set()
-    for tiling in iter_unrestricted(n, cap):
-        oversized = tiling.oversized_right_ends(k)
-        if len(oversized) >= i:
-            for ends in combinations(oversized, i):
-                union_pairs.add((ends, tiling))
-    lhs = len(union_pairs)
-
-    # Image of the construction over every mark configuration.
-    image: set[tuple[tuple[int, ...], Tiling]] = set()
-    configurations = 0
-    injective = True
-    positions = range(1, n_reduced + 1)
-    for dashed in combinations(positions, i):
-        free = [p for p in positions if p not in dashed]
-        for bits in range(1 << len(free)):
-            normal = frozenset(p for idx, p in enumerate(free) if bits >> idx & 1)
-            tiling, ends = expand_marks(k, n, MarkConfig(n_reduced, dashed, normal))
-            configurations += 1
-            pair = (ends, tiling)
-            if pair in image:
-                injective = False
-            image.add(pair)
-
-    return IntersectionIdentityReport(
-        k=k,
-        n=n,
-        i=i,
-        lhs=lhs,
-        rhs=rhs,
-        configurations=configurations,
-        injective=injective,
-        image_matches=image == union_pairs,
-    )
+    _check_i(k, n, i)
+    return identity_report(k, n, i, oversized_members(k, n, cap))
 
 
 def count_by_rightmost_tile(k: int, n: int, cap: int | None = None) -> list[tuple[int, int]]:
@@ -360,9 +469,8 @@ def count_by_rightmost_tile(k: int, n: int, cap: int | None = None) -> list[tupl
     _check_k(k)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_enumerable(n, cap)
     counts: dict[int, int] = {}
-    for tiling in iter_tilings(k, n, cap):
-        last = tiling.tiles[-1]  # n >= 1, so no tiling is empty
+    for tiles in exact_tiles(k, n, cap):
+        last = tiles[-1]  # n >= 1, so no tiling is empty
         counts[last] = counts.get(last, 0) + 1
     return sorted(counts.items())

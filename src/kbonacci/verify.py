@@ -3,12 +3,16 @@
 Each suite sweeps a (k, n) grid, counts the checks it ran and collects a
 line per failure.  Suites are deterministic: cells are visited in sorted
 (k, n) order and results do not depend on execution interleaving.
+`run_suites` checks the whole n grid against the enumeration cap before
+any enumerating suite starts, and computes each (k, n) cell of the
+intersection identity once, from one sweep of U, for every suite of the
+call that reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .closed_form import (
     SUM_FORMULA,
@@ -21,12 +25,14 @@ from .closed_form import (
 from .matrix_power import kbonacci_matrix, partial_sum_matrix
 from .sequence import kbonacci_prefix, kbonacci_recurrence, partial_sum_direct
 from .tilings import (
-    iter_bounded_tilings,
-    iter_tilings,
-    iter_unrestricted,
+    _check_enumerable,
+    bounded_tiles,
     count_by_rightmost_tile,
+    exact_tiles,
+    identity_report,
+    oversized_members,
     tiling_from_marks,
-    verify_intersection_identity,
+    unrestricted_tiles,
 )
 
 
@@ -111,7 +117,7 @@ def suite_tilings(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
     for k in ks:
         prefix = kbonacci_prefix(k, top)
         for n in ns:
-            exact = list(iter_tilings(k, n, cap))
+            exact = list(exact_tiles(k, n, cap))
             result.expect(
                 len(exact) == prefix[n], f"exact tiling count mismatch at k={k} n={n}"
             )
@@ -119,13 +125,14 @@ def suite_tilings(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
                 len(set(exact)) == len(exact), f"duplicate tilings at k={k} n={n}"
             )
             result.expect(
-                all(t.total == n and all(1 <= x <= k for x in t.tiles) for t in exact),
+                set(map(sum, exact)) == {n}
+                and set(chain.from_iterable(exact)) <= set(range(1, k + 1)),
                 f"invalid tiling emitted at k={k} n={n}",
             )
             result.expect(
                 exact == sorted(exact), f"tilings not in lexicographic order at k={k} n={n}"
             )
-            bounded = sum(1 for _ in iter_bounded_tilings(k, n, cap))
+            bounded = sum(1 for _ in bounded_tiles(k, n, cap))
             result.expect(
                 bounded == sum(prefix[: n + 1]),
                 f"bounded tiling count mismatch at k={k} n={n}",
@@ -146,50 +153,67 @@ def suite_hash_marks(ks: range, ns: range, cap: int | None = None) -> SuiteResul
     """
     result = SuiteResult("hash-marks")
     for n in ns:
-        tilings = list(iter_unrestricted(n, cap))
+        tilings = list(unrestricted_tiles(n, cap))
+        distinct = set(tilings)
         result.expect(len(tilings) == 1 << n, f"|U| != 2^{n}")
-        result.expect(len(set(tilings)) == len(tilings), f"duplicate unrestricted tilings at n={n}")
+        result.expect(len(distinct) == len(tilings), f"duplicate unrestricted tilings at n={n}")
         from_subsets = {
-            tiling_from_marks(marks)
+            tiling_from_marks(marks).tiles
             for r in range(n + 1)
             for marks in combinations(range(1, n + 1), r)
         }
         result.expect(
-            from_subsets == set(tilings) and len(from_subsets) == 1 << n,
+            from_subsets == distinct and len(from_subsets) == 1 << n,
             f"mark-subset map is not a bijection at n={n}",
         )
     return result
 
 
-def suite_inclusion_exclusion(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
+def _identity_cell(cells: dict, k: int, n: int, cap: int | None) -> tuple[int, list]:
+    """(count of the members of U with an oversized tile, identity reports
+    for i = 1..n//(k+1)) of cell (k, n): one sweep of U, kept in cells so
+    that the suites of one run_suites call share it."""
+    cell = cells.get((k, n))
+    if cell is None:
+        members = oversized_members(k, n, cap)
+        reports = [identity_report(k, n, i, members) for i in range(1, n // (k + 1) + 1)]
+        cell = cells[k, n] = (sum(map(len, members.values())), reports)
+    return cell
+
+
+def suite_inclusion_exclusion(
+    ks: range, ns: range, cap: int | None = None, cells: dict | None = None
+) -> SuiteResult:
     """The subtraction skeleton and the intersection-count identity."""
     result = SuiteResult("inclusion-exclusion")
+    cells = {} if cells is None else cells
     for k in ks:
         for n in ns:
-            with_oversized = sum(
-                1 for t in iter_unrestricted(n, cap) if any(x > k for x in t.tiles)
-            )
+            with_oversized, reports = _identity_cell(cells, k, n, cap)
             result.expect(
                 (1 << n) - with_oversized == partial_sum_direct(k, n),
                 f"2^n minus oversized count misses the partial sum at k={k} n={n}",
             )
-            for i in range(1, n // (k + 1) + 1):
-                report = verify_intersection_identity(k, n, i, cap)
+            for report in reports:
                 result.expect(
                     report.lhs == report.rhs,
-                    f"intersection counts differ at k={k} n={n} i={i}: "
+                    f"intersection counts differ at k={k} n={n} i={report.i}: "
                     f"{report.lhs} != {report.rhs}",
                 )
     return result
 
 
-def suite_bijection(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
+def suite_bijection(
+    ks: range, ns: range, cap: int | None = None, cells: dict | None = None
+) -> SuiteResult:
     """Mark expansion is injective and fills the counted union exactly."""
     result = SuiteResult("bijection")
+    cells = {} if cells is None else cells
     for k in ks:
         for n in ns:
-            for i in range(1, n // (k + 1) + 1):
-                report = verify_intersection_identity(k, n, i, cap)
+            _, reports = _identity_cell(cells, k, n, cap)
+            for report in reports:
+                i = report.i
                 result.expect(
                     report.injective, f"expand_marks not injective at k={k} n={n} i={i}"
                 )
@@ -214,5 +238,20 @@ SUITES = {
 }
 
 
+# Suites that enumerate, so run_suites checks their whole n grid against the
+# cap before any of them starts.
+_ENUMERATING = {"tilings", "hash-marks", "inclusion-exclusion", "bijection"}
+# Suites that read the identity cells; run_suites computes each cell once
+# for all of them.
+_SHARE_CELLS = {"inclusion-exclusion", "bijection"}
+
+
 def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[SuiteResult]:
-    return [SUITES[name](ks, ns, cap) for name in names]
+    if _ENUMERATING.intersection(names):
+        for n in ns:
+            _check_enumerable(n, cap)
+    cells: dict = {}
+    return [
+        SUITES[name](ks, ns, cap, cells) if name in _SHARE_CELLS else SUITES[name](ks, ns, cap)
+        for name in names
+    ]

@@ -64,3 +64,39 @@ def oversized_ends(tiles: tuple[int, ...], k: int) -> set[int]:
 def naive_intersection_count(k: int, n: int, ends) -> int:
     wanted = set(ends)
     return sum(1 for _, tiles in subset_tilings(n) if wanted <= oversized_ends(tiles, k))
+
+
+def naive_expand(k: int, dashed, normal) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(oversized ends, tiles) of the mark expansion, from its definition:
+    tile the reduced ruler between all marks, then lengthen each tile that
+    ends at a dashed mark by k."""
+    ends, tiles, prev, pos = [], [], 0, 0
+    for m in sorted(set(dashed) | set(normal)):
+        length = m - prev + (k if m in dashed else 0)
+        pos += length
+        tiles.append(length)
+        if m in dashed:
+            ends.append(pos)
+        prev = m
+    return tuple(ends), tuple(tiles)
+
+
+def naive_identity_sides(k: int, n: int, i: int):
+    """(union, image) of the intersection identity at (k, n, i) as
+    (ends, tiles) pairs: the union as a set from every i-subset of each
+    tiling's oversized ends, the image as a list with one entry per mark
+    configuration on the reduced ruler of length n - ik."""
+    union = {
+        (ends, tiles)
+        for _, tiles in subset_tilings(n)
+        for ends in combinations(sorted(oversized_ends(tiles, k)), i)
+    }
+    n_reduced = n - i * k
+    positions = range(1, n_reduced + 1)
+    image = []
+    for dashed in combinations(positions, i):
+        free = [p for p in positions if p not in dashed]
+        for r in range(len(free) + 1):
+            for normal in combinations(free, r):
+                image.append(naive_expand(k, dashed, normal))
+    return union, image

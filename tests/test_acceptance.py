@@ -138,7 +138,7 @@ def test_criterion_07_hash_mark_count(criterion):
 
 def test_criterion_08_inclusion_exclusion_bijection(criterion):
     def body():
-        for n in range(0, 15):
+        for n in range(0, 17):
             for k in range(1, n + 1):
                 for i in range(1, n // (k + 1) + 1):
                     report = verify_intersection_identity(k, n, i)
@@ -149,7 +149,7 @@ def test_criterion_08_inclusion_exclusion_bijection(criterion):
 
     criterion(
         8,
-        "inclusion-exclusion: counts match and the mark expansion bijects, n <= 14",
+        "inclusion-exclusion: counts match and the mark expansion bijects, n <= 16",
         120.0,
         body,
     )

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -24,8 +25,10 @@ from kbonacci import (
     partial_sum_matrix,
     term_breakdown,
 )
-from kbonacci import engines
+from kbonacci import engines, verify
 from kbonacci.cli import _LEAF_BITS, FORMATS, _decimal_str, main, parse_range
+
+from oracles import subset_tilings
 
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
@@ -230,6 +233,20 @@ class TestRanges:
         code, out, _ = run(capsys, "eval", "--k", "2", "--n=-2..3")
         assert (code, out.split()) == (0, ["0", "0", "1", "1", "2", "3"])
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (("eval", "--k", "2"), "--n", "-2..3"),
+            (("sum", "--k", "2"), "--n", "-1..3"),
+            (("verify", "--suite", "engines"), "--n", "-1..3"),
+            (("verify", "--suite", "engines", "--n", "0..3"), "--k", "-1..2"),
+        ],
+    )
+    def test_negative_range_start_after_a_space(self, capsys, argv, flag, value):
+        joined = run(capsys, *argv, f"{flag}={value}")
+        assert run(capsys, *argv, flag, value) == joined
+        assert "expected one argument" not in joined[2]
+
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("sub, table", [("eval", "_VALUE_DISPATCH"), ("sum", "_SUM_DISPATCH")])
     def test_each_record_written_before_the_next_is_computed(self, monkeypatch, sub, table, fmt):
@@ -311,6 +328,30 @@ class TestTilings:
             {"tiles": [2, 1], "total": 3},
         ]
 
+    # (k, n, bounded): the empty tiling alone, one short list, and listings
+    # longer than one block of rows
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "k, n, bounded",
+        [(2, 0, True), (3, 0, False), (2, 6, False), (4, 13, False), (2, 15, True)],
+    )
+    def test_listing_bytes_match_the_json_and_csv_modules(self, capsys, fmt, k, n, bounded):
+        every = sorted(tiles for _, tiles in subset_tilings(n))
+        tilings = [t for t in every if max(t, default=1) <= k and (bounded or sum(t) == n)]
+        expected = io.StringIO()
+        if fmt == "csv":
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(["total", "tiles"])
+            for t in tilings:
+                writer.writerow([sum(t), " ".join(map(str, t))])
+        else:
+            for t in tilings:
+                obj = list(t) if fmt == "plain" else {"tiles": list(t), "total": sum(t)}
+                print(json.dumps(obj, sort_keys=True, separators=(",", ":")), file=expected)
+        argv = ["tilings", "--k", str(k), "--n", str(n), "--format", fmt] + ["--bounded"] * bounded
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, expected.getvalue())
+
     def test_cap_flag_allows_and_blocks(self, capsys):
         code, _, err = run(capsys, "tilings", "--k", "1", "--n", "30", "--count")
         assert code == 2
@@ -373,6 +414,44 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
         assert "unknown suite" in err
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_empty_suite_list_exits_2(self, capsys, fmt):
+        code, out, err = run(capsys, "verify", "--n", "0..3", "--suite", ",", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "no suite named" in err
+        assert all(name in err for name in verify.SUITES)
+
+    def test_cap_checked_before_any_suite_runs(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(verify.SUITES, "engines", lambda ks, ns, cap=None: ran.append(ns))
+        for suite in ("tilings", "hash-marks", "inclusion-exclusion", "bijection"):
+            code, out, err = run(
+                capsys, "verify", "--suite", f"engines,{suite}", "--n", "0..30", "--format", "csv"
+            )
+            assert (code, out, ran) == (2, "", [])
+            assert "n=25 exceeds the enumeration cap 24" in err
+
+    def test_cap_ignored_by_suites_that_do_not_enumerate(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "engines", "--n", "20..25")
+        assert (code, out) == (0, "PASS engines checks=96\n")
+
+    def test_identity_suites_share_each_cell(self, monkeypatch):
+        ks, ns = range(1, 4), range(0, 9)
+        alone = [verify.run_suites([name], ks, ns)[0] for name in ("inclusion-exclusion", "bijection")]
+        sweeps = []
+        sweep = verify.oversized_members
+
+        def counted(k, n, cap=None):
+            sweeps.append((k, n))
+            return sweep(k, n, cap)
+
+        monkeypatch.setattr(verify, "oversized_members", counted)
+        shared = verify.run_suites(["inclusion-exclusion", "bijection"], ks, ns)
+        assert sorted(sweeps) == [(k, n) for k in ks for n in ns]
+        assert [(r.name, r.checks, r.failures) for r in shared] == [
+            (r.name, r.checks, r.failures) for r in alone
+        ]
 
     def test_json_format(self, capsys):
         code, out, _ = run(

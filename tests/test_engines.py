@@ -14,6 +14,7 @@ from kbonacci import (
     partial_sum_dunkel,
     partial_sum_dunkel_extended,
     partial_sum_matrix,
+    verify_intersection_identity,
 )
 
 
@@ -56,6 +57,16 @@ def _extended_limit(k, n):
     return partial_sum_dunkel_extended(k, 2 * n, n)
 
 
+def _identity(k, n):
+    return verify_intersection_identity(k, n, 1)
+
+
+def _identity_index(k, n):
+    # n doubles as the index i: the int cell (2, 15, i=5) is legal, and a
+    # bool n reaches the check only as i, since 3 * True is an int
+    return verify_intersection_identity(k, 3 * n, n)
+
+
 @pytest.mark.parametrize(
     "fn",
     [
@@ -70,6 +81,8 @@ def _extended_limit(k, n):
         iter_tilings,
         iter_bounded_tilings,
         _extended_limit,
+        _identity,
+        _identity_index,
     ],
 )
 @pytest.mark.parametrize("k, n", [(True, 5), (2, True), (2.0, 5), (2, 5.0), ("2", 5), (2, None)])

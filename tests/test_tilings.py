@@ -14,6 +14,8 @@ from kbonacci import (
     enumerate_unrestricted,
     expand_marks,
     intersection_count,
+    iter_bounded_tilings,
+    iter_tilings,
     iter_unrestricted,
     kbonacci_prefix,
     partial_sum_direct,
@@ -21,7 +23,14 @@ from kbonacci import (
     verify_intersection_identity,
 )
 
-from oracles import naive_intersection_count, naive_value, oversized_ends, subset_tilings
+from oracles import (
+    naive_identity_sides,
+    naive_intersection_count,
+    naive_value,
+    oversized_ends,
+    pascal_rows,
+    subset_tilings,
+)
 
 
 class TestTilingType:
@@ -119,6 +128,20 @@ class TestUnrestrictedEnumeration:
         for marks, tiling in by_subset.items():
             assert tiling_from_marks(marks) == tiling
             assert tiling.right_ends() == marks  # marks recoverable from the tiling
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_iterators_yield_tilings_in_lexicographic_order(n):
+    every = sorted(tiles for _, tiles in subset_tilings(n))
+    cases = [(iter_unrestricted(n), every)]
+    for k in range(1, 6):
+        bounded = [t for t in every if max(t, default=1) <= k]
+        exact = [t for t in bounded if sum(t) == n]
+        cases += [(iter_bounded_tilings(k, n), bounded), (iter_tilings(k, n), exact)]
+    for stream, expected in cases:
+        tilings = list(stream)
+        assert all(type(t) is Tiling for t in tilings)
+        assert [t.tiles for t in tilings] == expected
 
 
 class TestEnumerationCap:
@@ -257,6 +280,30 @@ class TestIntersectionIdentity:
             intersection_count(k, n, ends) for ends in combinations(range(1, n + 1), i)
         )
         assert report.lhs == total
+
+    def test_reports_match_the_oracle_up_to_n_9(self):
+        binomials = pascal_rows(9)
+        for n in range(2, 10):
+            for k in range(1, n):
+                for i in range(1, n // (k + 1) + 1):
+                    report = verify_intersection_identity(k, n, i)
+                    union, image = naive_identity_sides(k, n, i)
+                    lhs = sum(
+                        naive_intersection_count(k, n, ends)
+                        for ends in combinations(range(1, n + 1), i)
+                    )
+                    n_reduced = n - i * k
+                    assert (report.k, report.n, report.i) == (k, n, i)
+                    assert report.lhs == lhs == len(union)
+                    assert report.rhs == binomials[n_reduced][i] * 2 ** (n_reduced - i)
+                    assert report.configurations == len(image)
+                    assert report.injective == (len(set(image)) == len(image))
+                    assert report.image_matches == (set(image) == union)
+
+    @pytest.mark.parametrize("i", [True, 1.0, "1", None])
+    def test_non_int_i_rejected(self, i):
+        with pytest.raises(TypeError, match="i must be an int"):
+            verify_intersection_identity(2, 6, i)
 
     @pytest.mark.parametrize("i", [0, -1, 2])
     def test_out_of_range_i_rejected(self, i):
