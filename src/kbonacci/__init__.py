@@ -1,11 +1,12 @@
 """Exact k-bonacci numbers, partial sums, and the combinatorics behind them.
 
-Four independent engines compute the same quantities: the defining
-recurrence, two closed forms built from binomial coefficients and powers
-of two, and binary powering of x^n modulo x^(k+1) - 2x^k + 1 for large
-indices.  A tiling laboratory re-derives the closed forms by exhaustive
-enumeration at desk scale: ruler tilings, the 2^n hash-mark count, the
-mark-expansion bijection and inclusion-exclusion.
+Independent engines compute the same quantities: the defining
+recurrence, closed forms built from binomial coefficients and powers of
+two, and binary powering of x^n modulo x^(k+1) - 2x^k + 1 for large
+indices.  `engines` registers each one once, by the name the CLI takes.
+A tiling laboratory re-derives the closed forms by exhaustive enumeration
+at desk scale: ruler tilings, the 2^n hash-mark count, the mark-expansion
+bijection and inclusion-exclusion.
 """
 
 from .closed_form import (
@@ -18,7 +19,7 @@ from .closed_form import (
     partial_sum_dunkel_extended,
     term_breakdown,
 )
-from .engines import Engine, compute_sum, compute_value
+from .engines import compute_sum, compute_value
 from .matrix_power import OpCount, kbonacci_matrix, partial_sum_matrix
 from .sequence import kbonacci_prefix, kbonacci_recurrence, partial_sum_direct, values
 from .tilings import (
@@ -28,11 +29,7 @@ from .tilings import (
     MarkConfig,
     Tiling,
     count_by_rightmost_tile,
-    enumerate_bounded_tilings,
-    enumerate_tilings,
-    enumerate_unrestricted,
     expand_marks,
-    intersection_count,
     iter_bounded_tilings,
     iter_tilings,
     iter_unrestricted,
@@ -43,7 +40,6 @@ from .tilings import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Engine",
     "CapExceededError",
     "DEFAULT_CAP",
     "IntersectionIdentityReport",
@@ -57,11 +53,7 @@ __all__ = [
     "compute_sum",
     "compute_value",
     "count_by_rightmost_tile",
-    "enumerate_bounded_tilings",
-    "enumerate_tilings",
-    "enumerate_unrestricted",
     "expand_marks",
-    "intersection_count",
     "iter_bounded_tilings",
     "iter_tilings",
     "iter_unrestricted",

@@ -1,5 +1,11 @@
 """Command-line front end: eval | sum | terms | tilings | verify | bench.
 
+`eval`, `sum` and `bench` hold no engine of their own: their --engine
+choices, defaults and bench's --engines come from the registry in
+`engines`, which also applies the input domain and the rule that --m
+goes only with the one engine that takes a summation limit.  `sum` checks
+--m for its whole range through the closed form's own limit check.
+
 Values are always rendered as exact decimal strings, whatever their size.
 Every value the CLI writes goes through one renderer, `_decimal_str`, which
 converts by divide and conquer through the `decimal` module: subquadratic
@@ -22,33 +28,13 @@ import sys
 import time
 from itertools import chain, islice
 
-from .closed_form import (
-    SUM_FORMULA,
-    TERM_FORMULA,
-    kbonacci_closed,
-    partial_sum_dunkel,
-    partial_sum_dunkel_extended,
-    term_breakdown,
-)
-from .engines import Engine, stream_sums, stream_values
-from .matrix_power import OpCount, kbonacci_matrix, partial_sum_matrix
-from .sequence import _check_k, kbonacci_recurrence, partial_sum_direct
+from .closed_form import SUM_FORMULA, TERM_FORMULA, _check_limit, term_breakdown
+from .engines import SUM_NAMES, VALUE_NAMES, bench_plan, stream_sums, stream_values
 from .tilings import DEFAULT_CAP, bounded_tiles, exact_tiles
 from .verify import SUITES, run_suites
 
 ENV_CAP = "KBONACCI_ENUM_CAP"
 
-EVAL_ENGINES = {
-    "recurrence": Engine.RECURRENCE,
-    "dunkel-term": Engine.DUNKEL_TERM,
-    "matrix": Engine.MATRIX,
-}
-SUM_ENGINES = {
-    "direct": Engine.RECURRENCE,
-    "dunkel": Engine.DUNKEL,
-    "dunkel-extended": Engine.DUNKEL,
-    "matrix": Engine.MATRIX,
-}
 FORMATS = ("plain", "json", "csv")
 VALUE_FIELDS = ["k", "n", "engine", "value"]
 
@@ -164,31 +150,15 @@ def _range_records(args, values):
 
 
 def cmd_eval(args) -> int:
-    values = stream_values(args.k, args.n[0], EVAL_ENGINES[args.engine])
+    values = stream_values(args.k, args.n[0], args.engine)
     _emit_value_records(_range_records(args, values), args.format, VALUE_FIELDS)
     return 0
 
 
 def cmd_sum(args) -> int:
-    if args.engine == "dunkel-extended":
-        _check_k(args.k)
-        m = args.m
-        if m is not None:
-            # the legal limits of n are n//(k+1)..n//k, and both ends grow with n
-            low, high = args.n[-1] // (args.k + 1), args.n[0] // args.k
-            if not low <= m <= high:
-                raise ValueError(
-                    f"limit m={m} outside [{low}, {high}] for k={args.k}, "
-                    f"n={args.n[0]}..{args.n[-1]}"
-                )
-        values = (
-            partial_sum_dunkel_extended(args.k, n, n // args.k if m is None else m)
-            for n in args.n
-        )
-    else:
-        if args.m is not None:
-            raise ValueError("--m is only meaningful with --engine dunkel-extended")
-        values = stream_sums(args.k, args.n[0], SUM_ENGINES[args.engine])
+    values = stream_sums(args.k, args.n[0], args.engine, args.m)
+    if args.m is not None:
+        _check_limit(args.k, args.n[0], args.n[-1], args.m)
     _emit_value_records(_range_records(args, values), args.format, VALUE_FIELDS)
     return 0
 
@@ -292,59 +262,19 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-_BENCH_VALUE_ONLY = {"recurrence", "dunkel-term"}
-_BENCH_SUM_ONLY = {"direct", "dunkel", "dunkel-extended"}
-
-
-def _bench_plan(tokens: list[str], k: int, n: int, m: int | None):
-    """Map engine tokens to zero-argument callables plus an ops estimate.
-
-    All callables must compute the same quantity; sum-only and value-only
-    tokens cannot be mixed.  Linear and closed-form engines report a
-    structural operation count, the matrix engine an instrumented one.
-    """
-    unknown = set(tokens) - _BENCH_VALUE_ONLY - _BENCH_SUM_ONLY - {"matrix"}
-    if unknown:
-        raise ValueError(f"unknown engine(s) {sorted(unknown)}")
-    wants_sum = bool(set(tokens) & _BENCH_SUM_ONLY)
-    if wants_sum and set(tokens) & _BENCH_VALUE_ONLY:
-        raise ValueError("cannot mix value engines with partial-sum engines in one bench run")
-    sum_terms = n // (k + 1) + 1
-    plan = {}
-    for token in tokens:
-        if token == "recurrence":
-            plan[token] = (lambda: kbonacci_recurrence(k, n)), 2 * max(n, 0)
-        elif token == "dunkel-term":
-            plan[token] = (lambda: kbonacci_closed(k, n)), 4 * sum_terms
-        elif token == "direct":
-            plan[token] = (lambda: partial_sum_direct(k, n)), 3 * max(n, 0)
-        elif token == "dunkel":
-            plan[token] = (lambda: partial_sum_dunkel(k, n)), 2 * sum_terms
-        elif token == "dunkel-extended":
-            limit = m if m is not None else n // k
-            plan[token] = (lambda lim=limit: partial_sum_dunkel_extended(k, n, lim)), 2 * (limit + 1)
-        elif token == "matrix":
-            ops = OpCount()
-            fn = partial_sum_matrix if wants_sum else kbonacci_matrix
-            plan[token] = (lambda f=fn, o=ops: f(k, n, o)), ops
-    return plan
-
-
 def cmd_bench(args) -> int:
     tokens = [t for t in args.engines.split(",") if t]
     if not tokens:
         raise ValueError("--engines must name at least one engine")
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    plan = _bench_plan(tokens, args.k, args.n, args.m)
+    plan = bench_plan(tokens, args.k, args.n, args.m)
     records = []
     for token in sorted(plan):
         fn, ops = plan[token]
         best = None
         value = None
         for _ in range(args.reps):
-            if isinstance(ops, OpCount):
-                ops.matrix_products = ops.scalar_mults = 0
             start = time.perf_counter_ns()
             value = fn()
             elapsed = time.perf_counter_ns() - start
@@ -359,7 +289,7 @@ def cmd_bench(args) -> int:
                 "engine": token,
                 "value": text,
                 "elapsed_ns": best,
-                "ops": ops.scalar_mults if isinstance(ops, OpCount) else ops,
+                "ops": ops(),
                 "render_ns": render_ns,
             }
         )
@@ -388,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compute f(n) for one engine")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=parse_range, required=True, help="index or inclusive range a..b")
-    p.add_argument("--engine", choices=sorted(EVAL_ENGINES), default="recurrence")
+    p.add_argument("--engine", choices=sorted(VALUE_NAMES), default=VALUE_NAMES[0])
     add_format(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sum", help="compute f(0)+...+f(n) for one engine")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=parse_range, required=True, help="index or inclusive range a..b")
-    p.add_argument("--engine", choices=sorted(SUM_ENGINES), default="direct")
+    p.add_argument("--engine", choices=sorted(SUM_NAMES), default=SUM_NAMES[0])
     p.add_argument("--m", type=int, default=None, help="upper limit for dunkel-extended")
     add_format(p)
     p.set_defaults(func=cmd_sum)
@@ -432,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time engines against each other")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--engines", default="recurrence,dunkel-term,matrix")
+    p.add_argument("--engines", default=",".join(VALUE_NAMES))
     p.add_argument("--m", type=int, default=None, help="limit for dunkel-extended")
     p.add_argument("--reps", type=int, default=3)
     add_format(p)

@@ -26,6 +26,8 @@ multiplication and one exact division per entry, plus an entry
 C(j, j) = 1 when k+1 divides n+1.  Every summand's power of two is
 2^(n mod (k+1)) times a power of 2^(k+1), so the row folds by Horner's
 rule in 2^(k+1).  The per-term formula keeps the rows of n and n-1.
+The extended form evaluates each index of a range on its own, and
+`_check_limit` checks a limit m for one index or a whole range.
 
 Powers of two are produced by shifting; no floating point anywhere.
 """
@@ -210,19 +212,41 @@ def partial_sum_dunkel(k: int, n: int) -> int:
     return next(dunkel_sums_from(k, n))
 
 
+def _check_limit(k: int, first: int, last: int, m: int) -> None:
+    """Raise unless m is a legal upper limit at every n of first..last.
+
+    The legal limits of n are floor(n/(k+1))..floor(n/k), and both ends
+    grow with n, so those of the range are floor(last/(k+1))..floor(first/k).
+    """
+    _check_k(k)
+    _check_n(first)
+    _check_int("m", m)
+    low, high = last // (k + 1), first // k
+    if not low <= m <= high:
+        span = first if first == last else f"{first}..{last}"
+        raise ValueError(f"limit m={m} outside [{low}, {high}] for k={k}, n={span}")
+
+
 def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
     """The partial-sum formula with its upper limit raised to m.
 
     Any m with floor(n/(k+1)) <= m <= floor(n/k) gives the same value: the
     extra summands have n-jk < j, so their binomials are 0.
     """
-    _check_k(k)
-    _check_n(n)
-    _check_int("m", m)
-    low, high = n // (k + 1), n // k
-    if not low <= m <= high:
-        raise ValueError(f"limit m={m} outside [{low}, {high}] for k={k}, n={n}")
+    _check_limit(k, n, n, m)
     return _fold(_sum_terms(k, n, m))
+
+
+def extended_sums_from(k: int, start: int, m: int | None = None) -> Iterator[int]:
+    """Yield partial_sum_dunkel_extended(k, n, m), n = start, start+1, ...
+
+    m=None raises each index's limit to floor(n/k), its largest legal one.
+    Each index is evaluated on its own.
+    """
+    _check_k(k)
+    _check_n(start)
+    for n in count(start):
+        yield partial_sum_dunkel_extended(k, n, n // k if m is None else m)
 
 
 def kbonacci_closed(k: int, n: int) -> int:

@@ -1,84 +1,151 @@
-"""Engine selection: one enum naming the four evaluation strategies.
+"""The engine registry: every engine is named once, in the table of the
+quantity it computes.
 
-Used by the CLI and by cross-validation; every engine must produce
-byte-identical values for identical inputs.
+`_VALUE_DISPATCH` holds the engines of f(n) and `_SUM_DISPATCH` those of
+S(n) = f(0) + ... + f(n), keyed by the names the CLI accepts; the first
+entry of each table is its default.  Each value is the engine module's own
+range generator, called as stream(k, start): it reaches its first index by
+its own method, then steps one index at a time.  The steps:
 
-Each engine is a range generator: it reaches its first index by its own
-method, then steps one index at a time, and its single-index function is
-the generator's first item.  The steps:
-
-* recurrence: one more window sum (plus a running total for sums);
+* recurrence and direct: one more window sum (plus a running total);
 * matrix: the residue x^n mod x^(k+1) - 2x^k + 1 times x, a shift of its
   coefficients and one reduction by x^(k+1) = 2x^k - 1;
 * dunkel and dunkel-term: the binomial row C(n-jk, j) moved to n+1 by
-  C(m+1, j) = C(m, j) (m+1) / (m+1-j), then folded by Horner's rule.
+  C(m+1, j) = C(m, j) (m+1) / (m+1-j), then folded by Horner's rule;
+* dunkel-extended: none; each index is evaluated on its own, with the
+  summation limit m if one is given.
 
-A range A..B thus costs one evaluation at A plus B-A steps (the closed
-forms, which fold their first row as it is made, build it once more to
-keep it for the steps).
+A range A..B thus costs one evaluation at A plus B-A steps.
+
+Each generator carries its cost model as stream.cost(k, n, m): the number
+of big-integer operations one index n takes, which `bench` reports as
+`ops`.  It is the count of additions for the window engines, the summand
+count scaled for the closed forms, and for matrix the multiplications of
+its powering, counted by an OpCount.
+
+Every reader goes through this module: `eval`, `sum` and `bench` take
+their engine names from the tables, and the `engines` suite of `verify`
+checks every registered engine.  The input domain is applied here once:
+every value engine reads n < 0 as f(n) = 0, while every sum engine
+rejects n < 0, and only dunkel-extended takes a limit m.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Iterator
+from functools import partial
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator
 
-from .closed_form import closed_values_from, dunkel_sums_from, partial_sum_dunkel_extended
-from .matrix_power import matrix_sums_from, matrix_values_from
-from .sequence import sums_from, values_from
+from .closed_form import closed_values_from, dunkel_sums_from, extended_sums_from
+from .matrix_power import OpCount, matrix_sums_from, matrix_values_from
+from .sequence import _check_int, _check_k, sums_from, values_from
 
 
-class Engine(enum.Enum):
-    RECURRENCE = "recurrence"
-    DUNKEL = "dunkel"            # alternating closed form for partial sums
-    DUNKEL_TERM = "dunkel-term"  # per-term closed form for single values
-    MATRIX = "matrix"
+def _costed(stream, cost: Callable[[int, int, int | None], int]):
+    """stream, with cost as its cost model."""
+    stream.cost = cost
+    return stream
 
+
+def _terms(k: int, n: int) -> int:
+    """Summands of the alternating sum at n."""
+    return n // (k + 1) + 1
+
+
+def _powering_mults(k: int, n: int, m: int | None) -> int:
+    """The multiplications of the residue powering to n, counted by running it."""
+    ops = OpCount()
+    next(matrix_sums_from(k, n, ops))
+    return ops.scalar_mults
+
+
+_LIMITED = "dunkel-extended"  # the one engine that takes a summation limit m
 
 _VALUE_DISPATCH = {
-    Engine.RECURRENCE: values_from,
-    Engine.DUNKEL_TERM: closed_values_from,
-    Engine.MATRIX: matrix_values_from,
+    "recurrence": _costed(values_from, lambda k, n, m: 2 * n),
+    "dunkel-term": _costed(closed_values_from, lambda k, n, m: 4 * _terms(k, n)),
+    "matrix": _costed(matrix_values_from, _powering_mults),
 }
 
 _SUM_DISPATCH = {
-    Engine.RECURRENCE: sums_from,
-    Engine.DUNKEL: dunkel_sums_from,
-    Engine.MATRIX: matrix_sums_from,
+    "direct": _costed(sums_from, lambda k, n, m: 3 * n),
+    "dunkel": _costed(dunkel_sums_from, lambda k, n, m: 2 * _terms(k, n)),
+    _LIMITED: _costed(extended_sums_from, lambda k, n, m: 2 * ((n // k if m is None else m) + 1)),
+    "matrix": _costed(matrix_sums_from, _powering_mults),
 }
 
+VALUE_NAMES = tuple(_VALUE_DISPATCH)
+SUM_NAMES = tuple(_SUM_DISPATCH)
 
-def stream_values(k: int, start: int, engine: Engine = Engine.RECURRENCE) -> Iterator[int]:
-    """f(start), f(start+1), ... through the chosen engine."""
+
+def _lookup(table: dict, engine: str):
     try:
-        fn = _VALUE_DISPATCH[engine]
+        return table[engine]
     except KeyError:
-        raise ValueError(f"engine {engine.value!r} computes partial sums, not single values") from None
-    return fn(k, start)
+        raise ValueError(f"engine {engine!r} is not one of {sorted(table)}") from None
 
 
-def stream_sums(k: int, start: int, engine: Engine = Engine.RECURRENCE) -> Iterator[int]:
-    """S(start), S(start+1), ... through the chosen engine, S(n) = f(0) + ... + f(n)."""
-    try:
-        fn = _SUM_DISPATCH[engine]
-    except KeyError:
-        raise ValueError(f"engine {engine.value!r} computes single values, not partial sums") from None
-    return fn(k, start)
+def _check_takes_limit(engine: str, m: int | None) -> None:
+    if m is not None and engine != _LIMITED:
+        raise ValueError(f"a limit m is only meaningful with the {_LIMITED} engine")
 
 
-def compute_value(k: int, n: int, engine: Engine = Engine.RECURRENCE) -> int:
-    """f(n) through the chosen engine."""
+def stream_values(k: int, start: int, engine: str = "recurrence") -> Iterator[int]:
+    """f(start), f(start+1), ... through the named engine; f(n) = 0 for n < 0."""
+    stream = _lookup(_VALUE_DISPATCH, engine)
+    _check_k(k)
+    _check_int("n", start)
+    if start < 0:
+        return chain(repeat(0, -start), stream(k, 0))
+    return stream(k, start)
+
+
+def stream_sums(k: int, start: int, engine: str = "direct", m: int | None = None) -> Iterator[int]:
+    """S(start), S(start+1), ... through the named engine, S(n) = f(0) + ... + f(n).
+
+    A limit m is passed to dunkel-extended and rejected by every other engine.
+    """
+    stream = _lookup(_SUM_DISPATCH, engine)
+    _check_takes_limit(engine, m)
+    return stream(k, start) if m is None else stream(k, start, m)
+
+
+def compute_value(k: int, n: int, engine: str = "recurrence") -> int:
+    """f(n) through the named engine."""
     return next(stream_values(k, n, engine))
 
 
-def compute_sum(k: int, n: int, engine: Engine = Engine.RECURRENCE, m: int | None = None) -> int:
-    """f(0) + ... + f(n) through the chosen engine.
+def compute_sum(k: int, n: int, engine: str = "direct", m: int | None = None) -> int:
+    """f(0) + ... + f(n) through the named engine; m as in stream_sums."""
+    return next(stream_sums(k, n, engine, m))
 
-    An explicit upper limit m selects the extended closed form and is only
-    meaningful with the dunkel engine.
+
+def _ops(cost, k: int, n: int, m: int | None) -> int:
+    return cost(k, n, m) if n >= 0 else 0
+
+
+def bench_plan(
+    names: Iterable[str], k: int, n: int, m: int | None = None
+) -> dict[str, tuple[Callable[[], int], Callable[[], int]]]:
+    """For each engine name, a call that computes its value at n and a call
+    of its cost model there (0 at a value index n < 0, which no engine computes).
+
+    The names must all lie in one table: values when every name is a value
+    engine (so matrix alone computes f(n)), else sums.
     """
-    if m is not None:
-        if engine is not Engine.DUNKEL:
-            raise ValueError("an explicit limit m requires the dunkel engine")
-        return partial_sum_dunkel_extended(k, n, m)
-    return next(stream_sums(k, n, engine))
+    names = set(names)
+    unknown = names - _VALUE_DISPATCH.keys() - _SUM_DISPATCH.keys()
+    if unknown:
+        raise ValueError(f"unknown engine(s) {sorted(unknown)}")
+    if names <= _VALUE_DISPATCH.keys():
+        table, compute = _VALUE_DISPATCH, partial(compute_value, k, n)
+    elif names <= _SUM_DISPATCH.keys():
+        table, compute = _SUM_DISPATCH, lambda engine: compute_sum(k, n, engine, m)
+    else:
+        raise ValueError("cannot mix value engines with partial-sum engines in one bench run")
+    for engine in names:
+        _check_takes_limit(engine, m)
+    return {
+        engine: (partial(compute, engine), partial(_ops, table[engine].cost, k, n, m))
+        for engine in names
+    }

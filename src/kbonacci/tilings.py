@@ -146,6 +146,9 @@ class MarkConfig:
     def __post_init__(self):
         object.__setattr__(self, "dashed", tuple(self.dashed))
         object.__setattr__(self, "normal", frozenset(self.normal))
+        _check_int("n_reduced", self.n_reduced)
+        for p in (*self.dashed, *self.normal):
+            _check_int("mark position", p)
         if self.n_reduced < 0:
             raise ValueError(f"n_reduced must be non-negative, got {self.n_reduced}")
         if any(not 1 <= r <= self.n_reduced for r in self.dashed):
@@ -189,11 +192,6 @@ def iter_tilings(k: int, n: int, cap: int | None = None) -> Iterator[Tiling]:
     return map(Tiling, exact_tiles(k, n, cap))
 
 
-def enumerate_tilings(k: int, n: int, cap: int | None = None) -> list[Tiling]:
-    """All tilings of total exactly n with tiles in 1..k; length f(n)."""
-    return list(iter_tilings(k, n, cap))
-
-
 def bounded_tiles(k: int, n: int, cap: int | None = None) -> Iterator[Tiles]:
     """Stream the tile tuples of all tilings of total at most n with tiles
     in 1..k, in lexicographic order."""
@@ -228,11 +226,6 @@ def iter_bounded_tilings(k: int, n: int, cap: int | None = None) -> Iterator[Til
     return map(Tiling, bounded_tiles(k, n, cap))
 
 
-def enumerate_bounded_tilings(k: int, n: int, cap: int | None = None) -> list[Tiling]:
-    """All tilings of total at most n with tiles in 1..k; length sum f(0..n)."""
-    return list(iter_bounded_tilings(k, n, cap))
-
-
 def unrestricted_tiles(n: int, cap: int | None = None) -> Iterator[Tiles]:
     """Stream the tile tuples of U, in lexicographic order; see
     iter_unrestricted."""
@@ -248,10 +241,6 @@ def iter_unrestricted(n: int, cap: int | None = None) -> Iterator[Tiling]:
     also lexicographic order of the mark subsets).
     """
     return map(Tiling, unrestricted_tiles(n, cap))
-
-
-def enumerate_unrestricted(n: int, cap: int | None = None) -> list[Tiling]:
-    return list(iter_unrestricted(n, cap))
 
 
 def _mask(positions: Iterable[int]) -> int:
@@ -288,29 +277,6 @@ def _ends_and_marks(k: int, n: int) -> Iterator[tuple[int, int]]:
         yield marks & ~(cover << 1 | 1), marks
 
 
-def _check_ends(n: int, ends: Iterable[int]) -> tuple[int, ...]:
-    ends = tuple(ends)
-    if any(not 1 <= j <= n for j in ends):
-        raise ValueError(f"end positions must lie in 1..{n}, got {ends}")
-    if any(a >= b for a, b in zip(ends, ends[1:])):
-        raise ValueError(f"end positions must be strictly increasing, got {ends}")
-    return ends
-
-
-def intersection_count(k: int, n: int, ends: Iterable[int], cap: int | None = None) -> int:
-    """Count tilings in U that, for every j in ends, have some tile of
-    length > k with its right end at position j.
-
-    The tile need not be the rightmost oversized one.  End sets violating
-    the spacing needed for oversized tiles simply count 0; they are legal
-    inputs denoting an empty intersection.
-    """
-    _check_k(k)
-    wanted = _mask(_check_ends(n, ends))
-    _check_enumerable(n, cap)
-    return sum(1 for found, _ in _ends_and_marks(k, n) if (found & wanted) == wanted)
-
-
 def _lengthen(k: int, dashed: tuple[int, ...], marks: int) -> int:
     """Move each mark p of the reduced ruler right by l*k, where l counts
     the dashed positions at or left of p."""
@@ -330,6 +296,7 @@ def expand_marks(k: int, n: int, cfg: MarkConfig) -> tuple[Tiling, tuple[int, ..
     j_l = r_l + l*k; the result lies in the intersection of the U_{j_l}.
     """
     _check_k(k)
+    _check_int("n", n)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     i = len(cfg.dashed)

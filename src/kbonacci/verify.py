@@ -22,7 +22,7 @@ from .closed_form import (
     partial_sum_dunkel_extended,
     term_breakdown,
 )
-from .matrix_power import kbonacci_matrix, partial_sum_matrix
+from .engines import SUM_NAMES, VALUE_NAMES, compute_sum, compute_value
 from .sequence import kbonacci_prefix, kbonacci_recurrence, partial_sum_direct
 from .tilings import (
     _check_enumerable,
@@ -53,24 +53,22 @@ class SuiteResult:
 
 
 def suite_engines(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
-    """Every engine agrees with the recurrence baseline, values and sums."""
+    """Every registered engine agrees with the recurrence baseline, which is
+    called directly: the value engines with kbonacci_recurrence, the sum
+    engines with partial_sum_direct."""
     result = SuiteResult("engines")
     for k in ks:
         for n in ns:
             value = kbonacci_recurrence(k, n)
-            result.expect(
-                kbonacci_closed(k, n) == value, f"value closed-form mismatch at k={k} n={n}"
-            )
-            result.expect(
-                kbonacci_matrix(k, n) == value, f"value matrix mismatch at k={k} n={n}"
-            )
+            for engine in VALUE_NAMES:
+                result.expect(
+                    compute_value(k, n, engine) == value, f"value {engine} mismatch at k={k} n={n}"
+                )
             total = partial_sum_direct(k, n)
-            result.expect(
-                partial_sum_dunkel(k, n) == total, f"sum closed-form mismatch at k={k} n={n}"
-            )
-            result.expect(
-                partial_sum_matrix(k, n) == total, f"sum matrix mismatch at k={k} n={n}"
-            )
+            for engine in SUM_NAMES:
+                result.expect(
+                    compute_sum(k, n, engine) == total, f"sum {engine} mismatch at k={k} n={n}"
+                )
     return result
 
 

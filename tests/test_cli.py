@@ -1,11 +1,13 @@
+import argparse
 import csv
+import inspect
 import io
 import json
 import os
 import random
 import subprocess
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from itertools import accumulate, count
 from pathlib import Path
 
@@ -14,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbonacci import (
-    Engine,
+    compute_sum,
+    compute_value,
     kbonacci_closed,
     kbonacci_matrix,
     kbonacci_prefix,
@@ -26,7 +29,7 @@ from kbonacci import (
     term_breakdown,
 )
 from kbonacci import engines, verify
-from kbonacci.cli import _LEAF_BITS, FORMATS, _decimal_str, main, parse_range
+from kbonacci.cli import _LEAF_BITS, FORMATS, _decimal_str, build_parser, main, parse_range
 
 from oracles import subset_tilings
 
@@ -139,6 +142,23 @@ class TestEval:
         assert code == 0
         assert out == "0\n"
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_every_engine_reads_negative_indices_as_zero(self, capsys, fmt):
+        outputs = set()
+        for engine in engines.VALUE_NAMES:
+            code, out, _ = run(capsys, "eval", "--k", "3", "--n=-3..4", "--engine", engine, "--format", fmt)
+            assert code == 0
+            outputs.add(out.replace(engine, "ENGINE"))
+        assert len(outputs) == 1
+        if fmt == "plain":
+            assert outputs == {"0\n0\n0\n1\n1\n2\n4\n7\n"}
+
+    @pytest.mark.parametrize("engine", engines.VALUE_NAMES)
+    def test_k_checked_before_negative_indices(self, capsys, engine):
+        code, out, err = run(capsys, "eval", "--k", "0", "--n=-2..1", "--engine", engine)
+        assert (code, out) == (2, "")
+        assert "k must be" in err
+
 
 class TestSum:
     def test_direct(self, capsys):
@@ -212,14 +232,62 @@ def test_range_matches_single_calls_and_recurrence(k, start, length):
         assert printed == [single(k, n) for n in ns] == expected[sub], (sub, engine)
 
 
+def _code_and_stdout(*argv):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@example(k=0, start=-2, length=4)
+@example(k=2, start=-3, length=8)
+@given(k=st.integers(-1, 8), start=st.integers(-8, 60), length=st.integers(1, 12))
+def test_every_registered_engine_prints_the_same_or_exits_2(k, start, length):
+    argv = ("--k", str(k), f"--n={start}..{start + length - 1}")
+    for sub, names in (("eval", engines.VALUE_NAMES), ("sum", engines.SUM_NAMES)):
+        results = {_code_and_stdout(sub, *argv, "--engine", engine) for engine in names}
+        assert len(results) == 1, (sub, results)
+        [(code, out)] = results
+        assert (code, out == "") in ((0, False), (2, True)), (sub, code)
+
+
+def _option(sub, dest):
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subcommands.choices[sub]._actions if a.dest == dest)
+
+
+def test_every_reader_takes_its_engines_from_the_registry(capsys, monkeypatch):
+    values, sums = list(engines._VALUE_DISPATCH), list(engines._SUM_DISPATCH)
+    assert _option("eval", "engine").choices == sorted(values)
+    assert _option("sum", "engine").choices == sorted(sums)
+    defaults = (inspect.signature(f).parameters["engine"].default for f in (compute_value, compute_sum))
+    assert (_option("eval", "engine").default, _option("sum", "engine").default) == tuple(defaults)
+    assert _option("bench", "engines").default.split(",") == values
+    for engine in {*values, *sums}:
+        code, out, _ = run(capsys, "bench", "--k", "2", "--n", "5", "--engines", engine, "--reps", "1")
+        assert (code, out.count("\n")) == (0, 1), engine
+    assert run(capsys, "bench", "--k", "2", "--n", "5", "--engines", "warp")[0] == 2
+
+    def wrong(k, start, *limit):
+        yield -1
+
+    for table in (engines._VALUE_DISPATCH, engines._SUM_DISPATCH):
+        for engine in table:
+            monkeypatch.setitem(table, engine, wrong)
+    failures = verify.suite_engines(range(2, 3), range(5, 6)).failures
+    assert failures == [f"value {e} mismatch at k=2 n=5" for e in values] + [
+        f"sum {e} mismatch at k=2 n=5" for e in sums
+    ]
+
+
 class TestRanges:
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize(
         "argv",
         [
             ("sum", "--k", "2", "--n", "4..9", "--engine", "dunkel-extended", "--m", "2"),
-            ("eval", "--k", "2", "--n=-1..3", "--engine", "matrix"),
-            ("eval", "--k", "2", "--n=-1..3", "--engine", "dunkel-term"),
+            ("sum", "--k", "2", "--n=-1..3", "--engine", "matrix"),
+            ("sum", "--k", "2", "--n=-1..3", "--engine", "dunkel"),
             ("sum", "--k", "0", "--n", "0..5"),
             ("sum", "--k", "0", "--n", "5..7", "--engine", "dunkel-extended"),
         ],
@@ -258,7 +326,8 @@ class TestRanges:
                 lines_seen.append(out.getvalue().count("\n"))
                 yield n
 
-        monkeypatch.setitem(getattr(engines, table), Engine.RECURRENCE, watched)
+        default = next(iter(getattr(engines, table)))  # recurrence for eval, direct for sum
+        monkeypatch.setitem(getattr(engines, table), default, watched)
         monkeypatch.setattr(sys, "stdout", out)
         assert main([sub, "--k", "2", "--n", "10..14", "--format", fmt]) == 0
         header = fmt == "csv"
@@ -434,7 +503,8 @@ class TestVerify:
 
     def test_cap_ignored_by_suites_that_do_not_enumerate(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "engines", "--n", "20..25")
-        assert (code, out) == (0, "PASS engines checks=96\n")
+        # 4 k by 6 n cells, one check per registered engine in each
+        assert (code, out) == (0, "PASS engines checks=168\n")
 
     def test_identity_suites_share_each_cell(self, monkeypatch):
         ks, ns = range(1, 4), range(0, 9)
@@ -534,6 +604,21 @@ class TestBench:
         )
         assert code == 2
         assert "mix" in err
+
+    def test_limit_requires_the_extended_engine(self, capsys):
+        for engines_arg in ("matrix", "recurrence", "dunkel", "dunkel,dunkel-extended"):
+            code, out, err = run(
+                capsys, "bench", "--k", "2", "--n", "10", "--engines", engines_arg, "--m", "3"
+            )
+            assert (code, out) == (2, ""), engines_arg
+            assert "dunkel-extended" in err
+        code, out, _ = run(
+            capsys, "bench", "--k", "2", "--n", "10", "--engines", "dunkel-extended", "--m", "3",
+            "--reps", "1", "--format", "json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert (record["value"], record["ops"]) == ("232", 8)  # 2 (m + 1) summands
 
     def test_unknown_engine_rejected(self, capsys):
         code, _, err = run(capsys, "bench", "--k", "2", "--n", "10", "--engines", "warp")

@@ -1,7 +1,8 @@
+from itertools import islice
+
 import pytest
 
 from kbonacci import (
-    Engine,
     compute_sum,
     compute_value,
     iter_bounded_tilings,
@@ -16,35 +17,48 @@ from kbonacci import (
     partial_sum_matrix,
     verify_intersection_identity,
 )
+from kbonacci.engines import SUM_NAMES, VALUE_NAMES, stream_values
 
 
 def test_value_engines_agree():
-    for engine in (Engine.RECURRENCE, Engine.DUNKEL_TERM, Engine.MATRIX):
+    for engine in VALUE_NAMES:
         assert compute_value(5, 30, engine) == compute_value(5, 30)
 
 
 def test_sum_engines_agree():
-    for engine in (Engine.RECURRENCE, Engine.DUNKEL, Engine.MATRIX):
+    for engine in SUM_NAMES:
         assert compute_sum(5, 30, engine) == compute_sum(5, 30)
 
 
 def test_explicit_limit_routes_to_extended_form():
-    assert compute_sum(2, 10, Engine.DUNKEL, m=5) == compute_sum(2, 10)
+    assert compute_sum(2, 10, "dunkel-extended", m=5) == compute_sum(2, 10)
 
 
 def test_sum_only_engine_rejected_for_values():
     with pytest.raises(ValueError):
-        compute_value(2, 4, Engine.DUNKEL)
+        compute_value(2, 4, "dunkel")
 
 
 def test_value_only_engine_rejected_for_sums():
     with pytest.raises(ValueError):
-        compute_sum(2, 4, Engine.DUNKEL_TERM)
+        compute_sum(2, 4, "dunkel-term")
 
 
 def test_limit_requires_dunkel_engine():
-    with pytest.raises(ValueError):
-        compute_sum(2, 10, Engine.MATRIX, m=5)
+    for engine in set(SUM_NAMES) - {"dunkel-extended"}:
+        with pytest.raises(ValueError, match="only meaningful with the dunkel-extended engine"):
+            compute_sum(2, 10, engine, m=5)
+
+
+def test_value_engines_read_negative_indices_as_zero():
+    for engine in VALUE_NAMES:
+        assert compute_value(3, -4, engine) == 0
+        assert list(islice(stream_values(3, -2, engine), 5)) == [0, 0, 1, 1, 2]
+        with pytest.raises(ValueError, match="k must be"):
+            compute_value(0, -1, engine)
+    for engine in SUM_NAMES:
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            compute_sum(3, -1, engine)
 
 
 def _extended(k, n):

@@ -9,11 +9,7 @@ from kbonacci import (
     MarkConfig,
     Tiling,
     count_by_rightmost_tile,
-    enumerate_bounded_tilings,
-    enumerate_tilings,
-    enumerate_unrestricted,
     expand_marks,
-    intersection_count,
     iter_bounded_tilings,
     iter_tilings,
     iter_unrestricted,
@@ -60,7 +56,7 @@ class TestTilingType:
 
 class TestExactEnumeration:
     def test_squares_and_dominoes_length_four(self):
-        tilings = enumerate_tilings(2, 4)
+        tilings = list(iter_tilings(2, 4))
         assert [t.tiles for t in tilings] == [
             (1, 1, 1, 1),
             (1, 1, 2),
@@ -70,16 +66,16 @@ class TestExactEnumeration:
         ]
 
     def test_window_four_length_four(self):
-        assert len(enumerate_tilings(4, 4)) == 8
+        assert len(list(iter_tilings(4, 4))) == 8
 
     def test_length_zero_has_the_empty_tiling(self):
-        assert enumerate_tilings(3, 0) == [Tiling(())]
+        assert list(iter_tilings(3, 0)) == [Tiling(())]
 
     def test_counts_match_sequence(self):
         for k in range(1, 6):
             prefix = kbonacci_prefix(k, 12)
             for n in range(0, 13):
-                tilings = enumerate_tilings(k, n)
+                tilings = list(iter_tilings(k, n))
                 assert len(tilings) == prefix[n]
                 assert len(set(tilings)) == len(tilings)
                 assert all(t.total == n and max(t.tiles, default=1) <= k for t in tilings)
@@ -88,35 +84,35 @@ class TestExactEnumeration:
 
 class TestBoundedEnumeration:
     def test_examples(self):
-        assert len(enumerate_bounded_tilings(2, 4)) == 12
-        assert [t.tiles for t in enumerate_bounded_tilings(1, 2)] == [(), (1,), (1, 1)]
-        assert [t.tiles for t in enumerate_bounded_tilings(3, 1)] == [(), (1,)]
+        assert len(list(iter_bounded_tilings(2, 4))) == 12
+        assert [t.tiles for t in iter_bounded_tilings(1, 2)] == [(), (1,), (1, 1)]
+        assert [t.tiles for t in iter_bounded_tilings(3, 1)] == [(), (1,)]
 
     def test_counts_match_partial_sums(self):
         for k in range(1, 5):
             for n in range(0, 12):
-                assert len(enumerate_bounded_tilings(k, n)) == partial_sum_direct(k, n)
+                assert len(list(iter_bounded_tilings(k, n))) == partial_sum_direct(k, n)
 
 
 class TestUnrestrictedEnumeration:
     def test_small_cases(self):
-        assert enumerate_unrestricted(0) == [Tiling(())]
-        assert sorted(t.tiles for t in enumerate_unrestricted(2)) == [
+        assert list(iter_unrestricted(0)) == [Tiling(())]
+        assert sorted(t.tiles for t in list(iter_unrestricted(2))) == [
             (),
             (1,),
             (1, 1),
             (2,),
         ]
-        assert len(enumerate_unrestricted(5)) == 32
+        assert len(list(iter_unrestricted(5))) == 32
 
     def test_powers_of_two_without_duplicates(self):
         for n in range(0, 13):
-            tilings = enumerate_unrestricted(n)
+            tilings = list(iter_unrestricted(n))
             assert len(tilings) == 1 << n
             assert len(set(tilings)) == len(tilings)
 
     def test_lexicographic_order(self):
-        tilings = enumerate_unrestricted(4)
+        tilings = list(iter_unrestricted(4))
         assert tilings == sorted(tilings)
 
     @settings(max_examples=20, deadline=None)
@@ -147,18 +143,24 @@ def test_iterators_yield_tilings_in_lexicographic_order(n):
 class TestEnumerationCap:
     def test_default_cap_rejects_large_n(self):
         with pytest.raises(CapExceededError):
-            enumerate_unrestricted(25)
+            list(iter_unrestricted(25))
         with pytest.raises(CapExceededError):
-            enumerate_tilings(2, 25)
+            list(iter_tilings(2, 25))
 
     def test_cap_override(self):
-        assert len(enumerate_tilings(1, 30, cap=30)) == 1
+        assert len(list(iter_tilings(1, 30, cap=30))) == 1
         with pytest.raises(CapExceededError):
-            enumerate_tilings(1, 30, cap=10)
+            list(iter_tilings(1, 30, cap=10))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_tilings(2, -1)
+            list(iter_tilings(2, -1))
+
+
+def _enumerated_intersection_count(k, n, ends):
+    """Members of U, as the library enumerates them, with an oversized tile
+    ending at every j in ends."""
+    return sum(1 for t in iter_unrestricted(n) if set(ends) <= set(t.oversized_right_ends(k)))
 
 
 class TestIntersectionCount:
@@ -173,20 +175,13 @@ class TestIntersectionCount:
     )
     def test_examples(self, k, n, ends, expected):
         assert naive_intersection_count(k, n, ends) == expected
-        assert intersection_count(k, n, ends) == expected
+        assert _enumerated_intersection_count(k, n, ends) == expected
 
     def test_spacing_violations_count_zero(self):
         # adjacent oversized ends cannot coexist: j2 - j1 <= k
-        assert intersection_count(2, 8, (3, 5)) == 0
-        assert intersection_count(3, 6, (2,)) == 0  # k < j1 fails
-
-    def test_invalid_ends_rejected(self):
-        with pytest.raises(ValueError):
-            intersection_count(2, 5, (0,))
-        with pytest.raises(ValueError):
-            intersection_count(2, 5, (6,))
-        with pytest.raises(ValueError):
-            intersection_count(2, 5, (4, 3))
+        for count in (naive_intersection_count, _enumerated_intersection_count):
+            assert count(2, 8, (3, 5)) == 0
+            assert count(3, 6, (2,)) == 0  # k < j1 fails
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -196,7 +191,7 @@ class TestIntersectionCount:
         ends = tuple(
             sorted(data.draw(st.sets(st.integers(1, max(n, 1)), max_size=2))) if n else ()
         )
-        assert intersection_count(k, n, ends) == naive_intersection_count(k, n, ends)
+        assert _enumerated_intersection_count(k, n, ends) == naive_intersection_count(k, n, ends)
 
 
 class TestExpandMarks:
@@ -235,6 +230,21 @@ class TestExpandMarks:
         with pytest.raises(ValueError):
             MarkConfig(3, (1,), frozenset({4}))
 
+    @pytest.mark.parametrize(
+        "n_reduced, dashed, normal",
+        [(1.0, (1,), ()), (True, (1,), ()), (3, (True,), {3}), (3, (1.0,), ()), (3, (1,), {True}), (3, (), {2.0})],
+    )
+    def test_non_int_config_fields_raise_type_error(self, n_reduced, dashed, normal):
+        with pytest.raises(TypeError):
+            MarkConfig(n_reduced, dashed, normal)
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"])
+    def test_non_int_n_raises_type_error(self, n):
+        cfg = MarkConfig(1, (1,), ())
+        assert expand_marks(2, 3, cfg) == (Tiling((3,)), (3,))
+        with pytest.raises(TypeError):
+            expand_marks(2, n, cfg)
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_construction_postconditions(self, data):
@@ -271,15 +281,6 @@ class TestIntersectionIdentity:
         report = verify_intersection_identity(2, 6, 2)
         assert report.lhs == report.rhs == 1
         assert report.passed
-
-    def test_lhs_matches_summed_intersection_counts(self):
-        # the report's left side is exactly the sum over all end tuples
-        k, n, i = 2, 7, 1
-        report = verify_intersection_identity(k, n, i)
-        total = sum(
-            intersection_count(k, n, ends) for ends in combinations(range(1, n + 1), i)
-        )
-        assert report.lhs == total
 
     def test_reports_match_the_oracle_up_to_n_9(self):
         binomials = pascal_rows(9)
