@@ -6,13 +6,16 @@ choices, defaults and bench's --engines come from the registry in
 goes only with the one engine that takes a summation limit.  `sum` checks
 --m for its whole range through the closed form's own limit check.
 
-Values are always rendered as exact decimal strings, whatever their size.
-Every value the CLI writes goes through one renderer, `_decimal_str`, which
+Values are always written as exact decimal strings, whatever their size.
+`eval` and `sum` ask `engines` for their values as text: the matrix engine
+finishes large results in Decimal and prints them with str(), and every
+other value goes through the one renderer, `render._decimal_str`, which
 converts by divide and conquer through the `decimal` module: subquadratic
 in the digit count, where `int.__str__` is quadratic on CPython before 3.12,
-and independent of the interpreter's int/str digit limit.  `eval` and `sum`
-check their whole --n range before writing anything, then write each
-record as soon as it is rendered, so a range holds one record at a time.
+and independent of the interpreter's int/str digit limit.  `terms` and
+`bench` render their ints through it too.  `eval` and `sum` check their
+whole --n range before writing anything, then write each record as soon as
+it is rendered, so a range holds one record at a time.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parameter error.
 """
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import json
 import os
 import sys
@@ -29,7 +31,8 @@ import time
 from itertools import chain, islice
 
 from .closed_form import SUM_FORMULA, TERM_FORMULA, _check_limit, term_breakdown
-from .engines import SUM_NAMES, VALUE_NAMES, bench_plan, stream_sums, stream_values
+from .engines import SUM_NAMES, VALUE_NAMES, bench_plan, stream_sum_texts, stream_value_texts
+from .render import _decimal_str
 from .tilings import DEFAULT_CAP, bounded_tiles, exact_tiles
 from .verify import SUITES, run_suites
 
@@ -37,53 +40,6 @@ ENV_CAP = "KBONACCI_ENUM_CAP"
 
 FORMATS = ("plain", "json", "csv")
 VALUE_FIELDS = ["k", "n", "engine", "value"]
-
-# Widest piece converted by Decimal(int) directly.  Render times of 3,000
-# to 694,000-bit values were flat for leaves of 2,048 to 8,192 bits
-# (CPython 3.11.7, libmpdec 2.5.1, 2-vCPU Xeon VM).
-_LEAF_BITS = 4096
-
-
-def _decimal_str(n: int) -> str:
-    """The exact decimal string of n.
-
-    n = lo + hi * 2^half splits the bits in half; each half is converted
-    alike and the two are combined with Decimal arithmetic, whose large
-    multiplications are subquadratic (Brent & Zimmermann, Modern Computer
-    Arithmetic, section 1.7; CPython 3.12's _pylong does the same).  A value
-    of at most _LEAF_BITS bits is a single leaf.  Inexact is trapped, so a
-    rounding error raises instead of printing a wrong digit.
-    """
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        return str(_to_decimal(n, n.bit_length(), {}))
-
-
-def _to_decimal(n: int, width: int, powers: dict) -> decimal.Decimal:
-    """n, which fits in width bits, as a Decimal; powers caches 2^w by w."""
-    if width <= _LEAF_BITS:
-        return decimal.Decimal(n)
-    half = width >> 1
-    hi = n >> half
-    lo = _to_decimal(n - (hi << half), half, powers)
-    return lo + _to_decimal(hi, width - half, powers) * _pow2(half, powers)
-
-
-def _pow2(w: int, powers: dict) -> decimal.Decimal:
-    """2^w as the product of two cached halves, which the levels below use
-    too: about 10% faster than Decimal(2) ** w on 10^5 to 7*10^5-bit
-    values, on the machine named at _LEAF_BITS."""
-    p = powers.get(w)
-    if p is None:
-        if w <= _LEAF_BITS:
-            p = decimal.Decimal(1 << w)
-        else:
-            p = _pow2(w >> 1, powers) * _pow2(w - (w >> 1), powers)
-        powers[w] = p
-    return p
 
 
 def parse_range(text: str) -> range:
@@ -135,31 +91,31 @@ def _emit_value_records(records, fmt: str, fields: list[str]) -> None:
             writer.writerow([rec[f] for f in fields])
 
 
-def _range_records(args, values):
-    """Records of the range args.n from an iterator of its values.
+def _range_records(args, texts):
+    """Records of the range args.n from an iterator of its values' texts.
 
     The first value is computed before this returns, so a parameter the
     engine rejects raises before anything is written; each later value is
     computed and rendered only when its record is asked for.
     """
-    values = chain([next(values)], values)
+    texts = chain([next(texts)], texts)
     return (
-        {"k": args.k, "n": n, "engine": args.engine, "value": _decimal_str(value)}
-        for n, value in zip(args.n, values)
+        {"k": args.k, "n": n, "engine": args.engine, "value": text}
+        for n, text in zip(args.n, texts)
     )
 
 
 def cmd_eval(args) -> int:
-    values = stream_values(args.k, args.n[0], args.engine)
-    _emit_value_records(_range_records(args, values), args.format, VALUE_FIELDS)
+    texts = stream_value_texts(args.k, args.n[0], args.engine)
+    _emit_value_records(_range_records(args, texts), args.format, VALUE_FIELDS)
     return 0
 
 
 def cmd_sum(args) -> int:
-    values = stream_sums(args.k, args.n[0], args.engine, args.m)
+    texts = stream_sum_texts(args.k, args.n[0], args.engine, args.m)
     if args.m is not None:
         _check_limit(args.k, args.n[0], args.n[-1], args.m)
-    _emit_value_records(_range_records(args, values), args.format, VALUE_FIELDS)
+    _emit_value_records(_range_records(args, texts), args.format, VALUE_FIELDS)
     return 0
 
 

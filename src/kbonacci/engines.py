@@ -23,9 +23,18 @@ of big-integer operations one index n takes, which `bench` reports as
 count scaled for the closed forms, and for matrix the multiplications of
 its powering, counted by an OpCount.
 
+Each generator also carries its text range generator as stream.text, or
+None.  Only matrix has one: it finishes large residues in Decimal and
+prints them with str() (see `matrix_power`).  For every other engine
+`stream_value_texts`/`stream_sum_texts` map the shared renderer,
+`render._decimal_str`, over its ints.  The int generators and
+`compute_*` never convert back from Decimal.
+
 Every reader goes through this module: `eval`, `sum` and `bench` take
-their engine names from the tables, and the `engines` suite of `verify`
-checks every registered engine.  The input domain is applied here once:
+their engine names from the tables, `eval` and `sum` print what
+`stream_value_texts`/`stream_sum_texts` yield, `bench` times the int
+generators, and the `engines` suite of `verify` checks every registered
+engine.  The input domain is applied here once:
 every value engine reads n < 0 as f(n) = 0, while every sum engine
 rejects n < 0, and only dunkel-extended takes a limit m.
 """
@@ -37,14 +46,31 @@ from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from .closed_form import closed_values_from, dunkel_sums_from, extended_sums_from
-from .matrix_power import OpCount, matrix_sums_from, matrix_values_from
+from .matrix_power import (
+    OpCount,
+    matrix_sum_texts_from,
+    matrix_sums_from,
+    matrix_value_texts_from,
+    matrix_values_from,
+)
+from .render import _decimal_str
 from .sequence import _check_int, _check_k, sums_from, values_from
 
 
-def _costed(stream, cost: Callable[[int, int, int | None], int]):
-    """stream, with cost as its cost model."""
+def _costed(stream, cost: Callable[[int, int, int | None], int], text=None):
+    """stream, with cost as its cost model and text as its own text range
+    generator (None: the renderer mapped over its ints)."""
     stream.cost = cost
+    stream.text = text
     return stream
+
+
+def _text_stream(stream):
+    """stream's text range generator: its own, or the renderer over its ints."""
+    text = getattr(stream, "text", None)
+    if text is not None:
+        return text
+    return lambda *args: map(_decimal_str, stream(*args))
 
 
 def _terms(k: int, n: int) -> int:
@@ -64,14 +90,14 @@ _LIMITED = "dunkel-extended"  # the one engine that takes a summation limit m
 _VALUE_DISPATCH = {
     "recurrence": _costed(values_from, lambda k, n, m: 2 * n),
     "dunkel-term": _costed(closed_values_from, lambda k, n, m: 4 * _terms(k, n)),
-    "matrix": _costed(matrix_values_from, _powering_mults),
+    "matrix": _costed(matrix_values_from, _powering_mults, matrix_value_texts_from),
 }
 
 _SUM_DISPATCH = {
     "direct": _costed(sums_from, lambda k, n, m: 3 * n),
     "dunkel": _costed(dunkel_sums_from, lambda k, n, m: 2 * _terms(k, n)),
     _LIMITED: _costed(extended_sums_from, lambda k, n, m: 2 * ((n // k if m is None else m) + 1)),
-    "matrix": _costed(matrix_sums_from, _powering_mults),
+    "matrix": _costed(matrix_sums_from, _powering_mults, matrix_sum_texts_from),
 }
 
 VALUE_NAMES = tuple(_VALUE_DISPATCH)
@@ -90,14 +116,33 @@ def _check_takes_limit(engine: str, m: int | None) -> None:
         raise ValueError(f"a limit m is only meaningful with the {_LIMITED} engine")
 
 
-def stream_values(k: int, start: int, engine: str = "recurrence") -> Iterator[int]:
-    """f(start), f(start+1), ... through the named engine; f(n) = 0 for n < 0."""
+def _values_from(k: int, start: int, engine: str, text: bool) -> Iterator:
     stream = _lookup(_VALUE_DISPATCH, engine)
     _check_k(k)
     _check_int("n", start)
+    if text:
+        stream = _text_stream(stream)
     if start < 0:
-        return chain(repeat(0, -start), stream(k, 0))
+        return chain(repeat("0" if text else 0, -start), stream(k, 0))
     return stream(k, start)
+
+
+def stream_values(k: int, start: int, engine: str = "recurrence") -> Iterator[int]:
+    """f(start), f(start+1), ... through the named engine; f(n) = 0 for n < 0."""
+    return _values_from(k, start, engine, False)
+
+
+def stream_value_texts(k: int, start: int, engine: str = "recurrence") -> Iterator[str]:
+    """stream_values as exact decimal strings."""
+    return _values_from(k, start, engine, True)
+
+
+def _sums_from(k: int, start: int, engine: str, m: int | None, text: bool) -> Iterator:
+    stream = _lookup(_SUM_DISPATCH, engine)
+    _check_takes_limit(engine, m)
+    if text:
+        stream = _text_stream(stream)
+    return stream(k, start) if m is None else stream(k, start, m)
 
 
 def stream_sums(k: int, start: int, engine: str = "direct", m: int | None = None) -> Iterator[int]:
@@ -105,9 +150,12 @@ def stream_sums(k: int, start: int, engine: str = "direct", m: int | None = None
 
     A limit m is passed to dunkel-extended and rejected by every other engine.
     """
-    stream = _lookup(_SUM_DISPATCH, engine)
-    _check_takes_limit(engine, m)
-    return stream(k, start) if m is None else stream(k, start, m)
+    return _sums_from(k, start, engine, m, False)
+
+
+def stream_sum_texts(k: int, start: int, engine: str = "direct", m: int | None = None) -> Iterator[str]:
+    """stream_sums as exact decimal strings."""
+    return _sums_from(k, start, engine, m, True)
 
 
 def compute_value(k: int, n: int, engine: str = "recurrence") -> int:

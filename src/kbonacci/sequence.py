@@ -14,13 +14,19 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate, islice, repeat
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 def _check_int(name: str, value: int) -> None:
     # exactly int: bool is an int subclass, and k=True must not read as k=1
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _check_ints(name: str, values: Iterable[int]) -> None:
+    for value in values:
+        if type(value) is not int:  # the common case costs no call
+            _check_int(name, value)
 
 
 def _check_k(k: int) -> None:

@@ -49,7 +49,7 @@ from operator import sub
 from typing import Iterable, Iterator
 
 from .closed_form import binomial
-from .sequence import _check_int, _check_k
+from .sequence import _check_int, _check_ints, _check_k
 
 DEFAULT_CAP = 24
 
@@ -88,6 +88,7 @@ class Tiling:
     def __post_init__(self):
         if not isinstance(self.tiles, tuple):
             object.__setattr__(self, "tiles", tuple(self.tiles))
+        _check_ints("tile length", self.tiles)
         if min(self.tiles, default=1) < 1:
             raise ValueError(f"tile lengths must be positive, got {self.tiles}")
 
@@ -106,6 +107,7 @@ class Tiling:
 
     def oversized_right_ends(self, k: int) -> tuple[int, ...]:
         """Right ends of the tiles longer than k, in increasing order."""
+        _check_int("k", k)
         ends = []
         pos = 0
         for t in self.tiles:
@@ -122,6 +124,7 @@ def tiling_from_marks(marks: Iterable[int]) -> Tiling:
     Marks must be distinct positive integers.
     """
     sorted_marks = sorted(marks)
+    _check_ints("mark position", sorted_marks)
     tiles = tuple(map(sub, sorted_marks, [0, *sorted_marks]))
     if tiles and tiles[0] < 1:
         raise ValueError("mark positions must be >= 1 (position 0 is implicit)")
@@ -147,8 +150,7 @@ class MarkConfig:
         object.__setattr__(self, "dashed", tuple(self.dashed))
         object.__setattr__(self, "normal", frozenset(self.normal))
         _check_int("n_reduced", self.n_reduced)
-        for p in (*self.dashed, *self.normal):
-            _check_int("mark position", p)
+        _check_ints("mark position", (*self.dashed, *self.normal))
         if self.n_reduced < 0:
             raise ValueError(f"n_reduced must be non-negative, got {self.n_reduced}")
         if any(not 1 <= r <= self.n_reduced for r in self.dashed):

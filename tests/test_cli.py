@@ -3,6 +3,7 @@ import csv
 import inspect
 import io
 import json
+import operator
 import os
 import random
 import subprocess
@@ -28,8 +29,9 @@ from kbonacci import (
     partial_sum_matrix,
     term_breakdown,
 )
-from kbonacci import engines, verify
-from kbonacci.cli import _LEAF_BITS, FORMATS, _decimal_str, build_parser, main, parse_range
+from kbonacci import engines, matrix_power, verify
+from kbonacci.cli import FORMATS, build_parser, main, parse_range
+from kbonacci.render import _LEAF_BITS, _decimal_str, _decimals, exact
 
 from oracles import subset_tilings
 
@@ -78,19 +80,49 @@ _wide_ints = st.one_of(
 )
 
 
-def _with_edge_examples(test):
-    for value in _edge_values():
-        test = example(value)(test)
-    return test
+def _with_examples(values):
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+
+    return decorate
 
 
 @needs_digit_limit
 @settings(max_examples=60, deadline=None)
-@_with_edge_examples
+@_with_examples(_edge_values())
 @given(_wide_ints)
 def test_decimal_str_matches_int_str(n):
     with digit_limit(0):
         assert _decimal_str(n) == str(n)
+
+
+def _switch_edge_values():
+    """2^w - 1, 2^w and 2^w + 1 for the residue engine's switch width w."""
+    w = matrix_power._DECIMAL_BITS
+    return [(1 << w) - 1, 1 << w, (1 << w) + 1]
+
+
+@needs_digit_limit
+@settings(max_examples=60, deadline=None)
+@_with_examples([-v for v in _edge_values() + _switch_edge_values() if v])
+@given(_wide_ints.map(operator.neg))
+def test_decimal_str_converts_negative_ints_exactly(n):
+    with digit_limit(0):
+        assert _decimal_str(n) == str(n)
+
+
+@needs_digit_limit
+@settings(max_examples=30, deadline=None)
+@example([sign * v for v in _switch_edge_values() for sign in (1, -1)])
+@given(st.lists(st.tuples(_wide_ints, st.booleans()).map(lambda p: -p[0] if p[1] else p[0]), min_size=1, max_size=6))
+def test_residue_conversion_is_exact(ints):
+    # residue coefficients are signed and share one cache of powers of two
+    with exact():
+        decimals = _decimals(ints)
+    with digit_limit(0):
+        assert [str(d) for d in decimals] == [str(n) for n in ints]
 
 
 class TestParseRange:
@@ -185,6 +217,17 @@ class TestSum:
             _, out, _ = run(capsys, "sum", "--k", "2", "--n", "0..20", "--engine", engine)
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_matrix_text_path_prints_the_window_engines_bytes(self, capsys, monkeypatch, fmt):
+        # a lowered switch sends these indices through Decimal squarings
+        monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 8)
+        for k in range(1, 9):
+            for n in ("0", "1", str(k), "57", "200", "150..200"):
+                for sub, reference in (("eval", "recurrence"), ("sum", "direct")):
+                    argv = (sub, "--k", str(k), "--n", n, "--format", fmt, "--engine")
+                    code, out, _ = run(capsys, *argv, "matrix")
+                    assert (code, out.replace("matrix", reference)) == run(capsys, *argv, reference)[:2]
 
     def test_limit_outside_engine_rejected(self, capsys):
         code, _, err = run(capsys, "sum", "--k", "2", "--n", "4", "--m", "2")

@@ -1,3 +1,5 @@
+import decimal
+from decimal import Decimal
 from itertools import islice
 
 import pytest
@@ -12,7 +14,16 @@ from kbonacci import (
     partial_sum_direct,
     partial_sum_matrix,
 )
-from kbonacci.matrix_power import matrix_sums_from, matrix_values_from
+from kbonacci import engines, matrix_power
+from kbonacci.matrix_power import (
+    _half,
+    _residue,
+    matrix_sum_texts_from,
+    matrix_sums_from,
+    matrix_value_texts_from,
+    matrix_values_from,
+)
+from kbonacci.render import _decimal_str, exact
 
 
 @pytest.mark.parametrize("k, n, expected", [(2, 4, 5), (3, 0, 1), (5, 2, 2)])
@@ -99,3 +110,68 @@ def test_range_counts_only_the_jump(stream):
     assert ops == OpCount(matrix_products=2, scalar_mults=12)
     single = kbonacci_matrix if stream is matrix_values_from else partial_sum_matrix
     assert values == [single(2, n) for n in range(10, 51)]
+
+
+# (int generator, text generator) of each quantity
+TEXT_PATHS = [
+    (matrix_values_from, matrix_value_texts_from),
+    (matrix_sums_from, matrix_sum_texts_from),
+]
+
+
+@pytest.mark.parametrize("switch", [0, 8, 40])
+@pytest.mark.parametrize("ints, texts", TEXT_PATHS)
+def test_text_path_matches_int_path(monkeypatch, switch, ints, texts):
+    # a lowered switch sends small indices through Decimal squarings
+    monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", switch)
+    for k in range(1, 9):
+        for n in range(201):
+            int_ops, text_ops = OpCount(), OpCount()
+            assert next(texts(k, n, text_ops)) == str(next(ints(k, n, int_ops))), (k, n)
+            assert text_ops == int_ops
+
+
+def test_lowered_switch_is_crossed(monkeypatch):
+    monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 8)
+    with exact():
+        assert {type(c) for c in _residue(3, 200, None, text=True)} == {Decimal}
+        assert {type(c) for c in _residue(3, 20, None, text=True)} == {int}  # below it
+    assert {type(c) for c in _residue(3, 200, None)} == {int}
+
+
+@pytest.mark.parametrize("ints, texts", TEXT_PATHS)
+def test_text_range_stepped_after_the_switch_matches_int_path(monkeypatch, ints, texts):
+    monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 8)
+    for k in range(1, 9):
+        for start in (100, 171):
+            assert list(islice(texts(k, start), 30)) == [str(v) for v in islice(ints(k, start), 30)]
+
+
+@pytest.mark.parametrize("ints, texts", TEXT_PATHS)
+def test_text_range_past_the_real_switch(ints, texts):
+    # coefficients near 52,000 bits before the last squaring at k=2, n=150000
+    with exact():
+        assert {type(c) for c in _residue(2, 150_000, None, text=True)} == {Decimal}
+    expected = list(map(_decimal_str, islice(ints(2, 150_000), 30)))
+    assert list(islice(texts(2, 150_000), 30)) == expected
+
+
+def test_halving_an_odd_decimal_raises_inexact():
+    with exact():
+        assert str(_half(Decimal(14))) == "7"
+        # plain division is exact at unbounded precision, so it would print 7.5
+        assert str(Decimal(15) / 2) == "7.5"
+        with pytest.raises(decimal.Inexact):
+            _half(Decimal(15))
+    assert _half(14) == 7
+
+
+def test_library_stays_on_ints(monkeypatch):
+    assert type(kbonacci_matrix(2, 10**6)) is int
+    # the int path ignores the switch, however low it is
+    monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 0)
+    for name in engines.VALUE_NAMES:
+        assert {type(v) for v in islice(engines.stream_values(4, 150, name), 20)} == {int}
+    for name in engines.SUM_NAMES:
+        assert {type(v) for v in islice(engines.stream_sums(4, 150, name), 20)} == {int}
+    assert type(engines.compute_value(4, 150, "matrix")) is type(engines.compute_sum(4, 150, "matrix")) is int

@@ -53,6 +53,22 @@ class TestTilingType:
         with pytest.raises(ValueError):
             tiling_from_marks([2, 2])
 
+    @pytest.mark.parametrize("tiles", [(1.5, True), (2, True), (1.0, 2), (2, "3")])
+    def test_non_int_tiles_raise_type_error(self, tiles):
+        with pytest.raises(TypeError):
+            Tiling(tiles)
+
+    @pytest.mark.parametrize("marks", [[1.5, 3], [True, 3], [1, 3.0]])
+    def test_non_int_marks_raise_type_error(self, marks):
+        with pytest.raises(TypeError):
+            tiling_from_marks(marks)
+
+    @pytest.mark.parametrize("k", [True, 1.0, "1"])
+    def test_non_int_oversize_bound_raises_type_error(self, k):
+        assert Tiling((2, 1)).oversized_right_ends(1) == (2,)
+        with pytest.raises(TypeError):
+            Tiling((2, 1)).oversized_right_ends(k)
+
 
 class TestExactEnumeration:
     def test_squares_and_dominoes_length_four(self):
