@@ -26,8 +26,10 @@ multiplication and one exact division per entry, plus an entry
 C(j, j) = 1 when k+1 divides n+1.  Every summand's power of two is
 2^(n mod (k+1)) times a power of 2^(k+1), so the row folds by Horner's
 rule in 2^(k+1).  The per-term formula keeps the rows of n and n-1.
-The extended form evaluates each index of a range on its own, and
-`_check_limit` checks a limit m for one index or a whole range.
+`term_breakdown` lists the summands of the same rows.  The extended form
+is the base fold plus the raised-limit binomials, each checked to be 0;
+it evaluates each index of a range on its own, and `_check_limit` checks
+a limit m for one index or a whole range.
 
 Powers of two are produced by shifting; no floating point anywhere.
 """
@@ -71,20 +73,20 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _shifted_binomials(k: int, n: int, limit: int):
-    """Yield C(n - j*k, j) for j = 0..limit by exact-division updates.
+def _row(k: int, n: int):
+    """Yield C(n - jk, j) for j = 0..floor(n/(k+1)) by exact-division updates.
 
     Each step multiplies by the k+1 falling factors of the new numerator
     and divides by the k+1 falling factors of the old one; the division is
-    exact because both ends of the ratio are integers.  Requires
-    limit <= floor(n/(k+1)) + 1 so no denominator factor reaches zero
-    (the final value may itself be a legitimate zero).  Far cheaper than
-    limit independent binomial evaluations when the entries get large.
+    exact because both ends of the ratio are integers.  The row of n = -1
+    is empty.  Far cheaper than independent binomial evaluations when the
+    entries get large.
     """
+    limit = n // (k + 1)
     c = 1
     for j in range(limit + 1):
         yield c
-        if j < limit:
+        if j < limit:  # past the last entry a denominator factor can be 0
             top = n - j * k - j
             num = 1
             for t in range(k + 1):
@@ -94,38 +96,6 @@ def _shifted_binomials(k: int, n: int, limit: int):
             for t in range(k):
                 den *= base - t
             c = c * num // den
-
-
-def _sum_terms(k: int, n: int, limit: int):
-    """Yield (j, sign, magnitude) for the partial-sum formula up to j = limit.
-
-    Terms whose binomial vanishes are yielded with magnitude 0 without
-    touching the power of two, whose exponent would be negative there.
-    """
-    fast_limit = min(limit, n // (k + 1))
-    for j, c in zip(range(fast_limit + 1), _shifted_binomials(k, n, fast_limit)):
-        yield j, -1 if j & 1 else 1, (c << (n - j * (k + 1))) if c else 0
-    # Raised limits reach j with n - jk < j, where the binomial vanishes.
-    for j in range(fast_limit + 1, limit + 1):
-        c = binomial(n - j * k, j)
-        magnitude = c << (n - j * (k + 1)) if c else 0
-        yield j, -1 if j & 1 else 1, magnitude
-
-
-def _term_terms(k: int, n: int):
-    """Yield (j, sign, magnitude) of the two-binomial per-term formula."""
-    if n == 0:
-        # Kronecker-delta base case: the lone j = 0 term contributes 1.
-        yield 0, 1, 1
-        return
-    limit = n // (k + 1)
-    first_row = _shifted_binomials(k, n, limit)
-    second_row = _shifted_binomials(k, n - 1, limit)  # C(n-jk-1, j)
-    for j, (c1, c2) in enumerate(zip(first_row, second_row)):
-        e = n - j * (k + 1)
-        first = c1 << e
-        second = (c2 << (e - 1)) if c2 else 0
-        yield j, -1 if j & 1 else 1, first - second
 
 
 def _step_row(row: list[int], k: int, n: int) -> None:
@@ -149,10 +119,6 @@ def _nonnegative(total: int) -> int:
     return total
 
 
-def _fold(terms) -> int:
-    return _nonnegative(sum(sign * magnitude for _, sign, magnitude in terms))
-
-
 def _fold_row(row, k: int) -> int:
     """sum_j (-1)^j row[j] 2^((L-j)(k+1)) for a row of L+1 entries, by
     Horner's rule in 2^(k+1)."""
@@ -160,11 +126,6 @@ def _fold_row(row, k: int) -> int:
     for j, c in enumerate(row):
         total = (total << (k + 1)) + (-c if j & 1 else c)
     return _nonnegative(total)
-
-
-def _row(k: int, n: int):
-    """C(n - jk, j) for j = 0..floor(n/(k+1)), one entry at a time."""
-    return _shifted_binomials(k, n, n // (k + 1))
 
 
 def dunkel_sums_from(k: int, start: int) -> Iterator[int]:
@@ -183,10 +144,14 @@ def dunkel_sums_from(k: int, start: int) -> Iterator[int]:
         yield _fold_row(row, k) << n % (k + 1)
 
 
+def _doubled(row, prev):
+    """2 C(n-jk, j) - C(n-1-jk, j) from the rows of n and n-1, by j."""
+    return (2 * c - p for c, p in zip_longest(row, prev, fillvalue=0))
+
+
 def _term_fold(row, prev, k: int, n: int) -> int:
     """f(n) from the rows of n and n-1 by the per-term formula."""
-    doubled = (2 * c - p for c, p in zip_longest(row, prev, fillvalue=0))
-    return (_fold_row(doubled, k) << n % (k + 1)) >> 1
+    return (_fold_row(_doubled(row, prev), k) << n % (k + 1)) >> 1
 
 
 def closed_values_from(k: int, start: int) -> Iterator[int]:
@@ -231,10 +196,15 @@ def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
     """The partial-sum formula with its upper limit raised to m.
 
     Any m with floor(n/(k+1)) <= m <= floor(n/k) gives the same value: the
-    extra summands have n-jk < j, so their binomials are 0.
+    extra summands have n-jk < j, so their binomials are 0.  Those are
+    checked to be 0, and the base row is folded as partial_sum_dunkel folds it.
     """
     _check_limit(k, n, n, m)
-    return _fold(_sum_terms(k, n, m))
+    for j in range(n // (k + 1) + 1, m + 1):
+        if binomial(n - j * k, j):
+            # As in _nonnegative: no input can reach this, so it is a defect.
+            raise ArithmeticError(f"raised-limit summand j={j} is nonzero at k={k}, n={n}")
+    return partial_sum_dunkel(k, n)
 
 
 def extended_sums_from(k: int, start: int, m: int | None = None) -> Iterator[int]:
@@ -263,9 +233,14 @@ def term_breakdown(k: int, n: int, which: str = SUM_FORMULA) -> list[SignedTerm]
     _check_k(k)
     _check_n(n)
     if which == SUM_FORMULA:
-        terms = _sum_terms(k, n, n // (k + 1))
+        row, half = _row(k, n), 0
     elif which == TERM_FORMULA:
-        terms = _term_terms(k, n)
+        # Each doubled entry carries 2^(e-1); halving after the shift keeps
+        # e = 0 in the integers, where the entry is 2 C(j, j) = 2.
+        row, half = _doubled(_row(k, n), _row(k, n - 1)), 1
     else:
         raise ValueError(f"which must be {SUM_FORMULA!r} or {TERM_FORMULA!r}, got {which!r}")
-    return [SignedTerm(j, sign, magnitude) for j, sign, magnitude in terms]
+    return [
+        SignedTerm(j, -1 if j & 1 else 1, (c << (n - j * (k + 1))) >> half)
+        for j, c in enumerate(row)
+    ]

@@ -48,16 +48,12 @@ class TestBinomial:
         assert binomial(a, b) == expected
 
     def test_incremental_row_matches_direct_evaluation(self):
-        from kbonacci.closed_form import _shifted_binomials
+        from kbonacci.closed_form import _row
 
         for k in range(1, 7):
-            for n in range(0, 70):
+            for n in range(-1, 70):  # the per-term base case relies on the empty row of -1
                 limit = n // (k + 1)
-                row = list(_shifted_binomials(k, n, limit))
-                assert row == [binomial(n - j * k, j) for j in range(limit + 1)]
-                if n >= 1:  # the per-term formula walks this row one past its own limit
-                    shifted = list(_shifted_binomials(k, n - 1, limit))
-                    assert shifted == [binomial(n - j * k - 1, j) for j in range(limit + 1)]
+                assert list(_row(k, n)) == [binomial(n - j * k, j) for j in range(limit + 1)]
 
 
 class TestPartialSumDunkel:
@@ -108,6 +104,13 @@ class TestExtendedLimit:
         with pytest.raises(ValueError):
             partial_sum_dunkel_extended(k, n, m)
 
+    def test_nonzero_raised_limit_summand_is_a_defect(self, monkeypatch):
+        # The raised-limit binomials vanish for every legal m, so a nonzero one
+        # is an internal fault, not a user error.
+        monkeypatch.setattr("kbonacci.closed_form.binomial", lambda a, b: 1)
+        with pytest.raises(ArithmeticError):
+            partial_sum_dunkel_extended(2, 4, 2)
+
 
 class TestKbonacciClosed:
     @pytest.mark.parametrize("k, n, expected", [(2, 4, 5), (3, 0, 1), (4, 4, 8)])
@@ -157,6 +160,25 @@ class TestTermBreakdown:
                 assert sum(t.value for t in term_breakdown(k, n, TERM_FORMULA)) == (
                     kbonacci_closed(k, n)
                 )
+
+    def test_terms_match_pascal_rows(self):
+        # Independent of the engines' rows: C(a, b) read off an additive triangle.
+        def c(a, b):
+            return PASCAL[a][b] if 0 <= b <= a else 0
+
+        for k in range(1, 7):
+            for n in range(0, 61):
+                sum_terms = term_breakdown(k, n, SUM_FORMULA)
+                term_terms = term_breakdown(k, n, TERM_FORMULA)
+                limit = n // (k + 1)
+                assert len(sum_terms) == len(term_terms) == limit + 1
+                for j in range(limit + 1):
+                    e = n - j * (k + 1)
+                    sign = (-1) ** j
+                    assert sum_terms[j] == SignedTerm(j, sign, c(n - j * k, j) * 2**e)
+                    doubled = (2 * c(n - j * k, j) - c(n - 1 - j * k, j)) * 2**e
+                    assert doubled % 2 == 0
+                    assert term_terms[j] == SignedTerm(j, sign, doubled // 2)
 
     def test_term_magnitudes_are_nonnegative_integers(self):
         for k in range(1, 6):
