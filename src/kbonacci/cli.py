@@ -106,13 +106,13 @@ def _range_records(args, texts):
 
 
 def cmd_eval(args) -> int:
-    texts = stream_value_texts(args.k, args.n[0], args.engine)
+    texts = stream_value_texts(args.k, args.n[0], args.n.stop, args.engine)
     _emit_value_records(_range_records(args, texts), args.format, VALUE_FIELDS)
     return 0
 
 
 def cmd_sum(args) -> int:
-    texts = stream_sum_texts(args.k, args.n[0], args.engine, args.m)
+    texts = stream_sum_texts(args.k, args.n[0], args.n.stop, args.engine, args.m)
     if args.m is not None:
         _check_limit(args.k, args.n[0], args.n[-1], args.m)
     _emit_value_records(_range_records(args, texts), args.format, VALUE_FIELDS)

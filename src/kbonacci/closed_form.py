@@ -18,18 +18,30 @@ Three identities are implemented:
   which stays in the integers: whenever e = 0 the second binomial is
   C(j-1, j) = 0, so the halved power is never actually formed.
 
-Both engines read a range of indices from the row of binomials C(n-jk, j),
-j = 0..floor(n/(k+1)).  The first index folds its row as the row is made;
-for the indices after it the row is kept, and the row of n+1 follows from
-the row of n by C(m+1, j) = C(m, j) (m+1) / (m+1-j), one small
-multiplication and one exact division per entry, plus an entry
-C(j, j) = 1 when k+1 divides n+1.  Every summand's power of two is
-2^(n mod (k+1)) times a power of 2^(k+1), so the row folds by Horner's
-rule in 2^(k+1).  The per-term formula keeps the rows of n and n-1.
-`term_breakdown` lists the summands of the same rows.  The extended form
-is the base fold plus the raised-limit binomials, each checked to be 0;
-it evaluates each index of a range on its own, and `_check_limit` checks
-a limit m for one index or a whole range.
+Both engines fold the row of binomials C(n-jk, j), j = 0..floor(n/(k+1)).
+Every summand's power of two is 2^(n mod (k+1)) times a power of 2^(k+1),
+so a row folds by Horner's rule in 2^(k+1).  The per-term formula folds
+the doubled entries 2 C(m, j) - C(m-1, j) = C(m, j) + C(m-1, j-1),
+m = n-jk, and takes C(m-1, j-1) = C(m, j) j / m from the row of n alone.
+
+A range start..stop-1 folds its first index alone, its row as the row is
+made, in O(n) bits.  The rest of the range is cut into blocks of at most
+16 (k+1) indices, and each block is evaluated column by column: column j
+holds C(m, j) for the m of every index of the block, and each index keeps
+its own Horner accumulator, folded as j ascends.  A column starts from its
+entry in the row of the block's first index and is filled by Pascal's
+rule, C(m+1, j) = C(m, j) + C(m, j-1), from column j-1 moved k entries
+down; the k entries below column j-1 are made by the ratio rule
+C(m, j-1) = C(m-1, j-1) m / (m-j+1).  That is one row step, k exact
+divisions (k+1 for a value) and b-1 additions per column of a block of b
+indices, where stepping the row of each index to the next,
+C(m+1, j) = C(m, j)(m+1) / (m+1-j), costs b divisions; a block of k
+indices or fewer makes only the divisions of its own entries.  A block holds O(b n) = O(k n) bits.
+A value's doubled entry is one addition against the rises of its column.
+`term_breakdown` lists the summands of the rows.  The extended form is
+the base fold plus the raised-limit binomials, each checked to be 0; it
+evaluates each index of a range on its own, and `_check_limit` checks a
+limit m for one index or a whole range.
 
 Powers of two are produced by shifting; no floating point anywhere.
 """
@@ -38,7 +50,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, zip_longest
+from itertools import accumulate, chain, islice, repeat
+from operator import add
 from typing import Iterator
 
 from .sequence import _check_int, _check_k, _check_n
@@ -87,28 +100,8 @@ def _row(k: int, n: int):
     for j in range(limit + 1):
         yield c
         if j < limit:  # past the last entry a denominator factor can be 0
-            top = n - j * k - j
-            num = 1
-            for t in range(k + 1):
-                num *= top - t
-            den = j + 1
-            base = n - j * k
-            for t in range(k):
-                den *= base - t
-            c = c * num // den
-
-
-def _step_row(row: list[int], k: int, n: int) -> None:
-    """Turn the row C(n - jk, j), j = 0..floor(n/(k+1)), into that of n+1.
-
-    With m = n - jk, C(m+1, j) = C(m, j) (m+1) / (m+1-j); the division is
-    exact and its divisor n+1 - j(k+1) is at least 1 on the row.
-    """
-    for j in range(1, len(row)):
-        top = n + 1 - j * k  # m + 1
-        row[j] = row[j] * top // (top - j)
-    if (n + 1) % (k + 1) == 0:
-        row.append(1)  # C(j, j) for the new j = (n+1)/(k+1)
+            m = n - j * k
+            c = c * math.perm(m - j, k + 1) // ((j + 1) * math.perm(m, k))
 
 
 def _nonnegative(total: int) -> int:
@@ -128,53 +121,122 @@ def _fold_row(row, k: int) -> int:
     return _nonnegative(total)
 
 
-def dunkel_sums_from(k: int, start: int) -> Iterator[int]:
-    """Yield f(0) + ... + f(n) via the alternating closed form, n = start, start+1, ...
+_SPAN = 16  # a block is at most this many times k+1 indices long
+
+
+def _blocks(k: int, start: int, stop: int) -> Iterator[range]:
+    """The indices start+1..stop-1 in blocks of at most _SPAN (k+1)."""
+    cap = _SPAN * (k + 1)
+    for a in range(start + 1, stop, cap):
+        yield range(a, min(a + cap, stop))
+
+
+def _columns(k: int, lo: int, hi: int, term: bool):
+    """Yield (column, rises) for j = 1..floor((hi-1)/(k+1)), where at the
+    indices n = lo + i, lo <= n < hi,
+
+        column[i] = C(n - jk, j) and rises[i] = C(n - 1 - jk + term, j - 1).
+
+    Column j starts from C(lo - jk, j), entry j of the row of lo (0 past
+    its end), and is filled by Pascal's rule, C(m+1, j) = C(m, j) + C(m, j-1).
+    Its rises are column j-1 moved k entries down (k+1 for a value, whose
+    rises start at n-1).  Those below column j-1 are made up from the first
+    nonzero one, C(lo-jk, j) j / (m-j+1) (j / (m+1) for a value) or
+    C(j-1, j-1) = 1, by C(m, j-1) = C(m-1, j-1) m / (m-j+1): at most k+1
+    exact divisions per column, and one addition per entry.
+    """
+    width = hi - lo
+    low = min(k, width - 1) + term  # the rises below column j-1
+    column = [1] * width
+    seeds = chain(islice(_row(k, lo), 1, None), repeat(0))
+    for j, seed in zip(range(1, (hi - 1) // (k + 1) + 1), seeds):
+        m = lo - j * k - term  # the m of rises[0]
+        if seed:
+            zeros, c = 0, seed * j // (m + 1 if term else m - j + 1)
+        else:
+            zeros, c = min(j - 1 - m, low), 1
+        rises = [0] * zeros
+        if zeros < low:
+            rises.append(c)
+            for m in range(m + zeros + 1, m + low):
+                c = c * m // (m - j + 1)
+                rises.append(c)
+        rises += column[: width - 1 + term - low]
+        column = list(accumulate(islice(rises, term, None), initial=seed))
+        yield column, rises
+
+
+def _block_folds(k: int, block: range, term: bool) -> list[int]:
+    """The sums (term=False) or doubled values (term=True) of the indices of
+    block, by Horner's rule in 2^(k+1), one accumulator per index, column
+    by column from _columns.  A value folds the doubled row
+    2 C(n-jk, j) - C(n-1-jk, j) = C(n-jk, j) + C(n-1-jk, j-1).  Index n
+    folds the zero entries of the columns j > floor(n/(k+1)) too, and
+    drops their shifts at the end.
+    """
+    shift = k + 1
+    acc = [1] * len(block)  # column 0: C(m, 0) = 1, doubled 1 at n >= 1
+    for j, (column, rises) in enumerate(_columns(k, block.start, block.stop, term), 1):
+        entries = map(add, column, rises) if term else column
+        if j & 1:
+            acc = [(x << shift) - c for x, c in zip(acc, entries)]
+        else:
+            acc = [(x << shift) + c for x, c in zip(acc, entries)]
+    last = (block.stop - 1) // shift
+    return [
+        (_nonnegative(total) << n % shift) >> (last - n // shift) * shift
+        for n, total in zip(block, acc)
+    ]
+
+
+def _doubled(k: int, n: int) -> Iterator[int]:
+    """2 C(m, j) - C(m-1, j) = C(m, j) + C(m-1, j-1), m = n - jk, by j, from
+    the row of n alone: C(m-1, j-1) = C(m, j) j / m, and at m = 0 (n = 0),
+    where the row of n-1 is empty, the entry is 2 C(0, 0) = 2."""
+    for j, c in enumerate(_row(k, n)):
+        m = n - j * k
+        yield c + (c * j // m if m else 1)
+
+
+def _closed_range(k: int, start: int, stop: int, term: bool) -> Iterator[int]:
+    """S(n) (term=False) or f(n) (term=True) for n = start..stop-1.
+
+    The first index folds its row as the row is made, in O(n) bits; the
+    later ones come from _block_folds, in O(b n) bits for a block of b
+    indices.  A value halves its doubled fold.
+    """
+    _check_k(k)
+    _check_n(start)
+    if start < stop:
+        row = _doubled(k, start) if term else _row(k, start)
+        yield (_fold_row(row, k) << start % (k + 1)) >> term
+    for block in _blocks(k, start, stop):
+        for total in _block_folds(k, block, term):
+            yield total >> term
+
+
+def dunkel_sums_from(k: int, start: int, stop: int) -> Iterator[int]:
+    """Yield f(0) + ... + f(n) via the alternating closed form, n = start..stop-1.
 
     The summand of j carries 2^(n - j(k+1)), and the last j carries
-    2^(n mod (k+1)).  The first value folds its row as the row is made, so
-    one index holds O(n) bits; later indices keep the row, O(n^2/k) bits.
+    2^(n mod (k+1)).
     """
-    _check_k(k)
-    _check_n(start)
-    yield _fold_row(_row(k, start), k) << start % (k + 1)
-    row = list(_row(k, start))
-    for n in count(start + 1):
-        _step_row(row, k, n - 1)
-        yield _fold_row(row, k) << n % (k + 1)
+    return _closed_range(k, start, stop, False)
 
 
-def _doubled(row, prev):
-    """2 C(n-jk, j) - C(n-1-jk, j) from the rows of n and n-1, by j."""
-    return (2 * c - p for c, p in zip_longest(row, prev, fillvalue=0))
-
-
-def _term_fold(row, prev, k: int, n: int) -> int:
-    """f(n) from the rows of n and n-1 by the per-term formula."""
-    return (_fold_row(_doubled(row, prev), k) << n % (k + 1)) >> 1
-
-
-def closed_values_from(k: int, start: int) -> Iterator[int]:
-    """Yield f(n) via the per-term closed form, n = start, start+1, ...
+def closed_values_from(k: int, start: int, stop: int) -> Iterator[int]:
+    """Yield f(n) via the per-term closed form, n = start..stop-1.
 
     term_j = (-1)^j (2 C(n-jk, j) - C(n-jk-1, j)) 2^(e-1), e = n - j(k+1).
-    The row of n-1 lacks the last j when e = 0 there, and is empty at
-    n = 0, which leaves the base case's lone term 2 * 2^-1 = 1.  Memory as
-    in dunkel_sums_from, for the rows of n and n-1.
+    The doubled entry (see _doubled) is 2 C(j, j) = 2 where e = 0, and the
+    base case n = 0 is the lone term 2 * 2^-1 = 1.
     """
-    _check_k(k)
-    _check_n(start)
-    yield _term_fold(_row(k, start), _row(k, start - 1), k, start)
-    row = list(_row(k, start))
-    for n in count(start + 1):
-        prev = row.copy()
-        _step_row(row, k, n - 1)
-        yield _term_fold(row, prev, k, n)
+    return _closed_range(k, start, stop, True)
 
 
 def partial_sum_dunkel(k: int, n: int) -> int:
     """Return f(0) + ... + f(n) via the alternating closed form."""
-    return next(dunkel_sums_from(k, n))
+    return next(dunkel_sums_from(k, n, n + 1))
 
 
 def _check_limit(k: int, first: int, last: int, m: int) -> None:
@@ -207,21 +269,21 @@ def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
     return partial_sum_dunkel(k, n)
 
 
-def extended_sums_from(k: int, start: int, m: int | None = None) -> Iterator[int]:
-    """Yield partial_sum_dunkel_extended(k, n, m), n = start, start+1, ...
+def extended_sums_from(k: int, start: int, stop: int, m: int | None = None) -> Iterator[int]:
+    """Yield partial_sum_dunkel_extended(k, n, m), n = start..stop-1.
 
     m=None raises each index's limit to floor(n/k), its largest legal one.
     Each index is evaluated on its own.
     """
     _check_k(k)
     _check_n(start)
-    for n in count(start):
+    for n in range(start, stop):
         yield partial_sum_dunkel_extended(k, n, n // k if m is None else m)
 
 
 def kbonacci_closed(k: int, n: int) -> int:
     """Return f(n) via the per-term closed form."""
-    return next(closed_values_from(k, n))
+    return next(closed_values_from(k, n, n + 1))
 
 
 def term_breakdown(k: int, n: int, which: str = SUM_FORMULA) -> list[SignedTerm]:
@@ -237,7 +299,7 @@ def term_breakdown(k: int, n: int, which: str = SUM_FORMULA) -> list[SignedTerm]
     elif which == TERM_FORMULA:
         # Each doubled entry carries 2^(e-1); halving after the shift keeps
         # e = 0 in the integers, where the entry is 2 C(j, j) = 2.
-        row, half = _doubled(_row(k, n), _row(k, n - 1)), 1
+        row, half = _doubled(k, n), 1
     else:
         raise ValueError(f"which must be {SUM_FORMULA!r} or {TERM_FORMULA!r}, got {which!r}")
     return [

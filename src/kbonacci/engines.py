@@ -4,18 +4,24 @@ quantity it computes.
 `_VALUE_DISPATCH` holds the engines of f(n) and `_SUM_DISPATCH` those of
 S(n) = f(0) + ... + f(n), keyed by the names the CLI accepts; the first
 entry of each table is its default.  Each value is the engine module's own
-range generator, called as stream(k, start): it reaches its first index by
-its own method, then steps one index at a time.  The steps:
+range generator, called as stream(k, start, stop) for the indices
+start..stop-1, stop exclusive as in range(): `compute_*` pass n+1, `eval`
+and `sum` the end of their --n range.  It reaches its first index by its
+own method, then goes on:
 
-* recurrence and direct: one more window sum (plus a running total);
-* matrix: the residue x^n mod x^(k+1) - 2x^k + 1 times x, a shift of its
-  coefficients and one reduction by x^(k+1) = 2x^k - 1;
-* dunkel and dunkel-term: the binomial row C(n-jk, j) moved to n+1 by
-  C(m+1, j) = C(m, j) (m+1) / (m+1-j), then folded by Horner's rule;
-* dunkel-extended: none; each index is evaluated on its own, with the
+* recurrence and direct: one more window sum (plus a running total) per
+  index;
+* matrix: per index, the residue x^n mod x^(k+1) - 2x^k + 1 times x, a
+  shift of its coefficients and one reduction by x^(k+1) = 2x^k - 1;
+* dunkel and dunkel-term: the later indices in blocks, each evaluated
+  column by column, C(n-jk, j) for every n of the block, mostly by
+  Pascal's rule: about one addition per index and column besides the
+  Horner fold (see `closed_form`);
+* dunkel-extended: each index is evaluated on its own, with the
   summation limit m if one is given.
 
-A range A..B thus costs one evaluation at A plus B-A steps.
+The window and matrix engines cut their endless internals at stop; the
+closed forms need stop to size their blocks.
 
 Each generator carries its cost model as stream.cost(k, n, m): the number
 of big-integer operations one index n takes, which `bench` reports as
@@ -81,7 +87,7 @@ def _terms(k: int, n: int) -> int:
 def _powering_mults(k: int, n: int, m: int | None) -> int:
     """The multiplications of the residue powering to n, counted by running it."""
     ops = OpCount()
-    next(matrix_sums_from(k, n, ops))
+    next(matrix_sums_from(k, n, n + 1, ops))
     return ops.scalar_mults
 
 
@@ -96,7 +102,7 @@ _VALUE_DISPATCH = {
 _SUM_DISPATCH = {
     "direct": _costed(sums_from, lambda k, n, m: 3 * n),
     "dunkel": _costed(dunkel_sums_from, lambda k, n, m: 2 * _terms(k, n)),
-    _LIMITED: _costed(extended_sums_from, lambda k, n, m: 2 * ((n // k if m is None else m) + 1)),
+    _LIMITED: _costed(extended_sums_from, lambda k, n, m: 2 * _terms(k, n)),
     "matrix": _costed(matrix_sums_from, _powering_mults, matrix_sum_texts_from),
 }
 
@@ -116,56 +122,62 @@ def _check_takes_limit(engine: str, m: int | None) -> None:
         raise ValueError(f"a limit m is only meaningful with the {_LIMITED} engine")
 
 
-def _values_from(k: int, start: int, engine: str, text: bool) -> Iterator:
+def _values_from(k: int, start: int, stop: int, engine: str, text: bool) -> Iterator:
     stream = _lookup(_VALUE_DISPATCH, engine)
     _check_k(k)
     _check_int("n", start)
+    _check_int("stop", stop)
     if text:
         stream = _text_stream(stream)
     if start < 0:
-        return chain(repeat("0" if text else 0, -start), stream(k, 0))
-    return stream(k, start)
+        return chain(repeat("0" if text else 0, min(stop, 0) - start), stream(k, 0, stop))
+    return stream(k, start, stop)
 
 
-def stream_values(k: int, start: int, engine: str = "recurrence") -> Iterator[int]:
-    """f(start), f(start+1), ... through the named engine; f(n) = 0 for n < 0."""
-    return _values_from(k, start, engine, False)
+def stream_values(k: int, start: int, stop: int, engine: str = "recurrence") -> Iterator[int]:
+    """f(n) for n = start..stop-1 through the named engine; f(n) = 0 for n < 0."""
+    return _values_from(k, start, stop, engine, False)
 
 
-def stream_value_texts(k: int, start: int, engine: str = "recurrence") -> Iterator[str]:
+def stream_value_texts(k: int, start: int, stop: int, engine: str = "recurrence") -> Iterator[str]:
     """stream_values as exact decimal strings."""
-    return _values_from(k, start, engine, True)
+    return _values_from(k, start, stop, engine, True)
 
 
-def _sums_from(k: int, start: int, engine: str, m: int | None, text: bool) -> Iterator:
+def _sums_from(k: int, start: int, stop: int, engine: str, m: int | None, text: bool) -> Iterator:
     stream = _lookup(_SUM_DISPATCH, engine)
     _check_takes_limit(engine, m)
+    _check_int("stop", stop)
     if text:
         stream = _text_stream(stream)
-    return stream(k, start) if m is None else stream(k, start, m)
+    return stream(k, start, stop) if m is None else stream(k, start, stop, m)
 
 
-def stream_sums(k: int, start: int, engine: str = "direct", m: int | None = None) -> Iterator[int]:
-    """S(start), S(start+1), ... through the named engine, S(n) = f(0) + ... + f(n).
+def stream_sums(
+    k: int, start: int, stop: int, engine: str = "direct", m: int | None = None
+) -> Iterator[int]:
+    """S(n) for n = start..stop-1 through the named engine, S(n) = f(0) + ... + f(n).
 
     A limit m is passed to dunkel-extended and rejected by every other engine.
     """
-    return _sums_from(k, start, engine, m, False)
+    return _sums_from(k, start, stop, engine, m, False)
 
 
-def stream_sum_texts(k: int, start: int, engine: str = "direct", m: int | None = None) -> Iterator[str]:
+def stream_sum_texts(
+    k: int, start: int, stop: int, engine: str = "direct", m: int | None = None
+) -> Iterator[str]:
     """stream_sums as exact decimal strings."""
-    return _sums_from(k, start, engine, m, True)
+    return _sums_from(k, start, stop, engine, m, True)
 
 
 def compute_value(k: int, n: int, engine: str = "recurrence") -> int:
     """f(n) through the named engine."""
-    return next(stream_values(k, n, engine))
+    return next(stream_values(k, n, n + 1, engine))
 
 
 def compute_sum(k: int, n: int, engine: str = "direct", m: int | None = None) -> int:
     """f(0) + ... + f(n) through the named engine; m as in stream_sums."""
-    return next(stream_sums(k, n, engine, m))
+    return next(stream_sums(k, n, n + 1, engine, m))
 
 
 def _ops(cost, k: int, n: int, m: int | None) -> int:

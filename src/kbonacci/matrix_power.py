@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import islice
 from operator import mul
 from typing import Iterator
 
@@ -156,32 +157,35 @@ def _texts(numbers: Iterator) -> Iterator[str]:
         yield text
 
 
-def matrix_values_from(k: int, start: int, ops: OpCount | None = None) -> Iterator[int]:
-    """Yield f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ..."""
-    return _values(_residues_from(k, start, ops))
+def matrix_values_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
+    """Yield f(n) = (r(2) + r(0)) / 2 for n = start..stop-1."""
+    # len(range()) is 0 when stop <= start, and rejects a non-int index
+    yield from islice(_values(_residues_from(k, start, ops)), len(range(start, stop)))
 
 
-def matrix_sums_from(k: int, start: int, ops: OpCount | None = None) -> Iterator[int]:
-    """Yield S(n) = r(2) for n = start, start+1, ..."""
-    return _sums(_residues_from(k, start, ops))
+def matrix_sums_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
+    """Yield S(n) = r(2) for n = start..stop-1."""
+    yield from islice(_sums(_residues_from(k, start, ops)), len(range(start, stop)))
 
 
-def matrix_value_texts_from(k: int, start: int, ops: OpCount | None = None) -> Iterator[str]:
+def matrix_value_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_values_from as decimal strings, finished in Decimal once the
     coefficients pass _DECIMAL_BITS."""
-    return _texts(_values(_residues_from(k, start, ops, text=True)))
+    texts = _texts(_values(_residues_from(k, start, ops, text=True)))
+    yield from islice(texts, len(range(start, stop)))
 
 
-def matrix_sum_texts_from(k: int, start: int, ops: OpCount | None = None) -> Iterator[str]:
+def matrix_sum_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_sums_from as decimal strings, finished alike."""
-    return _texts(_sums(_residues_from(k, start, ops, text=True)))
+    texts = _texts(_sums(_residues_from(k, start, ops, text=True)))
+    yield from islice(texts, len(range(start, stop)))
 
 
 def kbonacci_matrix(k: int, n: int, ops: OpCount | None = None) -> int:
     """Return f(n) = (r(2) + r(0)) / 2 for r = x^n mod x^(k+1) - 2x^k + 1."""
-    return next(matrix_values_from(k, n, ops))
+    return next(matrix_values_from(k, n, n + 1, ops))
 
 
 def partial_sum_matrix(k: int, n: int, ops: OpCount | None = None) -> int:
     """Return f(0) + ... + f(n) = r(2) for r = x^n mod x^(k+1) - 2x^k + 1."""
-    return next(matrix_sums_from(k, n, ops))
+    return next(matrix_sums_from(k, n, n + 1, ops))

@@ -61,27 +61,27 @@ def values(k: int) -> Iterator[int]:
         n += 1
 
 
-def values_from(k: int, start: int) -> Iterator[int]:
-    """Yield f(start), f(start+1), ...; negative indices give 0.
+def values_from(k: int, start: int, stop: int) -> Iterator[int]:
+    """Yield f(n) for n = start..stop-1; negative indices give 0.
 
     One pass of `values`: each later index costs one window step.
     """
     _check_k(k)
     _check_int("n", start)
-    yield from repeat(0, -start)
-    yield from islice(values(k), max(start, 0), None)
+    yield from repeat(0, min(stop, 0) - start)
+    yield from islice(values(k), max(start, 0), max(stop, 0))
 
 
-def sums_from(k: int, start: int) -> Iterator[int]:
-    """Yield S(start), S(start+1), ... for S(n) = f(0) + ... + f(n)."""
+def sums_from(k: int, start: int, stop: int) -> Iterator[int]:
+    """Yield S(n) for n = start..stop-1, S(n) = f(0) + ... + f(n)."""
     _check_k(k)
     _check_n(start)
-    yield from islice(accumulate(values(k)), start, None)
+    yield from islice(accumulate(values(k)), start, max(stop, 0))
 
 
 def kbonacci_recurrence(k: int, n: int) -> int:
     """Return f(n) for window length k; n may be negative (value 0)."""
-    return next(values_from(k, n))
+    return next(values_from(k, n, n + 1))
 
 
 def kbonacci_prefix(k: int, n: int) -> list[int]:
@@ -93,4 +93,4 @@ def kbonacci_prefix(k: int, n: int) -> list[int]:
 
 def partial_sum_direct(k: int, n: int) -> int:
     """Return f(0) + f(1) + ... + f(n) by direct accumulation."""
-    return next(sums_from(k, n))
+    return next(sums_from(k, n, n + 1))

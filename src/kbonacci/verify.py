@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from operator import sub
 
 from .closed_form import (
     SUM_FORMULA,
@@ -31,7 +32,6 @@ from .tilings import (
     exact_tiles,
     identity_report,
     oversized_members,
-    tiling_from_marks,
     unrestricted_tiles,
 )
 
@@ -155,8 +155,9 @@ def suite_hash_marks(ks: range, ns: range, cap: int | None = None) -> SuiteResul
         distinct = set(tilings)
         result.expect(len(tilings) == 1 << n, f"|U| != 2^{n}")
         result.expect(len(distinct) == len(tilings), f"duplicate unrestricted tilings at n={n}")
+        # the tiles of a sorted subset are the gaps between its marks, 0 included
         from_subsets = {
-            tiling_from_marks(marks).tiles
+            tuple(map(sub, marks, (0, *marks)))
             for r in range(n + 1)
             for marks in combinations(range(1, n + 1), r)
         }

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from itertools import accumulate, count
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -364,8 +364,8 @@ class TestRanges:
         out = io.StringIO()
         lines_seen = []
 
-        def watched(k, start):
-            for n in count(start):
+        def watched(k, start, stop):
+            for n in range(start, stop):
                 lines_seen.append(out.getvalue().count("\n"))
                 yield n
 
@@ -661,7 +661,24 @@ class TestBench:
         )
         assert code == 0
         record = json.loads(out)
-        assert (record["value"], record["ops"]) == ("232", 8)  # 2 (m + 1) summands
+        assert (record["value"], record["ops"]) == ("232", 8)  # 2 (floor(n/(k+1)) + 1) summands
+
+    @pytest.mark.parametrize("k, n", [(2, 30), (3, 40), (1, 9)])
+    def test_extended_ops_equal_dunkel_ops_at_every_limit(self, capsys, k, n):
+        # dunkel-extended folds dunkel's summands; its raised-limit zero
+        # checks do no big-integer work
+        def ops(*extra):
+            code, out, _ = run(
+                capsys, "bench", "--k", str(k), "--n", str(n), *extra, "--reps", "1", "--format", "json"
+            )
+            assert code == 0
+            return {row["engine"]: row["ops"] for row in map(json.loads, out.splitlines())}
+
+        both = ops("--engines", "dunkel,dunkel-extended")
+        assert both["dunkel"] == both["dunkel-extended"]
+        for m in range(n // (k + 1), n // k + 1):
+            limited = ops("--engines", "dunkel-extended", "--m", str(m))
+            assert limited == {"dunkel-extended": both["dunkel"]}
 
     def test_unknown_engine_rejected(self, capsys):
         code, _, err = run(capsys, "bench", "--k", "2", "--n", "10", "--engines", "warp")

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbonacci import (
@@ -16,6 +16,9 @@ from kbonacci import (
     partial_sum_dunkel_extended,
     term_breakdown,
 )
+from kbonacci.closed_form import _SPAN, closed_values_from, dunkel_sums_from
+from kbonacci.engines import stream_values
+from kbonacci.sequence import sums_from, values_from
 
 from oracles import pascal_rows
 
@@ -216,3 +219,54 @@ def test_single_index_streams_its_row(fn):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+def _cap(k):
+    """The longest range that _blocks covers in one block after the lone
+    first index."""
+    return 1 + _SPAN * (k + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 12), start=st.integers(0, 400), length=st.integers(1, 120))
+@example(k=3, start=200, length=4)  # a block of k indices: every rise below column j-1
+@example(k=3, start=200, length=5)  # k+1 indices: one rise read from column j-1 for values
+@example(k=3, start=200, length=6)
+@example(k=3, start=200, length=_cap(3))
+@example(k=3, start=200, length=_cap(3) + 1)
+@example(k=1, start=40, length=_cap(1) + 2)
+@example(k=12, start=400, length=_cap(12) + 1)
+@example(k=5, start=2, length=120)  # start < k+1: columns that start with zeros
+@example(k=12, start=0, length=120)
+@example(k=1, start=0, length=120)
+def test_ranges_match_the_recurrence(k, start, length):
+    stop = start + length
+    assert list(dunkel_sums_from(k, start, stop)) == list(sums_from(k, start, stop))
+    assert list(closed_values_from(k, start, stop)) == list(values_from(k, start, stop))
+
+
+def test_short_range_holds_no_row():
+    # At k=2, n=20000 the row C(n-2j, j) holds about 6 MiB of binomials; a
+    # range keeps a column of O(b) n-bit entries per block of b indices.
+    tracemalloc.start()
+    try:
+        values = list(stream_values(2, 20_000, 20_002, "dunkel-term"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == [kbonacci_recurrence(2, n) for n in (20_000, 20_001)]
+    assert peak < 1024 * 1024
+
+
+def test_long_range_holds_blocks_not_rows():
+    # Blocks of at most _SPAN (k+1) indices keep a long range to O(k n)
+    # bits; the row C(n-j, j) of n = 4000 alone holds about 1.2 MiB.
+    start, stop = 4_000, 4_000 + 2 * _cap(1) + 5
+    tracemalloc.start()
+    try:
+        values = list(stream_values(1, start, stop, "dunkel-term"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == list(values_from(1, start, stop))
+    assert peak < 512 * 1024

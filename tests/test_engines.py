@@ -1,5 +1,3 @@
-from itertools import islice
-
 import pytest
 
 from kbonacci import (
@@ -17,7 +15,7 @@ from kbonacci import (
     partial_sum_matrix,
     verify_intersection_identity,
 )
-from kbonacci.engines import SUM_NAMES, VALUE_NAMES, stream_values
+from kbonacci.engines import SUM_NAMES, VALUE_NAMES, stream_sums, stream_values
 
 
 def test_value_engines_agree():
@@ -53,7 +51,8 @@ def test_limit_requires_dunkel_engine():
 def test_value_engines_read_negative_indices_as_zero():
     for engine in VALUE_NAMES:
         assert compute_value(3, -4, engine) == 0
-        assert list(islice(stream_values(3, -2, engine), 5)) == [0, 0, 1, 1, 2]
+        assert list(stream_values(3, -2, 3, engine)) == [0, 0, 1, 1, 2]
+        assert list(stream_values(3, -4, -1, engine)) == [0, 0, 0]
         with pytest.raises(ValueError, match="k must be"):
             compute_value(0, -1, engine)
     for engine in SUM_NAMES:
@@ -73,6 +72,17 @@ def _extended_limit(k, n):
 
 def _identity(k, n):
     return verify_intersection_identity(k, n, 1)
+
+
+def _value_stops(k, n):
+    # n doubles as the stop of a range from 0 on every value engine
+    for engine in VALUE_NAMES:
+        list(stream_values(k, 0, n, engine))
+
+
+def _sum_stops(k, n):
+    for engine in SUM_NAMES:
+        list(stream_sums(k, 0, n, engine))
 
 
 def _identity_index(k, n):
@@ -97,6 +107,8 @@ def _identity_index(k, n):
         _extended_limit,
         _identity,
         _identity_index,
+        _value_stops,
+        _sum_stops,
     ],
 )
 @pytest.mark.parametrize("k, n", [(True, 5), (2, True), (2.0, 5), (2, 5.0), ("2", 5), (2, None)])
