@@ -2,7 +2,7 @@
 
 Independent engines compute the same quantities: the defining
 recurrence, closed forms built from binomial coefficients and powers of
-two, and binary powering of x^n modulo x^(k+1) - 2x^k + 1 for large
+two, and binary powering of x^n modulo x^k - x^(k-1) - ... - 1 for large
 indices.  `engines` registers each one once, by the name the CLI takes.
 A tiling laboratory re-derives the closed forms by exhaustive enumeration
 at desk scale: ruler tilings, the 2^n hash-mark count, the mark-expansion

@@ -11,8 +11,10 @@ own method, then goes on:
 
 * recurrence and direct: one more window sum (plus a running total) per
   index;
-* matrix: per index, the residue x^n mod x^(k+1) - 2x^k + 1 times x, a
-  shift of its coefficients and one reduction by x^(k+1) = 2x^k - 1;
+* matrix: per index, the residue x^n mod x^k - x^(k-1) - ... - 1 times
+  x, a shift of its k coefficients and one reduction by
+  x^k = 1 + x + ... + x^(k-1), which adds the leaving coefficient at all
+  k places (the sums at k = 1 are n + 1);
 * dunkel and dunkel-term: the later indices in blocks, each evaluated
   column by column, C(n-jk, j) for every n of the block, mostly by
   Pascal's rule: about one addition per index and column besides the
@@ -84,10 +86,11 @@ def _terms(k: int, n: int) -> int:
     return n // (k + 1) + 1
 
 
-def _powering_mults(k: int, n: int, m: int | None) -> int:
-    """The multiplications of the residue powering to n, counted by running it."""
+def _powering_mults(stream, k: int, n: int, m: int | None) -> int:
+    """The multiplications of stream's residue powering to n, counted by
+    running it (none for the sums at k = 1, which are n + 1)."""
     ops = OpCount()
-    next(matrix_sums_from(k, n, n + 1, ops))
+    next(stream(k, n, n + 1, ops))
     return ops.scalar_mults
 
 
@@ -96,14 +99,18 @@ _LIMITED = "dunkel-extended"  # the one engine that takes a summation limit m
 _VALUE_DISPATCH = {
     "recurrence": _costed(values_from, lambda k, n, m: 2 * n),
     "dunkel-term": _costed(closed_values_from, lambda k, n, m: 4 * _terms(k, n)),
-    "matrix": _costed(matrix_values_from, _powering_mults, matrix_value_texts_from),
+    "matrix": _costed(
+        matrix_values_from, partial(_powering_mults, matrix_values_from), matrix_value_texts_from
+    ),
 }
 
 _SUM_DISPATCH = {
     "direct": _costed(sums_from, lambda k, n, m: 3 * n),
     "dunkel": _costed(dunkel_sums_from, lambda k, n, m: 2 * _terms(k, n)),
     _LIMITED: _costed(extended_sums_from, lambda k, n, m: 2 * _terms(k, n)),
-    "matrix": _costed(matrix_sums_from, _powering_mults, matrix_sum_texts_from),
+    "matrix": _costed(
+        matrix_sums_from, partial(_powering_mults, matrix_sums_from), matrix_sum_texts_from
+    ),
 }
 
 VALUE_NAMES = tuple(_VALUE_DISPATCH)

@@ -1,41 +1,51 @@
 """Fast exact evaluation of f(n) and its partial sums by polynomial residues.
 
-P(x) = x^(k+1) - 2x^k + 1 = (x - 1)(x^k - x^(k-1) - ... - 1) annihilates
-both f and S(n) = f(0) + ... + f(n), so any linear functional that agrees
-with one of them on 1, x, ..., x^k sends x^n, and equally the residue
-r(x) = x^n mod P, to its value at n (Fiduccia's method).  On those powers
-S(i) = 2^i and f(i) = 2^(i-1), except f(0) = 1, so
+f satisfies the recurrence of Q(x) = x^k - x^(k-1) - ... - 1 from n = 0,
+so any linear functional that agrees with f on 1, x, ..., x^(k-1) sends
+x^n, and equally the residue r(x) = x^n mod Q, to f(n) (Fiduccia's
+method).  On those powers f(0) = 1 and f(i) = 2^(i-1), so
 
-    S(n) = r(2)        f(n) = (r(2) + r(0)) / 2.
+    f(n) = (r(2) + r(0)) / 2.
 
-The residue is reached by binary powering: O(log n) squarings of k+1
-big-integer coefficients, each (k+1)(k+2)/2 multiplications, with the
-reduction x^e = 2x^(e-1) - x^(e-k-1) costing only shifts and additions.
+S(n) = f(0) + ... + f(n) satisfies S(n) = S(n-1) + ... + S(n-k) + 1, so
+S(n) + 1/(k-1) satisfies Q's recurrence for k >= 2; on the same powers
+S(i) = 2^i, and
+
+    S(n) = r(2) + (r(1) - 1) / (k - 1),    and S(n) = n + 1 at k = 1,
+
+where Q = x - 1 leaves r = 1 for every n.
+
+The residue is reached by binary powering: O(log n) squarings of k
+big-integer coefficients, each k(k+1)/2 multiplications.  The square is
+reduced by the sparse rule x^e = 2x^(e-1) - x^(e-k-1) of
+P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), valid modulo its factor Q, down
+to degree k, and then once by x^k = 1 + x + ... + x^(k-1): shifts and
+additions only.
 
 A range of indices pays for one powering.  The residue of x^(n+1) is x
 times that of x^n: the coefficients move up by one place, and the one that
-leaves, t = r[k], comes back by x^(k+1) = 2x^k - 1 as 2t at x^k and -t at
-x^0.  Since P(2) = 1, the new r(2) is 2r(2) - t, so each later index costs
-a few additions and no multiplication.  No floats: exactness is the point.
+leaves, t = r[k-1], comes back by x^k = 1 + x + ... + x^(k-1) at all k
+places.  Since Q(2) = 1, the new r(2) is 2r(2) - t, and the new r(1) is
+r(1) + (k - 1) t, so each later index costs about k additions and no
+multiplication.  No floats: exactness is the point.
 
 The library functions return ints.  For decimal output the CLI asks for the
 text generators instead: they square in ints while the coefficients are
 narrow, convert them once past _DECIMAL_BITS, then finish the squarings,
-the reduction, the fold at 2, the halving and each later index in Decimal
-under `render.exact()`, whose products are subquadratic from a few ten
-thousand bits on (libmpdec's number-theoretic transform against CPython's
-Karatsuba; Brent & Zimmermann, Modern Computer Arithmetic, sections 1.3 and
-2.3), and print the result with str(): no binary to decimal conversion of
-the result at all.  One squaring loop, written with + rather than << 1,
-serves both coefficient types.
+the reduction, the fold at 2, the exact division and each later index in
+Decimal under `render.exact()`, whose products are subquadratic from a few
+ten thousand bits on (libmpdec's number-theoretic transform against
+CPython's Karatsuba; Brent & Zimmermann, Modern Computer Arithmetic,
+sections 1.3 and 2.3), and print the result with str(): no binary to
+decimal conversion of the result at all.  One squaring loop, written with
++ rather than << 1, serves both coefficient types.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from decimal import Decimal
-from itertools import islice
+from decimal import Decimal, Inexact
+from itertools import count, islice
 from operator import mul
 from typing import Iterator
 
@@ -43,30 +53,41 @@ from .render import _decimal_str, _decimals, exact
 from .sequence import _check_k, _check_n
 
 # Widest coefficient, in bits, that the text path still squares in ints.
-# One product took, int against Decimal: 0.12 against 0.39 ms at 12k bits,
-# 0.43 against 0.43 ms at 25k, 0.97 against 0.63 ms at 50k and 77 against
-# 20 ms at 700k.  The five big-index commands, powering plus render, took
-# 0.54-0.67 s in ints, 0.31-0.39 s switching at 24k to 49k bits and
-# 0.39-0.44 s at 64k bits (CPython 3.11.7, libmpdec 2.5.1, 2-vCPU VM, best
-# of 7 runs each, three interleaved rounds).
-_DECIMAL_BITS = 32_768
+# The five big-index commands, powering plus str(), took 121-127 ms in all
+# switching at 16k bits, 139-144 ms at 32k and 163-180 ms at 64k (CPython
+# 3.11.7, libmpdec 2.5.1, 2-vCPU VM, best of 7 runs each, three interleaved
+# rounds); switches from 4k to 16k bits were within noise of each other.
+# Each command then converts its coefficients at 17k-27k bits.  One int
+# product is still the faster there (0.19 against 0.26 ms at 20k bits), but
+# converting three coefficients takes 1.8 ms at 20k bits against 4.9 ms at
+# 40k.  wide-window and range-sweep coefficients stay below 11k bits.
+_DECIMAL_BITS = 16_384
 
 
 @dataclass
 class OpCount:
     """Tally of big-integer multiplications performed, for benchmarking.
 
-    matrix_products counts residue squarings (the field keeps its name for
-    the code that reads it); scalar_mults counts the coefficient
-    multiplications inside them.  Shifts and additions are not counted.
+    matrix_products counts squarings of the residue modulo
+    x^k - x^(k-1) - ... - 1 (the field keeps its name for the code that
+    reads it); scalar_mults counts the coefficient multiplications inside
+    them, k(k+1)/2 per squaring.  Shifts, additions and the small
+    multiples of a range step are not counted.
     """
 
     matrix_products: int = 0
     scalar_mults: int = 0
 
 
+def _reduced(r: list) -> list:
+    """r, of degree k, reduced by x^k = 1 + x + ... + x^(k-1): its top
+    coefficient comes back at all k places below it."""
+    top = r.pop()
+    return [c + top for c in r]
+
+
 def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
-    """Coefficients r[0..k] of x^n mod x^(k+1) - 2x^k + 1, as ints.
+    """Coefficients r[0..k-1] of x^n mod x^k - x^(k-1) - ... - 1, as ints.
 
     With text, they are converted to Decimals once before the first squaring
     of coefficients wider than _DECIMAL_BITS, which then runs, like every
@@ -76,35 +97,37 @@ def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
     _check_k(k)
     _check_n(n)
     # Start from the leading bits of n that still form an exponent <= k:
-    # that power of x is its own residue, so it costs nothing.
+    # that power of x, reduced once if it is x^k, costs no multiplication.
     shift = max(n.bit_length() - k.bit_length(), 0)
     if n >> shift > k:
         shift += 1
     r = [0] * (k + 1)
     r[n >> shift] = 1
+    r = _reduced(r)
     for bit in range(shift - 1, -1, -1):
         if text and max(c.bit_length() for c in r) > _DECIMAL_BITS:
             r, text = _decimals(r), False
         rev = r[::-1]
         square = []
-        for m in range(2 * k + 1):
-            lo, half = max(m - k, 0), (m + 1) // 2
-            # r[i] * r[m-i] over i < m-i, counted twice; rev[k-m+i] = r[m-i]
-            c = sum(map(mul, r[lo:half], rev[k - m + lo : k - m + half]))
+        for m in range(2 * k - 1):
+            lo, half = max(m - k + 1, 0), (m + 1) // 2
+            # r[i] * r[m-i] over i < m-i, counted twice; rev[k-1-m+i] = r[m-i]
+            c = sum(map(mul, r[lo:half], rev[k - 1 - m + lo : k - 1 - m + half]))
             c += c
             if not m & 1:
                 c += r[m >> 1] * r[m >> 1]
             square.append(c)
-        if n >> bit & 1:
-            square.insert(0, 0)  # times x
-        for e in range(len(square) - 1, k, -1):
+        # times x or not, 2k coefficients: one of degree >= k even at k = 1
+        square = [0, *square] if n >> bit & 1 else [*square, 0]
+        # P's rule, valid modulo its factor Q, down to degree k
+        for e in range(2 * k - 1, k, -1):
             top = square[e]
             square[e - 1] += top + top
             square[e - k - 1] -= top
-        r = square[: k + 1]
+        r = _reduced(square[: k + 1])
         if ops is not None:
             ops.matrix_products += 1
-            ops.scalar_mults += (k + 1) * (k + 2) // 2
+            ops.scalar_mults += k * (k + 1) // 2
     return r
 
 
@@ -117,34 +140,53 @@ def _at_two(r) -> int | Decimal:
 
 
 def _residues_from(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator[tuple]:
-    """Yield (r(2), r(0)) for r = x^n mod x^(k+1) - 2x^k + 1, n = start, start+1, ...
+    """Yield (r(2), r(1), r(0)) for r = x^n mod x^k - x^(k-1) - ... - 1,
+    n = start, start+1, ...
 
     Only the powering to start is counted in ops.  text is _residue's.
     """
-    r = deque(_residue(k, start, ops, text))
-    at_two = _at_two(r)
+    r = _residue(k, start, ops, text)
+    at_two, at_one = _at_two(r), sum(r)
     while True:
-        yield at_two, r[0]
-        top = r.pop()
-        r.appendleft(-top)
-        r[-1] += top + top
+        yield at_two, at_one, r[0]
+        top = r[-1]
+        r = _reduced([0, *r])
         at_two += at_two - top
+        at_one += (k - 1) * top
 
 
-def _half(x: int | Decimal) -> int | Decimal:
-    """x / 2 for an even x.  Under exact(), plain x / 2 of an odd Decimal
-    would end in .5; to_integral_exact() raises decimal.Inexact instead."""
-    return x >> 1 if type(x) is int else (x / 2).to_integral_exact()
+def _divide(x: int | Decimal, d: int) -> int | Decimal:
+    """x / d for a small d > 0 that divides x.
+
+    An int is shifted (d = 2) or floor-divided.  A Decimal is divided under
+    exact() and raises decimal.Inexact if d does not divide it.  Plain x / d would not do: it is exact at unbounded
+    precision, so an odd x / 2 ends in .5, and a quotient that does not
+    terminate, such as 10 / 3, makes libmpdec raise MemoryError.
+    """
+    if type(x) is int:
+        return x >> 1 if d == 2 else x // d
+    quotient, remainder = divmod(x, d)
+    if remainder:
+        raise Inexact(f"division by {d} is not exact")
+    return quotient
 
 
-def _values(residues: Iterator[tuple]) -> Iterator:
-    for at_two, at_zero in residues:
-        yield _half(at_two + at_zero)
+def _values(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
+    """f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ..."""
+    for at_two, _, at_zero in _residues_from(k, start, ops, text):
+        yield _divide(at_two + at_zero, 2)
 
 
-def _sums(residues: Iterator[tuple]) -> Iterator:
-    for at_two, _ in residues:
-        yield at_two
+def _sums(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
+    """S(n) = r(2) + (r(1) - 1) / (k - 1) for n = start, start+1, ...; at
+    k = 1, where Q = x - 1, S(n) = n + 1."""
+    _check_k(k)
+    _check_n(start)
+    if k == 1:
+        yield from count(start + 1)
+    else:
+        for at_two, at_one, _ in _residues_from(k, start, ops, text):
+            yield at_two + _divide(at_one - 1, k - 1)
 
 
 def _texts(numbers: Iterator) -> Iterator[str]:
@@ -160,32 +202,34 @@ def _texts(numbers: Iterator) -> Iterator[str]:
 def matrix_values_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
     """Yield f(n) = (r(2) + r(0)) / 2 for n = start..stop-1."""
     # len(range()) is 0 when stop <= start, and rejects a non-int index
-    yield from islice(_values(_residues_from(k, start, ops)), len(range(start, stop)))
+    yield from islice(_values(k, start, ops), len(range(start, stop)))
 
 
 def matrix_sums_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
-    """Yield S(n) = r(2) for n = start..stop-1."""
-    yield from islice(_sums(_residues_from(k, start, ops)), len(range(start, stop)))
+    """Yield S(n) = r(2) + (r(1) - 1) / (k - 1), or n + 1 at k = 1, for
+    n = start..stop-1."""
+    yield from islice(_sums(k, start, ops), len(range(start, stop)))
 
 
 def matrix_value_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_values_from as decimal strings, finished in Decimal once the
     coefficients pass _DECIMAL_BITS."""
-    texts = _texts(_values(_residues_from(k, start, ops, text=True)))
+    texts = _texts(_values(k, start, ops, text=True))
     yield from islice(texts, len(range(start, stop)))
 
 
 def matrix_sum_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_sums_from as decimal strings, finished alike."""
-    texts = _texts(_sums(_residues_from(k, start, ops, text=True)))
+    texts = _texts(_sums(k, start, ops, text=True))
     yield from islice(texts, len(range(start, stop)))
 
 
 def kbonacci_matrix(k: int, n: int, ops: OpCount | None = None) -> int:
-    """Return f(n) = (r(2) + r(0)) / 2 for r = x^n mod x^(k+1) - 2x^k + 1."""
+    """Return f(n) = (r(2) + r(0)) / 2 for r = x^n mod x^k - x^(k-1) - ... - 1."""
     return next(matrix_values_from(k, n, n + 1, ops))
 
 
 def partial_sum_matrix(k: int, n: int, ops: OpCount | None = None) -> int:
-    """Return f(0) + ... + f(n) = r(2) for r = x^n mod x^(k+1) - 2x^k + 1."""
+    """Return f(0) + ... + f(n), from r = x^n mod x^k - x^(k-1) - ... - 1
+    (see matrix_sums_from)."""
     return next(matrix_sums_from(k, n, n + 1, ops))

@@ -218,6 +218,12 @@ class TestSum:
             outputs.add(out)
         assert len(outputs) == 1
 
+    def test_matrix_sums_at_k_1_count_the_indices(self, capsys):
+        # x^n mod x - 1 is 1 for every n, so S(n) = n + 1 has its own line
+        code, out, _ = run(capsys, "sum", "--k", "1", "--n", "0..40", "--engine", "matrix")
+        assert (code, out) == (0, "".join(f"{n + 1}\n" for n in range(41)))
+        assert run(capsys, "sum", "--k", "1", "--n", "0..40", "--engine", "direct")[1] == out
+
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_matrix_text_path_prints_the_window_engines_bytes(self, capsys, monkeypatch, fmt):
         # a lowered switch sends these indices through Decimal squarings

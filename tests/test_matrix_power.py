@@ -15,7 +15,7 @@ from kbonacci import (
 )
 from kbonacci import engines, matrix_power
 from kbonacci.matrix_power import (
-    _half,
+    _divide,
     _residue,
     matrix_sum_texts_from,
     matrix_sums_from,
@@ -77,28 +77,31 @@ def test_op_counting_is_logarithmic():
     ops = OpCount()
     kbonacci_matrix(2, 100_000, ops)
     assert ops.matrix_products > 0
-    # ~2 log2(n) products of 2x2 matrices, nowhere near the 2n additions
-    # the linear engine spends
+    # ~log2(n) squarings of the 2-coefficient residue, 3 multiplications
+    # each, nowhere near the 2n additions the linear engine spends
     assert ops.scalar_mults < 1000
 
 
 def test_delegates_below_k_without_matrix_work():
-    ops = OpCount()
-    assert kbonacci_matrix(6, 3, ops) == 4
-    assert ops.matrix_products == 0
-    ops = OpCount()
-    assert partial_sum_matrix(6, 3, ops) == partial_sum_direct(6, 3)
-    assert ops.matrix_products == 0
+    # n = k = 6 starts from x^6's residue 1 + x + ... + x^5, still unsquared
+    for n, value in [(3, 4), (6, 32)]:
+        ops = OpCount()
+        assert kbonacci_matrix(6, n, ops) == value
+        assert ops.matrix_products == 0
+        ops = OpCount()
+        assert partial_sum_matrix(6, n, ops) == partial_sum_direct(6, n)
+        assert ops.matrix_products == 0
 
 
 def test_op_count_of_a_small_cell():
-    # k=2, n=10=0b1010: the leading bits 0b10 = 2 <= k give the start x^2
-    # for free.  The two remaining bits each cost one squaring of the
-    # 3-coefficient residue: 3 squares + 3 cross products = 6 multiplications.
+    # k=2, n=10=0b1010: the leading bits 0b10 = 2 = k give the start x^2,
+    # whose residue modulo x^2 - x - 1 is 1 + x, for free.  The two
+    # remaining bits each cost one squaring of the 2-coefficient residue:
+    # 2 squares + 1 cross product = 3 multiplications, 6 in all.
     # Bit 1 also multiplies by x (x^5), bit 0 does not (x^10).
     ops = OpCount()
     assert kbonacci_matrix(2, 10, ops) == 89
-    assert ops == OpCount(matrix_products=2, scalar_mults=12)
+    assert ops == OpCount(matrix_products=2, scalar_mults=6)
 
 
 @pytest.mark.parametrize("stream", [matrix_values_from, matrix_sums_from])
@@ -106,9 +109,52 @@ def test_range_counts_only_the_jump(stream):
     # 40 steps past n=10 shift the residue without multiplying
     ops = OpCount()
     values = list(stream(2, 10, 51, ops))
-    assert ops == OpCount(matrix_products=2, scalar_mults=12)
+    assert ops == OpCount(matrix_products=2, scalar_mults=6)  # as for the single cell
     single = kbonacci_matrix if stream is matrix_values_from else partial_sum_matrix
     assert values == [single(2, n) for n in range(10, 51)]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_a_squaring_costs_k_k_plus_1_over_2_multiplications(k):
+    for n in (k + 1, 100, 1000, 12345):
+        ops = OpCount()
+        kbonacci_matrix(k, n, ops)
+        assert ops.matrix_products > 0
+        assert ops.scalar_mults == ops.matrix_products * k * (k + 1) // 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 64, 1000])
+def test_residue_has_k_coefficients(n):
+    for k in range(1, 9):
+        assert len(_residue(k, n, None)) == k
+
+
+def test_ranges_match_the_window_engines():
+    # each later index brings the leaving coefficient back at all k places
+    for k in range(1, 9):
+        for start in (0, 1, k - 1, k, k + 1, 97, 298):
+            values = kbonacci_prefix(k, start + 39)[start:]
+            sums = [partial_sum_direct(k, n) for n in range(start, start + 40)]
+            assert list(matrix_values_from(k, start, start + 40)) == values, (k, start)
+            assert list(matrix_sums_from(k, start, start + 40)) == sums, (k, start)
+
+
+def test_sums_at_k_1_count_the_indices():
+    # Q = x - 1, so S(n) = n + 1 without a powering, on both paths
+    for start in (0, 1, 7, 10**6):
+        ops = OpCount()
+        assert list(matrix_sums_from(1, start, start + 5, ops)) == list(range(start + 1, start + 6))
+        assert ops == OpCount()
+        texts = matrix_sum_texts_from(1, start, start + 5)
+        assert list(texts) == [str(n) for n in range(start + 1, start + 6)]
+        assert partial_sum_matrix(1, start) == start + 1
+    for stream in (matrix_sums_from, matrix_sum_texts_from):
+        with pytest.raises(ValueError):
+            next(stream(1, -1, 3))
+        with pytest.raises(ValueError):
+            next(stream(0, 0, 3))
+        with pytest.raises(TypeError):
+            next(stream(True, 0, 3))
 
 
 # (int generator, text generator) of each quantity
@@ -146,23 +192,32 @@ def test_text_range_stepped_after_the_switch_matches_int_path(monkeypatch, ints,
             assert list(texts(k, start, start + 30)) == [str(v) for v in ints(k, start, start + 30)]
 
 
+# Indices whose residue is finished in Decimal: its coefficients are
+# converted at 26,033 bits at k=2, 24,175 at k=3 and 21,299 at k=4, past
+# the switch's 16,384, and the last two squarings run in Decimal.
+@pytest.mark.parametrize("k, n", [(2, 150_000), (3, 110_000), (4, 90_000)])
 @pytest.mark.parametrize("ints, texts", TEXT_PATHS)
-def test_text_range_past_the_real_switch(ints, texts):
-    # coefficients near 52,000 bits before the last squaring at k=2, n=150000
+def test_text_range_past_the_real_switch(ints, texts, k, n):
     with exact():
-        assert {type(c) for c in _residue(2, 150_000, None, text=True)} == {Decimal}
-    expected = list(map(_decimal_str, ints(2, 150_000, 150_030)))
-    assert list(texts(2, 150_000, 150_030)) == expected
+        assert {type(c) for c in _residue(k, n, None, text=True)} == {Decimal}
+    expected = list(map(_decimal_str, ints(k, n, n + 30)))
+    assert list(texts(k, n, n + 30)) == expected
 
 
 def test_halving_an_odd_decimal_raises_inexact():
     with exact():
-        assert str(_half(Decimal(14))) == "7"
+        assert str(_divide(Decimal(14), 2)) == "7"
         # plain division is exact at unbounded precision, so it would print 7.5
         assert str(Decimal(15) / 2) == "7.5"
         with pytest.raises(decimal.Inexact):
-            _half(Decimal(15))
-    assert _half(14) == 7
+            _divide(Decimal(15), 2)
+        # the sums divide by k - 1, which need not be a power of two
+        assert str(_divide(Decimal(12), 3)) == "4"
+        for k in (3, 4, 6):
+            with pytest.raises(decimal.Inexact):
+                _divide(Decimal(10**30 + 1), k - 1)
+    assert _divide(14, 2) == 7
+    assert _divide(12, 3) == 4
 
 
 def test_library_stays_on_ints(monkeypatch):
