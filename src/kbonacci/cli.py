@@ -2,9 +2,7 @@
 
 `eval`, `sum` and `bench` hold no engine of their own: their --engine
 choices, defaults and bench's --engines come from the registry in
-`engines`, which also applies the input domain and the rule that --m
-goes only with the one engine that takes a summation limit.  `sum` checks
---m for its whole range through the closed form's own limit check.
+`engines`, which also applies the input domain.
 
 Values are always written as exact decimal strings, whatever their size.
 `eval` and `sum` ask `engines` for their values as text: the matrix engine
@@ -30,7 +28,7 @@ import sys
 import time
 from itertools import chain, islice
 
-from .closed_form import SUM_FORMULA, TERM_FORMULA, _check_limit, term_breakdown
+from .closed_form import SUM_FORMULA, TERM_FORMULA, term_breakdown
 from .engines import SUM_NAMES, VALUE_NAMES, bench_plan, stream_sum_texts, stream_value_texts
 from .render import _decimal_str
 from .tilings import DEFAULT_CAP, bounded_tiles, exact_tiles
@@ -112,9 +110,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    texts = stream_sum_texts(args.k, args.n[0], args.n.stop, args.engine, args.m)
-    if args.m is not None:
-        _check_limit(args.k, args.n[0], args.n[-1], args.m)
+    texts = stream_sum_texts(args.k, args.n[0], args.n.stop, args.engine)
     _emit_value_records(_range_records(args, texts), args.format, VALUE_FIELDS)
     return 0
 
@@ -224,7 +220,7 @@ def cmd_bench(args) -> int:
         raise ValueError("--engines must name at least one engine")
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    plan = bench_plan(tokens, args.k, args.n, args.m)
+    plan = bench_plan(tokens, args.k, args.n)
     records = []
     for token in sorted(plan):
         fn, ops = plan[token]
@@ -282,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=parse_range, required=True, help="index or inclusive range a..b")
     p.add_argument("--engine", choices=sorted(SUM_NAMES), default=SUM_NAMES[0])
-    p.add_argument("--m", type=int, default=None, help="upper limit for dunkel-extended")
     add_format(p)
     p.set_defaults(func=cmd_sum)
 
@@ -319,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--engines", default=",".join(VALUE_NAMES))
-    p.add_argument("--m", type=int, default=None, help="limit for dunkel-extended")
     p.add_argument("--reps", type=int, default=3)
     add_format(p)
     p.set_defaults(func=cmd_bench)

@@ -39,9 +39,7 @@ C(m+1, j) = C(m, j)(m+1) / (m+1-j), costs b divisions; a block of k
 indices or fewer makes only the divisions of its own entries.  A block holds O(b n) = O(k n) bits.
 A value's doubled entry is one addition against the rises of its column.
 `term_breakdown` lists the summands of the rows.  The extended form is
-the base fold plus the raised-limit binomials, each checked to be 0; it
-evaluates each index of a range on its own, and `_check_limit` checks a
-limit m for one index or a whole range.
+the base fold plus the raised-limit binomials, each checked to be 0.
 
 Powers of two are produced by shifting; no floating point anywhere.
 """
@@ -239,19 +237,14 @@ def partial_sum_dunkel(k: int, n: int) -> int:
     return next(dunkel_sums_from(k, n, n + 1))
 
 
-def _check_limit(k: int, first: int, last: int, m: int) -> None:
-    """Raise unless m is a legal upper limit at every n of first..last.
-
-    The legal limits of n are floor(n/(k+1))..floor(n/k), and both ends
-    grow with n, so those of the range are floor(last/(k+1))..floor(first/k).
-    """
+def _check_limit(k: int, n: int, m: int) -> None:
+    """Raise unless m is a legal upper limit at n: floor(n/(k+1))..floor(n/k)."""
     _check_k(k)
-    _check_n(first)
+    _check_n(n)
     _check_int("m", m)
-    low, high = last // (k + 1), first // k
+    low, high = n // (k + 1), n // k
     if not low <= m <= high:
-        span = first if first == last else f"{first}..{last}"
-        raise ValueError(f"limit m={m} outside [{low}, {high}] for k={k}, n={span}")
+        raise ValueError(f"limit m={m} outside [{low}, {high}] for k={k}, n={n}")
 
 
 def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
@@ -261,24 +254,12 @@ def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
     extra summands have n-jk < j, so their binomials are 0.  Those are
     checked to be 0, and the base row is folded as partial_sum_dunkel folds it.
     """
-    _check_limit(k, n, n, m)
+    _check_limit(k, n, m)
     for j in range(n // (k + 1) + 1, m + 1):
         if binomial(n - j * k, j):
             # As in _nonnegative: no input can reach this, so it is a defect.
             raise ArithmeticError(f"raised-limit summand j={j} is nonzero at k={k}, n={n}")
     return partial_sum_dunkel(k, n)
-
-
-def extended_sums_from(k: int, start: int, stop: int, m: int | None = None) -> Iterator[int]:
-    """Yield partial_sum_dunkel_extended(k, n, m), n = start..stop-1.
-
-    m=None raises each index's limit to floor(n/k), its largest legal one.
-    Each index is evaluated on its own.
-    """
-    _check_k(k)
-    _check_n(start)
-    for n in range(start, stop):
-        yield partial_sum_dunkel_extended(k, n, n // k if m is None else m)
 
 
 def kbonacci_closed(k: int, n: int) -> int:

@@ -14,18 +14,16 @@ own method, then goes on:
 * matrix: per index, the residue x^n mod x^k - x^(k-1) - ... - 1 times
   x, a shift of its k coefficients and one reduction by
   x^k = 1 + x + ... + x^(k-1), which adds the leaving coefficient at all
-  k places (the sums at k = 1 are n + 1);
+  k places (at k = 1 the values are 1 and the sums n + 1);
 * dunkel and dunkel-term: the later indices in blocks, each evaluated
   column by column, C(n-jk, j) for every n of the block, mostly by
   Pascal's rule: about one addition per index and column besides the
-  Horner fold (see `closed_form`);
-* dunkel-extended: each index is evaluated on its own, with the
-  summation limit m if one is given.
+  Horner fold (see `closed_form`).
 
 The window and matrix engines cut their endless internals at stop; the
 closed forms need stop to size their blocks.
 
-Each generator carries its cost model as stream.cost(k, n, m): the number
+Each generator carries its cost model as stream.cost(k, n): the number
 of big-integer operations one index n takes, which `bench` reports as
 `ops`.  It is the count of additions for the window engines, the summand
 count scaled for the closed forms, and for matrix the multiplications of
@@ -44,7 +42,7 @@ their engine names from the tables, `eval` and `sum` print what
 generators, and the `engines` suite of `verify` checks every registered
 engine.  The input domain is applied here once:
 every value engine reads n < 0 as f(n) = 0, while every sum engine
-rejects n < 0, and only dunkel-extended takes a limit m.
+rejects n < 0.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
-from .closed_form import closed_values_from, dunkel_sums_from, extended_sums_from
+from .closed_form import closed_values_from, dunkel_sums_from
 from .matrix_power import (
     OpCount,
     matrix_sum_texts_from,
@@ -65,7 +63,7 @@ from .render import _decimal_str
 from .sequence import _check_int, _check_k, sums_from, values_from
 
 
-def _costed(stream, cost: Callable[[int, int, int | None], int], text=None):
+def _costed(stream, cost: Callable[[int, int], int], text=None):
     """stream, with cost as its cost model and text as its own text range
     generator (None: the renderer mapped over its ints)."""
     stream.cost = cost
@@ -86,28 +84,25 @@ def _terms(k: int, n: int) -> int:
     return n // (k + 1) + 1
 
 
-def _powering_mults(stream, k: int, n: int, m: int | None) -> int:
+def _powering_mults(stream, k: int, n: int) -> int:
     """The multiplications of stream's residue powering to n, counted by
-    running it (none for the sums at k = 1, which are n + 1)."""
+    running it (none at k = 1, where the residue is 1)."""
     ops = OpCount()
     next(stream(k, n, n + 1, ops))
     return ops.scalar_mults
 
 
-_LIMITED = "dunkel-extended"  # the one engine that takes a summation limit m
-
 _VALUE_DISPATCH = {
-    "recurrence": _costed(values_from, lambda k, n, m: 2 * n),
-    "dunkel-term": _costed(closed_values_from, lambda k, n, m: 4 * _terms(k, n)),
+    "recurrence": _costed(values_from, lambda k, n: 2 * n),
+    "dunkel-term": _costed(closed_values_from, lambda k, n: 4 * _terms(k, n)),
     "matrix": _costed(
         matrix_values_from, partial(_powering_mults, matrix_values_from), matrix_value_texts_from
     ),
 }
 
 _SUM_DISPATCH = {
-    "direct": _costed(sums_from, lambda k, n, m: 3 * n),
-    "dunkel": _costed(dunkel_sums_from, lambda k, n, m: 2 * _terms(k, n)),
-    _LIMITED: _costed(extended_sums_from, lambda k, n, m: 2 * _terms(k, n)),
+    "direct": _costed(sums_from, lambda k, n: 3 * n),
+    "dunkel": _costed(dunkel_sums_from, lambda k, n: 2 * _terms(k, n)),
     "matrix": _costed(
         matrix_sums_from, partial(_powering_mults, matrix_sums_from), matrix_sum_texts_from
     ),
@@ -122,11 +117,6 @@ def _lookup(table: dict, engine: str):
         return table[engine]
     except KeyError:
         raise ValueError(f"engine {engine!r} is not one of {sorted(table)}") from None
-
-
-def _check_takes_limit(engine: str, m: int | None) -> None:
-    if m is not None and engine != _LIMITED:
-        raise ValueError(f"a limit m is only meaningful with the {_LIMITED} engine")
 
 
 def _values_from(k: int, start: int, stop: int, engine: str, text: bool) -> Iterator:
@@ -151,30 +141,22 @@ def stream_value_texts(k: int, start: int, stop: int, engine: str = "recurrence"
     return _values_from(k, start, stop, engine, True)
 
 
-def _sums_from(k: int, start: int, stop: int, engine: str, m: int | None, text: bool) -> Iterator:
+def _sums_from(k: int, start: int, stop: int, engine: str, text: bool) -> Iterator:
     stream = _lookup(_SUM_DISPATCH, engine)
-    _check_takes_limit(engine, m)
     _check_int("stop", stop)
     if text:
         stream = _text_stream(stream)
-    return stream(k, start, stop) if m is None else stream(k, start, stop, m)
+    return stream(k, start, stop)
 
 
-def stream_sums(
-    k: int, start: int, stop: int, engine: str = "direct", m: int | None = None
-) -> Iterator[int]:
-    """S(n) for n = start..stop-1 through the named engine, S(n) = f(0) + ... + f(n).
-
-    A limit m is passed to dunkel-extended and rejected by every other engine.
-    """
-    return _sums_from(k, start, stop, engine, m, False)
+def stream_sums(k: int, start: int, stop: int, engine: str = "direct") -> Iterator[int]:
+    """S(n) for n = start..stop-1 through the named engine, S(n) = f(0) + ... + f(n)."""
+    return _sums_from(k, start, stop, engine, False)
 
 
-def stream_sum_texts(
-    k: int, start: int, stop: int, engine: str = "direct", m: int | None = None
-) -> Iterator[str]:
+def stream_sum_texts(k: int, start: int, stop: int, engine: str = "direct") -> Iterator[str]:
     """stream_sums as exact decimal strings."""
-    return _sums_from(k, start, stop, engine, m, True)
+    return _sums_from(k, start, stop, engine, True)
 
 
 def compute_value(k: int, n: int, engine: str = "recurrence") -> int:
@@ -182,17 +164,17 @@ def compute_value(k: int, n: int, engine: str = "recurrence") -> int:
     return next(stream_values(k, n, n + 1, engine))
 
 
-def compute_sum(k: int, n: int, engine: str = "direct", m: int | None = None) -> int:
-    """f(0) + ... + f(n) through the named engine; m as in stream_sums."""
-    return next(stream_sums(k, n, n + 1, engine, m))
+def compute_sum(k: int, n: int, engine: str = "direct") -> int:
+    """f(0) + ... + f(n) through the named engine."""
+    return next(stream_sums(k, n, n + 1, engine))
 
 
-def _ops(cost, k: int, n: int, m: int | None) -> int:
-    return cost(k, n, m) if n >= 0 else 0
+def _ops(cost, k: int, n: int) -> int:
+    return cost(k, n) if n >= 0 else 0
 
 
 def bench_plan(
-    names: Iterable[str], k: int, n: int, m: int | None = None
+    names: Iterable[str], k: int, n: int
 ) -> dict[str, tuple[Callable[[], int], Callable[[], int]]]:
     """For each engine name, a call that computes its value at n and a call
     of its cost model there (0 at a value index n < 0, which no engine computes).
@@ -205,14 +187,12 @@ def bench_plan(
     if unknown:
         raise ValueError(f"unknown engine(s) {sorted(unknown)}")
     if names <= _VALUE_DISPATCH.keys():
-        table, compute = _VALUE_DISPATCH, partial(compute_value, k, n)
+        table, compute = _VALUE_DISPATCH, compute_value
     elif names <= _SUM_DISPATCH.keys():
-        table, compute = _SUM_DISPATCH, lambda engine: compute_sum(k, n, engine, m)
+        table, compute = _SUM_DISPATCH, compute_sum
     else:
         raise ValueError("cannot mix value engines with partial-sum engines in one bench run")
-    for engine in names:
-        _check_takes_limit(engine, m)
     return {
-        engine: (partial(compute, engine), partial(_ops, table[engine].cost, k, n, m))
+        engine: (partial(compute, k, n, engine), partial(_ops, table[engine].cost, k, n))
         for engine in names
     }

@@ -13,7 +13,8 @@ S(i) = 2^i, and
 
     S(n) = r(2) + (r(1) - 1) / (k - 1),    and S(n) = n + 1 at k = 1,
 
-where Q = x - 1 leaves r = 1 for every n.
+where Q = x - 1 leaves r = 1 for every n, so f(n) = 1 there and neither
+quantity powers.
 
 The residue is reached by binary powering: O(log n) squarings of k
 big-integer coefficients, each k(k+1)/2 multiplications.  The square is
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, Inexact
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import mul
 from typing import Iterator
 
@@ -172,9 +173,15 @@ def _divide(x: int | Decimal, d: int) -> int | Decimal:
 
 
 def _values(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
-    """f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ..."""
-    for at_two, _, at_zero in _residues_from(k, start, ops, text):
-        yield _divide(at_two + at_zero, 2)
+    """f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ...; at k = 1,
+    where Q = x - 1, f(n) = 1."""
+    _check_k(k)
+    _check_n(start)
+    if k == 1:
+        yield from repeat(1)
+    else:
+        for at_two, _, at_zero in _residues_from(k, start, ops, text):
+            yield _divide(at_two + at_zero, 2)
 
 
 def _sums(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
@@ -200,7 +207,7 @@ def _texts(numbers: Iterator) -> Iterator[str]:
 
 
 def matrix_values_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
-    """Yield f(n) = (r(2) + r(0)) / 2 for n = start..stop-1."""
+    """Yield f(n) = (r(2) + r(0)) / 2, or 1 at k = 1, for n = start..stop-1."""
     # len(range()) is 0 when stop <= start, and rejects a non-int index
     yield from islice(_values(k, start, ops), len(range(start, stop)))
 

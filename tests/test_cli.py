@@ -25,7 +25,6 @@ from kbonacci import (
     kbonacci_recurrence,
     partial_sum_direct,
     partial_sum_dunkel,
-    partial_sum_dunkel_extended,
     partial_sum_matrix,
     term_breakdown,
 )
@@ -201,19 +200,9 @@ class TestSum:
         code, out, _ = run(capsys, "sum", "--k", "9", "--n", "6")
         assert (code, out) == (0, "64\n")
 
-    def test_extended_with_limit(self, capsys):
-        code, out, _ = run(
-            capsys, "sum", "--k", "2", "--n", "4", "--engine", "dunkel-extended", "--m", "2"
-        )
-        assert (code, out) == (0, "12\n")
-
-    def test_extended_defaults_to_largest_legal_limit(self, capsys):
-        code, out, _ = run(capsys, "sum", "--k", "2", "--n", "4", "--engine", "dunkel-extended")
-        assert (code, out) == (0, "12\n")
-
     def test_sum_engines_print_identical_bytes(self, capsys):
         outputs = set()
-        for engine in ("direct", "dunkel", "dunkel-extended", "matrix"):
+        for engine in ("direct", "dunkel", "matrix"):
             _, out, _ = run(capsys, "sum", "--k", "2", "--n", "0..20", "--engine", engine)
             outputs.add(out)
         assert len(outputs) == 1
@@ -235,18 +224,6 @@ class TestSum:
                     code, out, _ = run(capsys, *argv, "matrix")
                     assert (code, out.replace("matrix", reference)) == run(capsys, *argv, reference)[:2]
 
-    def test_limit_outside_engine_rejected(self, capsys):
-        code, _, err = run(capsys, "sum", "--k", "2", "--n", "4", "--m", "2")
-        assert code == 2
-        assert "dunkel-extended" in err
-
-    def test_out_of_range_limit_exits_2(self, capsys):
-        code, _, err = run(
-            capsys, "sum", "--k", "2", "--n", "4", "--engine", "dunkel-extended", "--m", "9"
-        )
-        assert code == 2
-        assert "outside" in err
-
 
 # (subcommand, engine) -> the engine's single-index function
 _SINGLE_CALLS = {
@@ -255,7 +232,6 @@ _SINGLE_CALLS = {
     ("eval", "matrix"): kbonacci_matrix,
     ("sum", "direct"): partial_sum_direct,
     ("sum", "dunkel"): partial_sum_dunkel,
-    ("sum", "dunkel-extended"): lambda k, n: partial_sum_dunkel_extended(k, n, n // k),
     ("sum", "matrix"): partial_sum_matrix,
 }
 
@@ -317,7 +293,7 @@ def test_every_reader_takes_its_engines_from_the_registry(capsys, monkeypatch):
         assert (code, out.count("\n")) == (0, 1), engine
     assert run(capsys, "bench", "--k", "2", "--n", "5", "--engines", "warp")[0] == 2
 
-    def wrong(k, start, *limit):
+    def wrong(k, start, stop):
         yield -1
 
     for table in (engines._VALUE_DISPATCH, engines._SUM_DISPATCH):
@@ -334,11 +310,11 @@ class TestRanges:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("sum", "--k", "2", "--n", "4..9", "--engine", "dunkel-extended", "--m", "2"),
+            ("sum", "--k", "2", "--n=-1..3", "--engine", "direct"),
             ("sum", "--k", "2", "--n=-1..3", "--engine", "matrix"),
             ("sum", "--k", "2", "--n=-1..3", "--engine", "dunkel"),
             ("sum", "--k", "0", "--n", "0..5"),
-            ("sum", "--k", "0", "--n", "5..7", "--engine", "dunkel-extended"),
+            ("eval", "--k", "0", "--n", "0..5"),
         ],
     )
     def test_range_invalid_anywhere_writes_nothing(self, capsys, argv, fmt):
@@ -552,8 +528,8 @@ class TestVerify:
 
     def test_cap_ignored_by_suites_that_do_not_enumerate(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "engines", "--n", "20..25")
-        # 4 k by 6 n cells, one check per registered engine in each
-        assert (code, out) == (0, "PASS engines checks=168\n")
+        # 4 k by 6 n cells, one check per registered engine in each: 3 + 3
+        assert (code, out) == (0, "PASS engines checks=144\n")
 
     def test_identity_suites_share_each_cell(self, monkeypatch):
         ks, ns = range(1, 4), range(0, 9)
@@ -646,6 +622,12 @@ class TestBench:
         )
         assert code == 0
         assert all(json.loads(line)["value"] == "1" for line in out.splitlines())
+        # x^n mod x - 1 is 1, so f(n) = 1 at k = 1 without a powering
+        code, out, _ = run(
+            capsys, "bench", "--k", "1", "--n", "1000", "--engines", "matrix", "--format", "json"
+        )
+        record = json.loads(out)
+        assert (code, record["value"], record["ops"]) == (0, "1", 0)
 
     def test_mixed_quantities_rejected(self, capsys):
         code, _, err = run(
@@ -654,42 +636,11 @@ class TestBench:
         assert code == 2
         assert "mix" in err
 
-    def test_limit_requires_the_extended_engine(self, capsys):
-        for engines_arg in ("matrix", "recurrence", "dunkel", "dunkel,dunkel-extended"):
-            code, out, err = run(
-                capsys, "bench", "--k", "2", "--n", "10", "--engines", engines_arg, "--m", "3"
-            )
-            assert (code, out) == (2, ""), engines_arg
-            assert "dunkel-extended" in err
-        code, out, _ = run(
-            capsys, "bench", "--k", "2", "--n", "10", "--engines", "dunkel-extended", "--m", "3",
-            "--reps", "1", "--format", "json",
-        )
-        assert code == 0
-        record = json.loads(out)
-        assert (record["value"], record["ops"]) == ("232", 8)  # 2 (floor(n/(k+1)) + 1) summands
-
-    @pytest.mark.parametrize("k, n", [(2, 30), (3, 40), (1, 9)])
-    def test_extended_ops_equal_dunkel_ops_at_every_limit(self, capsys, k, n):
-        # dunkel-extended folds dunkel's summands; its raised-limit zero
-        # checks do no big-integer work
-        def ops(*extra):
-            code, out, _ = run(
-                capsys, "bench", "--k", str(k), "--n", str(n), *extra, "--reps", "1", "--format", "json"
-            )
-            assert code == 0
-            return {row["engine"]: row["ops"] for row in map(json.loads, out.splitlines())}
-
-        both = ops("--engines", "dunkel,dunkel-extended")
-        assert both["dunkel"] == both["dunkel-extended"]
-        for m in range(n // (k + 1), n // k + 1):
-            limited = ops("--engines", "dunkel-extended", "--m", str(m))
-            assert limited == {"dunkel-extended": both["dunkel"]}
-
     def test_unknown_engine_rejected(self, capsys):
-        code, _, err = run(capsys, "bench", "--k", "2", "--n", "10", "--engines", "warp")
-        assert code == 2
-        assert "unknown engine" in err
+        for name in ("warp", "dunkel-extended"):
+            code, _, err = run(capsys, "bench", "--k", "2", "--n", "10", "--engines", name)
+            assert code == 2
+            assert "unknown engine" in err
 
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_nonpositive_reps_rejected(self, capsys, reps):
@@ -700,9 +651,17 @@ class TestBench:
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--k", "2"])  # --n missing
-    assert exc.value.code == 2
+    for argv, message in [
+        (["eval", "--k", "2"], "required"),  # --n missing
+        (["sum", "--k", "2", "--n", "4", "--m", "2"], "unrecognized arguments: --m 2"),
+        (["bench", "--k", "2", "--n", "10", "--m", "3"], "unrecognized arguments: --m 3"),
+        (["sum", "--k", "2", "--n", "4", "--engine", "dunkel-extended"], "invalid choice"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert message in err, argv
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")

@@ -87,6 +87,8 @@ class TestExtendedLimit:
         [
             (2, 4, 2, 12),
             (2, 4, 1, 12),
+            (2, 10, 3, 232),
+            (2, 10, 5, 232),  # the largest legal limit, floor(n/k)
             # expected value pinned by the direct-sum oracle: 1+1+1+1
             (1, 3, 3, 4),
         ],
@@ -102,7 +104,7 @@ class TestExtendedLimit:
                 for m in range(n // (k + 1), n // k + 1):
                     assert partial_sum_dunkel_extended(k, n, m) == base
 
-    @pytest.mark.parametrize("k, n, m", [(2, 4, 0), (2, 4, 3), (3, 12, 2), (3, 12, 5)])
+    @pytest.mark.parametrize("k, n, m", [(2, 4, 0), (2, 4, 3), (2, 4, 9), (3, 12, 2), (3, 12, 5)])
     def test_out_of_range_limit_rejected(self, k, n, m):
         with pytest.raises(ValueError):
             partial_sum_dunkel_extended(k, n, m)

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from kbonacci import (
@@ -15,7 +17,14 @@ from kbonacci import (
     partial_sum_matrix,
     verify_intersection_identity,
 )
-from kbonacci.engines import SUM_NAMES, VALUE_NAMES, stream_sums, stream_values
+from kbonacci.engines import (
+    _SUM_DISPATCH,
+    _VALUE_DISPATCH,
+    SUM_NAMES,
+    VALUE_NAMES,
+    stream_sums,
+    stream_values,
+)
 
 
 def test_value_engines_agree():
@@ -28,10 +37,6 @@ def test_sum_engines_agree():
         assert compute_sum(5, 30, engine) == compute_sum(5, 30)
 
 
-def test_explicit_limit_routes_to_extended_form():
-    assert compute_sum(2, 10, "dunkel-extended", m=5) == compute_sum(2, 10)
-
-
 def test_sum_only_engine_rejected_for_values():
     with pytest.raises(ValueError):
         compute_value(2, 4, "dunkel")
@@ -40,12 +45,24 @@ def test_sum_only_engine_rejected_for_values():
 def test_value_only_engine_rejected_for_sums():
     with pytest.raises(ValueError):
         compute_sum(2, 4, "dunkel-term")
+    # the raised summation limit is an identity, not an engine
+    registered = r"'dunkel-extended' is not one of \['direct', 'dunkel', 'matrix'\]"
+    with pytest.raises(ValueError, match=registered):
+        compute_sum(2, 10, "dunkel-extended")
 
 
-def test_limit_requires_dunkel_engine():
-    for engine in set(SUM_NAMES) - {"dunkel-extended"}:
-        with pytest.raises(ValueError, match="only meaningful with the dunkel-extended engine"):
-            compute_sum(2, 10, engine, m=5)
+@pytest.mark.parametrize(
+    "stream",
+    [*_VALUE_DISPATCH.values(), *_SUM_DISPATCH.values()],
+    ids=[*(f"value-{e}" for e in _VALUE_DISPATCH), *(f"sum-{e}" for e in _SUM_DISPATCH)],
+)
+def test_every_engine_is_a_range_with_a_cost(stream):
+    # the one contract the registry's readers rely on
+    inspect.signature(stream).bind(2, 5, 9)
+    inspect.signature(stream.cost).bind(2, 5)
+    for k, n in [(1, 0), (1, 40), (2, 0), (2, 10), (5, 300), (12, 7)]:
+        cost = stream.cost(k, n)
+        assert type(cost) is int and cost >= 0, (k, n, cost)
 
 
 def test_value_engines_read_negative_indices_as_zero():

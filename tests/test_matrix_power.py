@@ -118,7 +118,7 @@ def test_range_counts_only_the_jump(stream):
 def test_a_squaring_costs_k_k_plus_1_over_2_multiplications(k):
     for n in (k + 1, 100, 1000, 12345):
         ops = OpCount()
-        kbonacci_matrix(k, n, ops)
+        _residue(k, n, ops)  # the values and sums at k = 1 do not power
         assert ops.matrix_products > 0
         assert ops.scalar_mults == ops.matrix_products * k * (k + 1) // 2
 
@@ -140,21 +140,26 @@ def test_ranges_match_the_window_engines():
 
 
 def test_sums_at_k_1_count_the_indices():
-    # Q = x - 1, so S(n) = n + 1 without a powering, on both paths
-    for start in (0, 1, 7, 10**6):
-        ops = OpCount()
-        assert list(matrix_sums_from(1, start, start + 5, ops)) == list(range(start + 1, start + 6))
-        assert ops == OpCount()
-        texts = matrix_sum_texts_from(1, start, start + 5)
-        assert list(texts) == [str(n) for n in range(start + 1, start + 6)]
-        assert partial_sum_matrix(1, start) == start + 1
-    for stream in (matrix_sums_from, matrix_sum_texts_from):
-        with pytest.raises(ValueError):
-            next(stream(1, -1, 3))
-        with pytest.raises(ValueError):
-            next(stream(0, 0, 3))
-        with pytest.raises(TypeError):
-            next(stream(True, 0, 3))
+    # Q = x - 1 leaves r = 1, so f(n) = 1 and S(n) = n + 1 without a
+    # powering, on both paths
+    for stream, texts, single, at in [
+        (matrix_values_from, matrix_value_texts_from, kbonacci_matrix, lambda n: 1),
+        (matrix_sums_from, matrix_sum_texts_from, partial_sum_matrix, lambda n: n + 1),
+    ]:
+        for start in (0, 1, 7, 10**6):
+            expected = [at(n) for n in range(start, start + 5)]
+            ops = OpCount()
+            assert list(stream(1, start, start + 5, ops)) == expected
+            assert list(texts(1, start, start + 5, ops)) == [str(x) for x in expected]
+            assert single(1, start, ops) == at(start)
+            assert ops == OpCount()
+        for gen in (stream, texts):
+            with pytest.raises(ValueError):
+                next(gen(1, -1, 3))
+            with pytest.raises(ValueError):
+                next(gen(0, 0, 3))
+            with pytest.raises(TypeError):
+                next(gen(True, 0, 3))
 
 
 # (int generator, text generator) of each quantity
