@@ -14,6 +14,12 @@ and independent of the interpreter's int/str digit limit.  `terms` and
 `bench` render their ints through it too.  `eval` and `sum` check their
 whole --n range before writing anything, then write each record as soon as
 it is rendered, so a range holds one record at a time.
+
+Every subcommand builds records, dicts of its fields, and hands them to one
+writer, `_emit`, which owns the three formats (plain, json, csv).  The one
+exception is the `tilings` listing: text is most of a listing command's
+time, so it joins its rows by hand, byte for byte what the json and csv
+modules would write, and writes them 1024 to a call.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parameter error.
 """
@@ -27,6 +33,7 @@ import os
 import sys
 import time
 from itertools import chain, islice
+from operator import itemgetter
 
 from .closed_form import SUM_FORMULA, TERM_FORMULA, term_breakdown
 from .engines import SUM_NAMES, VALUE_NAMES, bench_plan, stream_sum_texts, stream_value_texts
@@ -38,6 +45,7 @@ ENV_CAP = "KBONACCI_ENUM_CAP"
 
 FORMATS = ("plain", "json", "csv")
 VALUE_FIELDS = ["k", "n", "engine", "value"]
+BENCH_FIELDS = VALUE_FIELDS + ["elapsed_ns", "ops", "render_ns"]
 
 
 def parse_range(text: str) -> range:
@@ -74,11 +82,14 @@ def _resolve_cap(args) -> int | None:
         raise ValueError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
-def _emit_value_records(records, fmt: str, fields: list[str]) -> None:
-    """Write each record as it arrives; csv writes the given fields."""
+def _emit(records, fmt: str, fields: list[str], plain) -> None:
+    """Write each record as it arrives.  plain: the record's text, one
+    line or more.  json: one compact object with sorted keys per line.
+    csv: a header row of fields, then the fields of each record in that
+    order, a list field (verify's failures) as its length."""
     if fmt == "plain":
         for rec in records:
-            print(rec["value"])
+            print(plain(rec))
     elif fmt == "json":
         for rec in records:
             print(_jdump(rec))
@@ -86,48 +97,37 @@ def _emit_value_records(records, fmt: str, fields: list[str]) -> None:
         writer = _csv_writer()
         writer.writerow(fields)
         for rec in records:
-            writer.writerow([rec[f] for f in fields])
+            writer.writerow([len(v) if type(v) is list else v for v in map(rec.__getitem__, fields)])
 
 
-def _range_records(args, texts):
-    """Records of the range args.n from an iterator of its values' texts.
+def cmd_values(args) -> int:
+    """eval or sum: the records of the range args.n from args.texts, the
+    engines' text range generator of its quantity.
 
-    The first value is computed before this returns, so a parameter the
-    engine rejects raises before anything is written; each later value is
-    computed and rendered only when its record is asked for.
+    The first value is computed before anything is written, so a parameter
+    the engine rejects raises first; each later value is computed and
+    rendered only when its record is asked for.
     """
+    texts = args.texts(args.k, args.n[0], args.n.stop, args.engine)
     texts = chain([next(texts)], texts)
-    return (
+    records = (
         {"k": args.k, "n": n, "engine": args.engine, "value": text}
         for n, text in zip(args.n, texts)
     )
-
-
-def cmd_eval(args) -> int:
-    texts = stream_value_texts(args.k, args.n[0], args.n.stop, args.engine)
-    _emit_value_records(_range_records(args, texts), args.format, VALUE_FIELDS)
+    _emit(records, args.format, VALUE_FIELDS, itemgetter("value"))
     return 0
 
 
-def cmd_sum(args) -> int:
-    texts = stream_sum_texts(args.k, args.n[0], args.n.stop, args.engine)
-    _emit_value_records(_range_records(args, texts), args.format, VALUE_FIELDS)
-    return 0
+def _term_line(rec) -> str:
+    return f"{rec['j']} {'+' if rec['sign'] > 0 else '-'} {rec['magnitude']}"
 
 
 def cmd_terms(args) -> int:
-    terms = term_breakdown(args.k, args.n, args.which)
-    if args.format == "plain":
-        for t in terms:
-            print(f"{t.j} {'+' if t.sign > 0 else '-'} {_decimal_str(t.magnitude)}")
-    elif args.format == "json":
-        for t in terms:
-            print(_jdump({"j": t.j, "sign": t.sign, "magnitude": _decimal_str(t.magnitude)}))
-    else:
-        writer = _csv_writer()
-        writer.writerow(["j", "sign", "magnitude"])
-        for t in terms:
-            writer.writerow([t.j, t.sign, _decimal_str(t.magnitude)])
+    records = (
+        {"j": t.j, "sign": t.sign, "magnitude": _decimal_str(t.magnitude)}
+        for t in term_breakdown(args.k, args.n, args.which)
+    )
+    _emit(records, args.format, ["j", "sign", "magnitude"], _term_line)
     return 0
 
 
@@ -140,15 +140,8 @@ def cmd_tilings(args) -> int:
     producer = bounded_tiles if args.bounded else exact_tiles
     tilings = producer(args.k, args.n, cap)
     if args.count:
-        count = sum(1 for _ in tilings)
-        if args.format == "plain":
-            print(count)
-        elif args.format == "json":
-            print(_jdump({"k": args.k, "n": args.n, "bounded": args.bounded, "count": count}))
-        else:
-            writer = _csv_writer()
-            writer.writerow(["k", "n", "bounded", "count"])
-            writer.writerow([args.k, args.n, args.bounded, count])
+        record = {"k": args.k, "n": args.n, "bounded": args.bounded, "count": sum(1 for _ in tilings)}
+        _emit([record], args.format, ["k", "n", "bounded", "count"], itemgetter("count"))
         return 0
     # Rows are joined by hand: they match the json/csv modules' output byte
     # for byte, as no field needs escaping or quoting.  No tile or total
@@ -170,6 +163,16 @@ def cmd_tilings(args) -> int:
     return 0
 
 
+def _suite_lines(rec) -> str:
+    """The suite's status line, then its first 20 failures."""
+    failures = rec["failures"]
+    lines = [f"{rec['status'].upper()} {rec['suite']} checks={rec['checks']}"]
+    lines += [f"  - {line}" for line in failures[:20]]
+    if len(failures) > 20:
+        lines.append(f"  - ... and {len(failures) - 20} more")
+    return "\n".join(lines)
+
+
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
     names = []
@@ -180,38 +183,21 @@ def cmd_verify(args) -> int:
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; choose from {sorted(SUITES)}")
-    results = run_suites(names, args.k, args.n, cap)
-    failed = False
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        failed = failed or not res.passed
-        if args.format == "json":
-            print(
-                _jdump(
-                    {
-                        "suite": res.name,
-                        "checks": res.checks,
-                        "failures": res.failures,
-                        "status": status.lower(),
-                    }
-                )
-            )
-        elif args.format == "csv":
-            pass  # rows written after the loop so the header comes first
-        else:
-            print(f"{status} {res.name} checks={res.checks}")
-            for line in res.failures[:20]:
-                print(f"  - {line}")
-            if len(res.failures) > 20:
-                print(f"  - ... and {len(res.failures) - 20} more")
-    if args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["suite", "checks", "failures", "status"])
-        for res in results:
-            writer.writerow(
-                [res.name, res.checks, len(res.failures), "pass" if res.passed else "fail"]
-            )
-    return 1 if failed else 0
+    records = [
+        {
+            "suite": res.name,
+            "checks": res.checks,
+            "failures": res.failures,
+            "status": "pass" if res.passed else "fail",
+        }
+        for res in run_suites(names, args.k, args.n, cap)
+    ]
+    _emit(records, args.format, ["suite", "checks", "failures", "status"], _suite_lines)
+    return 0 if all(rec["status"] == "pass" for rec in records) else 1
+
+
+def _bench_line(rec) -> str:
+    return " ".join(f"{f}={rec[f]}" for f in ("engine", "k", "n", "elapsed_ns", "ops", "render_ns", "value"))
 
 
 def cmd_bench(args) -> int:
@@ -234,26 +220,8 @@ def cmd_bench(args) -> int:
         start = time.perf_counter_ns()
         text = _decimal_str(value)
         render_ns = time.perf_counter_ns() - start
-        records.append(
-            {
-                "k": args.k,
-                "n": args.n,
-                "engine": token,
-                "value": text,
-                "elapsed_ns": best,
-                "ops": ops(),
-                "render_ns": render_ns,
-            }
-        )
-    if args.format == "plain":
-        for rec in records:
-            print(
-                f"engine={rec['engine']} k={rec['k']} n={rec['n']} "
-                f"elapsed_ns={rec['elapsed_ns']} ops={rec['ops']} "
-                f"render_ns={rec['render_ns']} value={rec['value']}"
-            )
-    else:
-        _emit_value_records(records, args.format, VALUE_FIELDS + ["elapsed_ns", "ops", "render_ns"])
+        records.append(dict(zip(BENCH_FIELDS, (args.k, args.n, token, text, best, ops(), render_ns))))
+    _emit(records, args.format, BENCH_FIELDS, _bench_line)
     return 0
 
 
@@ -267,19 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="plain")
 
-    p = sub.add_parser("eval", help="compute f(n) for one engine")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=parse_range, required=True, help="index or inclusive range a..b")
-    p.add_argument("--engine", choices=sorted(VALUE_NAMES), default=VALUE_NAMES[0])
-    add_format(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sum", help="compute f(0)+...+f(n) for one engine")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=parse_range, required=True, help="index or inclusive range a..b")
-    p.add_argument("--engine", choices=sorted(SUM_NAMES), default=SUM_NAMES[0])
-    add_format(p)
-    p.set_defaults(func=cmd_sum)
+    for name, names, texts, quantity in (
+        ("eval", VALUE_NAMES, stream_value_texts, "f(n)"),
+        ("sum", SUM_NAMES, stream_sum_texts, "f(0)+...+f(n)"),
+    ):
+        p = sub.add_parser(name, help=f"compute {quantity} for one engine")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n", type=parse_range, required=True, help="index or inclusive range a..b")
+        p.add_argument("--engine", choices=sorted(names), default=names[0])
+        add_format(p)
+        p.set_defaults(func=cmd_values, texts=texts)
 
     p = sub.add_parser("terms", help="list the summands of a closed form")
     p.add_argument("--k", type=int, required=True)

@@ -143,6 +143,7 @@ def stream_value_texts(k: int, start: int, stop: int, engine: str = "recurrence"
 
 def _sums_from(k: int, start: int, stop: int, engine: str, text: bool) -> Iterator:
     stream = _lookup(_SUM_DISPATCH, engine)
+    _check_int("n", start)
     _check_int("stop", stop)
     if text:
         stream = _text_stream(stream)

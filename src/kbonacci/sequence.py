@@ -12,15 +12,20 @@ the sibling modules are validated against it.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from itertools import accumulate, islice, repeat
 from typing import Iterable, Iterator
 
 
 def _check_int(name: str, value: int) -> None:
-    # exactly int: bool is an int subclass, and k=True must not read as k=1
+    """value is exactly an int (bool is an int subclass, and k=True must not
+    read as k=1) of at most sys.maxsize in size: every k, index and range
+    stop is, since no value at a larger one fits in memory."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if not -sys.maxsize <= value <= sys.maxsize:
+        raise ValueError(f"{name} must be at most sys.maxsize = {sys.maxsize} in size, got {value}")
 
 
 def _check_ints(name: str, values: Iterable[int]) -> None:

@@ -49,7 +49,7 @@ from operator import sub
 from typing import Iterable, Iterator
 
 from .closed_form import binomial
-from .sequence import _check_int, _check_ints, _check_k
+from .sequence import _check_int, _check_ints, _check_k, _check_n
 
 DEFAULT_CAP = 24
 
@@ -61,9 +61,7 @@ class CapExceededError(ValueError):
 
 
 def _check_enumerable(n: int, cap: int | None) -> None:
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_n(n)
     effective = DEFAULT_CAP if cap is None else cap
     if effective < 0:
         raise ValueError(f"enumeration cap must be non-negative, got {cap}")
@@ -298,9 +296,7 @@ def expand_marks(k: int, n: int, cfg: MarkConfig) -> tuple[Tiling, tuple[int, ..
     j_l = r_l + l*k; the result lies in the intersection of the U_{j_l}.
     """
     _check_k(k)
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_n(n)
     i = len(cfg.dashed)
     if cfg.n_reduced != n - i * k:
         raise ValueError(

@@ -6,6 +6,7 @@ import json
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
@@ -364,6 +365,44 @@ class TestRanges:
             assert lines[0] == "k,n,engine,value"
 
 
+_BIG = str(10**30)
+# every k, index and range stop beyond sys.maxsize, on every engine that takes it
+_OVERSIZED = (
+    [
+        argv + ("--engine", engine)
+        for sub, names in (("eval", engines.VALUE_NAMES), ("sum", engines.SUM_NAMES))
+        for engine in names
+        for argv in (
+            (sub, "--k", "2", "--n", f"0..{_BIG}"),
+            (sub, "--k", "2", f"--n=-{_BIG}..3"),
+            (sub, "--k", _BIG, "--n", "5"),
+        )
+    ]
+    + [
+        ("bench", "--k", *argv, "--reps", "1", "--engines", engine)
+        for engine in engines.VALUE_NAMES + engines.SUM_NAMES
+        for argv in ((_BIG, "--n", "5"), ("2", "--n", _BIG))
+    ]
+    + [
+        ("terms", "--k", "2", "--n", str(10**29)),
+        ("terms", "--k", "2", "--n", str(10**29), "--which", "term-formula"),
+        ("terms", "--k", _BIG, "--n", "5"),
+        ("tilings", "--k", _BIG, "--n", "5", "--count"),
+        ("tilings", "--k", _BIG, "--n", "5", "--count", "--bounded"),
+        ("tilings", "--k", _BIG, "--n", "5"),
+        ("verify", "--k", _BIG),
+    ]
+)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("argv", _OVERSIZED, ids=lambda argv: " ".join(argv).replace(_BIG, "1e30"))
+def test_oversized_arguments_exit_2(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "sys.maxsize" in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -487,6 +526,123 @@ class TestJsonRoundTrip:
         for line in out.splitlines():
             parsed = json.loads(line)
             assert json.dumps(parsed, sort_keys=True, separators=(",", ":")) == line
+
+
+def _failing_suite(ks, ns, cap=None):
+    from kbonacci.verify import SuiteResult
+
+    result = SuiteResult("engines")
+    for i in range(30):
+        result.expect(i >= 25, f"forced mismatch {i}")
+    return result
+
+
+def _verify_plain(rec):
+    failures = rec["failures"]
+    lines = [f"{rec['status'].upper()} {rec['suite']} checks={rec['checks']}"]
+    lines += [f"  - {line}" for line in failures[:20]]
+    if len(failures) > 20:
+        lines.append(f"  - ... and {len(failures) - 20} more")
+    return lines
+
+
+def _terms_plain(rec):
+    return [f"{rec['j']} {'+' if rec['sign'] > 0 else '-'} {rec['magnitude']}"]
+
+
+_BENCH_TIMINGS = ("elapsed_ns", "render_ns")
+
+# name: (argv, csv header, plain lines of one json record, exit code)
+_CROSS_FORMAT = {
+    "eval": (
+        ("eval", "--k", "3", "--n", "-2..9", "--engine", "matrix"),
+        ["k", "n", "engine", "value"], lambda r: [r["value"]], 0,
+    ),
+    "sum": (
+        ("sum", "--k", "2", "--n", "0..8", "--engine", "dunkel"),
+        ["k", "n", "engine", "value"], lambda r: [r["value"]], 0,
+    ),
+    "terms-sum": (
+        ("terms", "--k", "3", "--n", "11"),
+        ["j", "sign", "magnitude"],
+        _terms_plain, 0,
+    ),
+    "terms-term": (
+        ("terms", "--k", "2", "--n", "9", "--which", "term-formula"),
+        ["j", "sign", "magnitude"],
+        _terms_plain, 0,
+    ),
+    "tilings-count": (
+        ("tilings", "--k", "3", "--n", "9", "--count"),
+        ["k", "n", "bounded", "count"], lambda r: [str(r["count"])], 0,
+    ),
+    "tilings-count-bounded": (
+        ("tilings", "--k", "3", "--n", "9", "--count", "--bounded"),
+        ["k", "n", "bounded", "count"], lambda r: [str(r["count"])], 0,
+    ),
+    "verify": (
+        ("verify", "--k", "1..2", "--n", "0..6"),
+        ["suite", "checks", "failures", "status"], _verify_plain, 0,
+    ),
+    "verify-failing": (
+        ("verify", "--suite", "engines,closed-form", "--k", "1..2", "--n", "0..6"),
+        ["suite", "checks", "failures", "status"], _verify_plain, 1,
+    ),
+    "bench": (
+        ("bench", "--k", "2", "--n", "40", "--reps", "1", "--engines", "recurrence,matrix"),
+        ["k", "n", "engine", "value", "elapsed_ns", "ops", "render_ns"],
+        lambda r: [
+            " ".join(f"{f}={r[f]}" for f in ("engine", "k", "n", "elapsed_ns", "ops", "render_ns", "value"))
+        ],
+        0,
+    ),
+}
+
+
+def _masked(name, rec, zero):
+    """rec with bench's timings set to zero: they differ from run to run."""
+    return {**rec, **dict.fromkeys(_BENCH_TIMINGS, zero)} if name == "bench" else rec
+
+
+def _csv_cell(value):
+    return str(len(value) if type(value) is list else value)
+
+
+@pytest.mark.parametrize("name", sorted(_CROSS_FORMAT))
+def test_every_format_writes_the_same_records(capsys, monkeypatch, name):
+    """Json objects, csv rows and plain lines describe the same records:
+    one compact sorted object per line; a header, then each record's fields
+    in its order, a list field as its length; each record's plain lines."""
+    argv, header, plain, code = _CROSS_FORMAT[name]
+    if name == "verify-failing":
+        monkeypatch.setitem(verify.SUITES, "engines", _failing_suite)
+    outs = {}
+    for fmt in FORMATS:
+        got_code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (got_code, err) == (code, ""), fmt
+        outs[fmt] = out
+    lines = outs["json"].splitlines()
+    for line in lines:
+        assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
+    records = [_masked(name, json.loads(line), 0) for line in lines]
+    assert records and all(sorted(rec) == sorted(header) for rec in records)
+    rows = list(csv.reader(io.StringIO(outs["csv"])))
+    assert rows[0] == header
+    assert [_masked(name, dict(zip(header, row)), "0") for row in rows[1:]] == [
+        {f: _csv_cell(rec[f]) for f in header} for rec in records
+    ]
+    plain_lines = outs["plain"].splitlines()
+    if name == "bench":
+        plain_lines = [re.sub(r"\b(elapsed_ns|render_ns)=\d+", r"\1=0", line) for line in plain_lines]
+    assert plain_lines == [line for rec in records for line in plain(rec)]
+    if name == "verify-failing":
+        assert [len(rec["failures"]) for rec in records] == [25, 0]
+        assert [row[2] for row in rows[1:]] == ["25", "0"]
+        assert plain_lines[:22] == (
+            ["FAIL engines checks=30"]
+            + [f"  - forced mismatch {i}" for i in range(20)]
+            + ["  - ... and 5 more"]
+        )
 
 
 class TestVerify:
