@@ -5,15 +5,17 @@ choices, defaults and bench's --engines come from the registry in
 `engines`, which also applies the input domain.
 
 Values are always written as exact decimal strings, whatever their size.
-`eval` and `sum` ask `engines` for their values as text: the matrix engine
-finishes large results in Decimal and prints them with str(), and every
-other value goes through the one renderer, `render._decimal_str`, which
-converts by divide and conquer through the `decimal` module: subquadratic
-in the digit count, where `int.__str__` is quadratic on CPython before 3.12,
-and independent of the interpreter's int/str digit limit.  `terms` and
-`bench` render their ints through it too.  `eval` and `sum` check their
-whole --n range before writing anything, then write each record as soon as
-it is rendered, so a range holds one record at a time.
+`eval`, `sum` and `bench` ask `engines` for their values as text: the
+matrix engine finishes large results in Decimal and prints them with str(),
+and every other value goes through the one renderer, `render._decimal_str`,
+which converts by divide and conquer through the `decimal` module:
+subquadratic in the digit count, where `int.__str__` is quadratic on
+CPython before 3.12, and independent of the interpreter's int/str digit
+limit.  `terms` renders its ints through it too.  `eval` and `sum` check
+their whole --n range before writing anything, then write each record as
+soon as it is rendered, so a range holds one record at a time.  `bench`
+times the first record of that same text range generator, started at n,
+so its elapsed_ns is the compute and render that `eval` or `sum` print.
 
 Every subcommand builds records, dicts of its fields, and hands them to one
 writer, `_emit`, which owns the three formats (plain, json, csv).  The one
@@ -29,7 +31,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from itertools import chain, islice
@@ -41,11 +42,9 @@ from .render import _decimal_str
 from .tilings import DEFAULT_CAP, bounded_tiles, exact_tiles
 from .verify import SUITES, run_suites
 
-ENV_CAP = "KBONACCI_ENUM_CAP"
-
 FORMATS = ("plain", "json", "csv")
 VALUE_FIELDS = ["k", "n", "engine", "value"]
-BENCH_FIELDS = VALUE_FIELDS + ["elapsed_ns", "ops", "render_ns"]
+BENCH_FIELDS = VALUE_FIELDS + ["elapsed_ns", "ops"]
 
 
 def parse_range(text: str) -> range:
@@ -66,20 +65,6 @@ def _jdump(obj) -> str:
 
 def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
-
-
-def _resolve_cap(args) -> int | None:
-    """Flag wins over the environment variable; neither means the default."""
-    cap = getattr(args, "cap", None)
-    if cap is not None:
-        return cap
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 def _emit(records, fmt: str, fields: list[str], plain) -> None:
@@ -136,9 +121,8 @@ _ROWS_PER_WRITE = 1024
 
 
 def cmd_tilings(args) -> int:
-    cap = _resolve_cap(args)
     producer = bounded_tiles if args.bounded else exact_tiles
-    tilings = producer(args.k, args.n, cap)
+    tilings = producer(args.k, args.n, args.cap)
     if args.count:
         record = {"k": args.k, "n": args.n, "bounded": args.bounded, "count": sum(1 for _ in tilings)}
         _emit([record], args.format, ["k", "n", "bounded", "count"], itemgetter("count"))
@@ -174,7 +158,6 @@ def _suite_lines(rec) -> str:
 
 
 def cmd_verify(args) -> int:
-    cap = _resolve_cap(args)
     names = []
     for chunk in args.suite or [",".join(SUITES)]:
         names.extend(s for s in chunk.split(",") if s)
@@ -190,14 +173,14 @@ def cmd_verify(args) -> int:
             "failures": res.failures,
             "status": "pass" if res.passed else "fail",
         }
-        for res in run_suites(names, args.k, args.n, cap)
+        for res in run_suites(names, args.k, args.n, args.cap)
     ]
     _emit(records, args.format, ["suite", "checks", "failures", "status"], _suite_lines)
     return 0 if all(rec["status"] == "pass" for rec in records) else 1
 
 
 def _bench_line(rec) -> str:
-    return " ".join(f"{f}={rec[f]}" for f in ("engine", "k", "n", "elapsed_ns", "ops", "render_ns", "value"))
+    return " ".join(f"{f}={rec[f]}" for f in ("engine", "k", "n", "elapsed_ns", "ops", "value"))
 
 
 def cmd_bench(args) -> int:
@@ -206,21 +189,16 @@ def cmd_bench(args) -> int:
         raise ValueError("--engines must name at least one engine")
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    plan = bench_plan(tokens, args.k, args.n)
+    texts, ops = bench_plan(tokens, args.k, args.n)
     records = []
-    for token in sorted(plan):
-        fn, ops = plan[token]
+    for token in sorted(ops):
         best = None
-        value = None
         for _ in range(args.reps):
             start = time.perf_counter_ns()
-            value = fn()
+            text = next(texts(args.k, args.n, args.n + 1, token))
             elapsed = time.perf_counter_ns() - start
             best = elapsed if best is None else min(best, elapsed)
-        start = time.perf_counter_ns()
-        text = _decimal_str(value)
-        render_ns = time.perf_counter_ns() - start
-        records.append(dict(zip(BENCH_FIELDS, (args.k, args.n, token, text, best, ops(), render_ns))))
+        records.append(dict(zip(BENCH_FIELDS, (args.k, args.n, token, text, best, ops[token]()))))
     _emit(records, args.format, BENCH_FIELDS, _bench_line)
     return 0
 

@@ -205,6 +205,7 @@ def _closed_range(k: int, start: int, stop: int, term: bool) -> Iterator[int]:
     """
     _check_k(k)
     _check_n(start)
+    _check_int("stop", stop)
     if start < stop:
         row = _doubled(k, start) if term else _row(k, start)
         yield (_fold_row(row, k) << start % (k + 1)) >> term

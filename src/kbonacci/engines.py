@@ -5,9 +5,9 @@ quantity it computes.
 S(n) = f(0) + ... + f(n), keyed by the names the CLI accepts; the first
 entry of each table is its default.  Each value is the engine module's own
 range generator, called as stream(k, start, stop) for the indices
-start..stop-1, stop exclusive as in range(): `compute_*` pass n+1, `eval`
-and `sum` the end of their --n range.  It reaches its first index by its
-own method, then goes on:
+start..stop-1, stop exclusive as in range(): `compute_*` and `bench` pass
+n+1, `eval` and `sum` the end of their --n range.  It reaches its first
+index by its own method, then goes on:
 
 * recurrence and direct: one more window sum (plus a running total) per
   index;
@@ -38,9 +38,9 @@ prints them with str() (see `matrix_power`).  For every other engine
 
 Every reader goes through this module: `eval`, `sum` and `bench` take
 their engine names from the tables, `eval` and `sum` print what
-`stream_value_texts`/`stream_sum_texts` yield, `bench` times the int
-generators, and the `engines` suite of `verify` checks every registered
-engine.  The input domain is applied here once:
+`stream_value_texts`/`stream_sum_texts` yield, `bench` times the first
+text of the same call, and the `engines` suite of `verify` checks every
+registered engine.  The input domain is applied here once:
 every value engine reads n < 0 as f(n) = 0, while every sum engine
 rejects n < 0.
 """
@@ -176,9 +176,10 @@ def _ops(cost, k: int, n: int) -> int:
 
 def bench_plan(
     names: Iterable[str], k: int, n: int
-) -> dict[str, tuple[Callable[[], int], Callable[[], int]]]:
-    """For each engine name, a call that computes its value at n and a call
-    of its cost model there (0 at a value index n < 0, which no engine computes).
+) -> tuple[Callable[..., Iterator[str]], dict[str, Callable[[], int]]]:
+    """The text range generator that `eval` or `sum` print the names'
+    quantity through, and for each engine name a call of its cost model at
+    n (0 at a value index n < 0, which no engine computes).
 
     The names must all lie in one table: values when every name is a value
     engine (so matrix alone computes f(n)), else sums.
@@ -188,12 +189,9 @@ def bench_plan(
     if unknown:
         raise ValueError(f"unknown engine(s) {sorted(unknown)}")
     if names <= _VALUE_DISPATCH.keys():
-        table, compute = _VALUE_DISPATCH, compute_value
+        table, texts = _VALUE_DISPATCH, stream_value_texts
     elif names <= _SUM_DISPATCH.keys():
-        table, compute = _SUM_DISPATCH, compute_sum
+        table, texts = _SUM_DISPATCH, stream_sum_texts
     else:
         raise ValueError("cannot mix value engines with partial-sum engines in one bench run")
-    return {
-        engine: (partial(compute, k, n, engine), partial(_ops, table[engine].cost, k, n))
-        for engine in names
-    }
+    return texts, {engine: partial(_ops, table[engine].cost, k, n) for engine in names}

@@ -51,7 +51,7 @@ from operator import mul
 from typing import Iterator
 
 from .render import _decimal_str, _decimals, exact
-from .sequence import _check_k, _check_n
+from .sequence import _check_int, _check_k, _check_n
 
 # Widest coefficient, in bits, that the text path still squares in ints.
 # The five big-index commands, powering plus str(), took 121-127 ms in all
@@ -175,8 +175,6 @@ def _divide(x: int | Decimal, d: int) -> int | Decimal:
 def _values(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
     """f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ...; at k = 1,
     where Q = x - 1, f(n) = 1."""
-    _check_k(k)
-    _check_n(start)
     if k == 1:
         yield from repeat(1)
     else:
@@ -187,8 +185,6 @@ def _values(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iter
 def _sums(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
     """S(n) = r(2) + (r(1) - 1) / (k - 1) for n = start, start+1, ...; at
     k = 1, where Q = x - 1, S(n) = n + 1."""
-    _check_k(k)
-    _check_n(start)
     if k == 1:
         yield from count(start + 1)
     else:
@@ -206,29 +202,37 @@ def _texts(numbers: Iterator) -> Iterator[str]:
         yield text
 
 
+def _count(k: int, start: int, stop: int) -> int:
+    """The number of indices start..stop-1, once k, start and stop pass
+    the checks every range generator makes."""
+    _check_k(k)
+    _check_n(start)
+    _check_int("stop", stop)
+    return max(stop - start, 0)
+
+
 def matrix_values_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
     """Yield f(n) = (r(2) + r(0)) / 2, or 1 at k = 1, for n = start..stop-1."""
-    # len(range()) is 0 when stop <= start, and rejects a non-int index
-    yield from islice(_values(k, start, ops), len(range(start, stop)))
+    yield from islice(_values(k, start, ops), _count(k, start, stop))
 
 
 def matrix_sums_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
     """Yield S(n) = r(2) + (r(1) - 1) / (k - 1), or n + 1 at k = 1, for
     n = start..stop-1."""
-    yield from islice(_sums(k, start, ops), len(range(start, stop)))
+    yield from islice(_sums(k, start, ops), _count(k, start, stop))
 
 
 def matrix_value_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_values_from as decimal strings, finished in Decimal once the
     coefficients pass _DECIMAL_BITS."""
     texts = _texts(_values(k, start, ops, text=True))
-    yield from islice(texts, len(range(start, stop)))
+    yield from islice(texts, _count(k, start, stop))
 
 
 def matrix_sum_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_sums_from as decimal strings, finished alike."""
     texts = _texts(_sums(k, start, ops, text=True))
-    yield from islice(texts, len(range(start, stop)))
+    yield from islice(texts, _count(k, start, stop))
 
 
 def kbonacci_matrix(k: int, n: int, ops: OpCount | None = None) -> int:

@@ -73,6 +73,7 @@ def values_from(k: int, start: int, stop: int) -> Iterator[int]:
     """
     _check_k(k)
     _check_int("n", start)
+    _check_int("stop", stop)
     yield from repeat(0, min(stop, 0) - start)
     yield from islice(values(k), max(start, 0), max(stop, 0))
 
@@ -81,6 +82,7 @@ def sums_from(k: int, start: int, stop: int) -> Iterator[int]:
     """Yield S(n) for n = start..stop-1, S(n) = f(0) + ... + f(n)."""
     _check_k(k)
     _check_n(start)
+    _check_int("stop", stop)
     yield from islice(accumulate(values(k)), start, max(stop, 0))
 
 

@@ -4,9 +4,11 @@ Each suite sweeps a (k, n) grid, counts the checks it ran and collects a
 line per failure.  Suites are deterministic: cells are visited in sorted
 (k, n) order and results do not depend on execution interleaving.
 `run_suites` checks the whole n grid against the enumeration cap before
-any enumerating suite starts, and computes each (k, n) cell of the
-intersection identity once, from one sweep of U, for every suite of the
-call that reads it.
+any enumerating suite starts, and both ends of the k and n grids against
+the input bound before any suite starts, so no suite sweeps its cheap
+cells before an index it cannot reach.  It computes each (k, n) cell of
+the intersection identity once, from one sweep of U, for every suite of
+the call that reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .closed_form import (
     term_breakdown,
 )
 from .engines import SUM_NAMES, VALUE_NAMES, compute_sum, compute_value
-from .sequence import kbonacci_prefix, kbonacci_recurrence, partial_sum_direct
+from .sequence import _check_int, kbonacci_prefix, kbonacci_recurrence, partial_sum_direct
 from .tilings import (
     _check_enumerable,
     bounded_tiles,
@@ -249,6 +251,9 @@ def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[Suit
     if _ENUMERATING.intersection(names):
         for n in ns:
             _check_enumerable(n, cap)
+    for axis, grid in (("k", ks), ("n", ns)):
+        for end in (*grid[:1], *grid[-1:]):
+            _check_int(axis, end)
     cells: dict = {}
     return [
         SUITES[name](ks, ns, cap, cells) if name in _SHARE_CELLS else SUITES[name](ks, ns, cap)

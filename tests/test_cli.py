@@ -492,25 +492,6 @@ class TestTilings:
         code, out, _ = run(capsys, "tilings", "--k", "1", "--n", "30", "--count", "--cap", "30")
         assert (code, out) == (0, "1\n")
 
-    def test_cap_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("KBONACCI_ENUM_CAP", "30")
-        code, out, _ = run(capsys, "tilings", "--k", "1", "--n", "30", "--count")
-        assert (code, out) == (0, "1\n")
-
-    def test_cap_flag_wins_over_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("KBONACCI_ENUM_CAP", "30")
-        code, _, err = run(
-            capsys, "tilings", "--k", "1", "--n", "30", "--count", "--cap", "10"
-        )
-        assert code == 2
-        assert "cap" in err
-
-    def test_bad_env_var_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("KBONACCI_ENUM_CAP", "lots")
-        code, _, err = run(capsys, "tilings", "--k", "2", "--n", "4", "--count")
-        assert code == 2
-        assert "KBONACCI_ENUM_CAP" in err
-
 
 class TestJsonRoundTrip:
     def test_eval_records(self, capsys):
@@ -550,7 +531,7 @@ def _terms_plain(rec):
     return [f"{rec['j']} {'+' if rec['sign'] > 0 else '-'} {rec['magnitude']}"]
 
 
-_BENCH_TIMINGS = ("elapsed_ns", "render_ns")
+_BENCH_TIMINGS = ("elapsed_ns",)
 
 # name: (argv, csv header, plain lines of one json record, exit code)
 _CROSS_FORMAT = {
@@ -590,10 +571,8 @@ _CROSS_FORMAT = {
     ),
     "bench": (
         ("bench", "--k", "2", "--n", "40", "--reps", "1", "--engines", "recurrence,matrix"),
-        ["k", "n", "engine", "value", "elapsed_ns", "ops", "render_ns"],
-        lambda r: [
-            " ".join(f"{f}={r[f]}" for f in ("engine", "k", "n", "elapsed_ns", "ops", "render_ns", "value"))
-        ],
+        ["k", "n", "engine", "value", "elapsed_ns", "ops"],
+        lambda r: [" ".join(f"{f}={r[f]}" for f in ("engine", "k", "n", "elapsed_ns", "ops", "value"))],
         0,
     ),
 }
@@ -633,7 +612,7 @@ def test_every_format_writes_the_same_records(capsys, monkeypatch, name):
     ]
     plain_lines = outs["plain"].splitlines()
     if name == "bench":
-        plain_lines = [re.sub(r"\b(elapsed_ns|render_ns)=\d+", r"\1=0", line) for line in plain_lines]
+        plain_lines = [re.sub(r"\belapsed_ns=\d+", "elapsed_ns=0", line) for line in plain_lines]
     assert plain_lines == [line for rec in records for line in plain(rec)]
     if name == "verify-failing":
         assert [len(rec["failures"]) for rec in records] == [25, 0]
@@ -681,6 +660,17 @@ class TestVerify:
             )
             assert (code, out, ran) == (2, "", [])
             assert "n=25 exceeds the enumeration cap 24" in err
+
+    @pytest.mark.parametrize(
+        "option, grid", [("--n", f"0..{10**30}"), ("--n", f"-{10**30}..0"), ("--k", f"1..{10**30}")]
+    )
+    def test_grid_bound_checked_before_any_suite_runs(self, capsys, monkeypatch, option, grid):
+        # a suite that does not enumerate would sweep the cheap cells first
+        ran = []
+        monkeypatch.setitem(verify.SUITES, "engines", lambda ks, ns, cap=None: ran.append(ns))
+        code, out, err = run(capsys, "verify", "--suite", "engines", option, grid)
+        assert (code, out, ran) == (2, "", [])
+        assert err.startswith("error: ") and "sys.maxsize" in err
 
     def test_cap_ignored_by_suites_that_do_not_enumerate(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "engines", "--n", "20..25")
@@ -747,9 +737,22 @@ class TestBench:
         assert len(rows) == 3
         assert len({row["value"] for row in rows}) == 1
         assert all(row["elapsed_ns"] >= 0 for row in rows)
-        assert all(row["render_ns"] >= 0 for row in rows)
         by_engine = {row["engine"]: row for row in rows}
         assert by_engine["matrix"]["ops"] < by_engine["recurrence"]["ops"]
+
+    @pytest.mark.parametrize("table", ["_VALUE_DISPATCH", "_SUM_DISPATCH"])
+    def test_value_is_the_text_eval_and_sum_print(self, capsys, monkeypatch, table):
+        def stand_in(k, start, stop):
+            yield 7
+
+        def marker(k, start, stop):
+            yield "marker"
+
+        stand_in.cost, stand_in.text = (lambda k, n: 5), marker
+        monkeypatch.setitem(getattr(engines, table), "stand-in", stand_in)
+        code, out, _ = run(capsys, "bench", "--k", "2", "--n", "9", "--engines", "stand-in", "--format", "json")
+        record = json.loads(out)
+        assert (code, record["engine"], record["value"], record["ops"]) == (0, "stand-in", "marker", 5)
 
     def test_sum_engines_report_identical_values(self, capsys):
         code, out, _ = run(

@@ -17,6 +17,7 @@ from kbonacci import (
     partial_sum_matrix,
     verify_intersection_identity,
 )
+from kbonacci.closed_form import closed_values_from, dunkel_sums_from
 from kbonacci.engines import (
     _SUM_DISPATCH,
     _VALUE_DISPATCH,
@@ -25,6 +26,13 @@ from kbonacci.engines import (
     stream_sums,
     stream_values,
 )
+from kbonacci.matrix_power import (
+    matrix_sum_texts_from,
+    matrix_sums_from,
+    matrix_value_texts_from,
+    matrix_values_from,
+)
+from kbonacci.sequence import sums_from, values_from
 
 
 def test_value_engines_agree():
@@ -133,3 +141,24 @@ def test_non_int_arguments_raise_type_error(fn, k, n):
     fn(2, 5)  # the same cell with ints is valid for every function
     with pytest.raises(TypeError):
         fn(k, n)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        values_from,
+        sums_from,
+        closed_values_from,
+        dunkel_sums_from,
+        matrix_values_from,
+        matrix_sums_from,
+        matrix_value_texts_from,
+        matrix_sum_texts_from,
+    ],
+)
+@pytest.mark.parametrize("stop, error", [(10**30, ValueError), (2.5, TypeError), (True, TypeError)])
+def test_range_generators_check_their_stop(stream, stop, error):
+    # the check the registry makes, before the first value; an int stop is valid
+    assert next(stream(2, 0, 3)) in (1, "1")
+    with pytest.raises(error, match="stop must"):
+        next(stream(2, 0, stop))
