@@ -25,19 +25,22 @@ the doubled entries 2 C(m, j) - C(m-1, j) = C(m, j) + C(m-1, j-1),
 m = n-jk, and takes C(m-1, j-1) = C(m, j) j / m from the row of n alone.
 
 A range start..stop-1 folds its first index alone, its row as the row is
-made, in O(n) bits.  The rest of the range is cut into blocks of at most
-16 (k+1) indices, and each block is evaluated column by column: column j
-holds C(m, j) for the m of every index of the block, and each index keeps
-its own Horner accumulator, folded as j ascends.  A column starts from its
+made, in O(n) bits.  The rest is cut into blocks of at most 16 (k+1)
+indices, whose sums S(n) are folded column by column: column j holds
+C(m, j) for the m of every index of the block, and each index keeps its
+own Horner accumulator, folded as j ascends.  A column starts from its
 entry in the row of the block's first index and is filled by Pascal's
 rule, C(m+1, j) = C(m, j) + C(m, j-1), from column j-1 moved k entries
 down; the k entries below column j-1 are made by the ratio rule
 C(m, j-1) = C(m-1, j-1) m / (m-j+1).  That is one row step, k exact
-divisions (k+1 for a value) and b-1 additions per column of a block of b
-indices, where stepping the row of each index to the next,
-C(m+1, j) = C(m, j)(m+1) / (m+1-j), costs b divisions; a block of k
-indices or fewer makes only the divisions of its own entries.  A block holds O(b n) = O(k n) bits.
-A value's doubled entry is one addition against the rises of its column.
+divisions and b-1 additions per column of a block of b indices, where
+stepping the row of each index, C(m+1, j) = C(m, j)(m+1) / (m+1-j),
+costs b divisions; a block of k indices or fewer makes only the
+divisions of its own entries.  A block holds O(b n) = O(k n) bits.
+A range's later values are differences of consecutive sums,
+f(n) = S(n) - S(n-1), so a block of values folds the sums of its indices
+and of the one before them.  A single index, or the first of a range,
+folds the doubled row instead: one fold where a difference takes two.
 `term_breakdown` lists the summands of the rows.  The extended form is
 the base fold plus the raised-limit binomials, each checked to be 0.
 
@@ -49,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from operator import add
+from operator import sub
 from typing import Iterator
 
 from .sequence import _check_int, _check_k, _check_n
@@ -129,28 +132,25 @@ def _blocks(k: int, start: int, stop: int) -> Iterator[range]:
         yield range(a, min(a + cap, stop))
 
 
-def _columns(k: int, lo: int, hi: int, term: bool):
-    """Yield (column, rises) for j = 1..floor((hi-1)/(k+1)), where at the
-    indices n = lo + i, lo <= n < hi,
-
-        column[i] = C(n - jk, j) and rises[i] = C(n - 1 - jk + term, j - 1).
+def _columns(k: int, lo: int, hi: int):
+    """Yield column j for j = 1..floor((hi-1)/(k+1)), where at the indices
+    n = lo + i, lo <= n < hi, column[i] = C(n - jk, j).
 
     Column j starts from C(lo - jk, j), entry j of the row of lo (0 past
     its end), and is filled by Pascal's rule, C(m+1, j) = C(m, j) + C(m, j-1).
-    Its rises are column j-1 moved k entries down (k+1 for a value, whose
-    rises start at n-1).  Those below column j-1 are made up from the first
-    nonzero one, C(lo-jk, j) j / (m-j+1) (j / (m+1) for a value) or
-    C(j-1, j-1) = 1, by C(m, j-1) = C(m-1, j-1) m / (m-j+1): at most k+1
+    Its rises C(m, j-1) are column j-1 moved k entries down.  Those below
+    column j-1 are made up from the first nonzero one, C(lo-jk, j) j / (m-j+1)
+    or C(j-1, j-1) = 1, by C(m, j-1) = C(m-1, j-1) m / (m-j+1): at most k
     exact divisions per column, and one addition per entry.
     """
     width = hi - lo
-    low = min(k, width - 1) + term  # the rises below column j-1
+    low = min(k, width - 1)  # the rises below column j-1
     column = [1] * width
     seeds = chain(islice(_row(k, lo), 1, None), repeat(0))
     for j, seed in zip(range(1, (hi - 1) // (k + 1) + 1), seeds):
-        m = lo - j * k - term  # the m of rises[0]
+        m = lo - j * k  # the m of the first rise
         if seed:
-            zeros, c = 0, seed * j // (m + 1 if term else m - j + 1)
+            zeros, c = 0, seed * j // (m - j + 1)
         else:
             zeros, c = min(j - 1 - m, low), 1
         rises = [0] * zeros
@@ -159,27 +159,24 @@ def _columns(k: int, lo: int, hi: int, term: bool):
             for m in range(m + zeros + 1, m + low):
                 c = c * m // (m - j + 1)
                 rises.append(c)
-        rises += column[: width - 1 + term - low]
-        column = list(accumulate(islice(rises, term, None), initial=seed))
-        yield column, rises
+        rises += column[: width - 1 - low]
+        column = list(accumulate(rises, initial=seed))
+        yield column
 
 
-def _block_folds(k: int, block: range, term: bool) -> list[int]:
-    """The sums (term=False) or doubled values (term=True) of the indices of
-    block, by Horner's rule in 2^(k+1), one accumulator per index, column
-    by column from _columns.  A value folds the doubled row
-    2 C(n-jk, j) - C(n-1-jk, j) = C(n-jk, j) + C(n-1-jk, j-1).  Index n
-    folds the zero entries of the columns j > floor(n/(k+1)) too, and
-    drops their shifts at the end.
+def _block_folds(k: int, block: range) -> list[int]:
+    """The sums of the indices of block, by Horner's rule in 2^(k+1), one
+    accumulator per index, column by column from _columns.  Index n folds
+    the zero entries of the columns j > floor(n/(k+1)) too, and drops their
+    shifts at the end.
     """
     shift = k + 1
-    acc = [1] * len(block)  # column 0: C(m, 0) = 1, doubled 1 at n >= 1
-    for j, (column, rises) in enumerate(_columns(k, block.start, block.stop, term), 1):
-        entries = map(add, column, rises) if term else column
+    acc = [1] * len(block)  # column 0: C(m, 0) = 1
+    for j, column in enumerate(_columns(k, block.start, block.stop), 1):
         if j & 1:
-            acc = [(x << shift) - c for x, c in zip(acc, entries)]
+            acc = [(x << shift) - c for x, c in zip(acc, column)]
         else:
-            acc = [(x << shift) + c for x, c in zip(acc, entries)]
+            acc = [(x << shift) + c for x, c in zip(acc, column)]
     last = (block.stop - 1) // shift
     return [
         (_nonnegative(total) << n % shift) >> (last - n // shift) * shift
@@ -199,9 +196,10 @@ def _doubled(k: int, n: int) -> Iterator[int]:
 def _closed_range(k: int, start: int, stop: int, term: bool) -> Iterator[int]:
     """S(n) (term=False) or f(n) (term=True) for n = start..stop-1.
 
-    The first index folds its row as the row is made, in O(n) bits; the
-    later ones come from _block_folds, in O(b n) bits for a block of b
-    indices.  A value halves its doubled fold.
+    The first index folds its row as the row is made, in O(n) bits; a
+    value halves its doubled fold.  The later indices fold their sums in
+    blocks, in O(b n) bits for a block of b indices, and a block of values
+    differences the sums of the block and of the index before it.
     """
     _check_k(k)
     _check_n(start)
@@ -210,8 +208,9 @@ def _closed_range(k: int, start: int, stop: int, term: bool) -> Iterator[int]:
         row = _doubled(k, start) if term else _row(k, start)
         yield (_fold_row(row, k) << start % (k + 1)) >> term
     for block in _blocks(k, start, stop):
-        for total in _block_folds(k, block, term):
-            yield total >> term
+        sums = _block_folds(k, range(block.start - term, block.stop))
+        yield from map(sub, sums[1:], sums) if term else sums
+        del sums  # not held while the next block is folded
 
 
 def dunkel_sums_from(k: int, start: int, stop: int) -> Iterator[int]:

@@ -15,10 +15,11 @@ index by its own method, then goes on:
   x, a shift of its k coefficients and one reduction by
   x^k = 1 + x + ... + x^(k-1), which adds the leaving coefficient at all
   k places (at k = 1 the values are 1 and the sums n + 1);
-* dunkel and dunkel-term: the later indices in blocks, each evaluated
-  column by column, C(n-jk, j) for every n of the block, mostly by
-  Pascal's rule: about one addition per index and column besides the
-  Horner fold (see `closed_form`).
+* dunkel and dunkel-term: the sums of the later indices in blocks, each
+  evaluated column by column, C(n-jk, j) for every n of the block, mostly
+  by Pascal's rule: about one addition per index and column besides the
+  Horner fold (see `closed_form`).  dunkel-term takes its values as the
+  differences f(n) = S(n) - S(n-1) of consecutive sums.
 
 The window and matrix engines cut their endless internals at stop; the
 closed forms need stop to size their blocks.

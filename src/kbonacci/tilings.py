@@ -62,6 +62,8 @@ class CapExceededError(ValueError):
 
 def _check_enumerable(n: int, cap: int | None) -> None:
     _check_n(n)
+    if cap is not None:
+        _check_int("cap", cap)
     effective = DEFAULT_CAP if cap is None else cap
     if effective < 0:
         raise ValueError(f"enumeration cap must be non-negative, got {cap}")
@@ -432,6 +434,7 @@ def count_by_rightmost_tile(k: int, n: int, cap: int | None = None) -> list[tupl
     length l equals f(n - l), so the counts re-derive the recurrence.
     """
     _check_k(k)
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     counts: dict[int, int] = {}

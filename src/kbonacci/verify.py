@@ -3,8 +3,8 @@
 Each suite sweeps a (k, n) grid, counts the checks it ran and collects a
 line per failure.  Suites are deterministic: cells are visited in sorted
 (k, n) order and results do not depend on execution interleaving.
-`run_suites` checks the whole n grid against the enumeration cap before
-any enumerating suite starts, and both ends of the k and n grids against
+`run_suites` checks the n grid against the enumeration cap before any
+enumerating suite starts, and both ends of the k and n grids against
 the input bound before any suite starts, so no suite sweeps its cheap
 cells before an index it cannot reach.  It computes each (k, n) cell of
 the intersection identity once, from one sweep of U, for every suite of
@@ -28,6 +28,7 @@ from .closed_form import (
 from .engines import SUM_NAMES, VALUE_NAMES, compute_sum, compute_value
 from .sequence import _check_int, kbonacci_prefix, kbonacci_recurrence, partial_sum_direct
 from .tilings import (
+    DEFAULT_CAP,
     _check_enumerable,
     bounded_tiles,
     count_by_rightmost_tile,
@@ -248,9 +249,13 @@ _SHARE_CELLS = {"inclusion-exclusion", "bijection"}
 
 
 def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[SuiteResult]:
-    if _ENUMERATING.intersection(names):
-        for n in ns:
-            _check_enumerable(n, cap)
+    if ns and _ENUMERATING.intersection(names):
+        # The cap bounds n from above: the grid's first n, and the first n
+        # past the cap if the grid reaches it, stand for the whole grid.
+        _check_enumerable(ns[0], cap)
+        effective = DEFAULT_CAP if cap is None else cap
+        if ns[-1] > effective:
+            _check_enumerable(effective + 1, cap)
     for axis, grid in (("k", ks), ("n", ns)):
         for end in (*grid[:1], *grid[-1:]):
             _check_int(axis, end)

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbonacci import (
+    CapExceededError,
     compute_sum,
     compute_value,
     kbonacci_closed,
@@ -660,6 +661,19 @@ class TestVerify:
             )
             assert (code, out, ran) == (2, "", [])
             assert "n=25 exceeds the enumeration cap 24" in err
+
+    def test_cap_check_reads_two_cells_of_a_long_grid(self, monkeypatch):
+        calls = []
+        check = verify._check_enumerable
+
+        def counted(n, cap):
+            calls.append(n)
+            check(n, cap)
+
+        monkeypatch.setattr(verify, "_check_enumerable", counted)
+        with pytest.raises(CapExceededError, match="n=25 exceeds the enumeration cap 24"):
+            verify.run_suites(["tilings"], range(1, 2), range(0, 10**6))
+        assert len(calls) <= 3
 
     @pytest.mark.parametrize(
         "option, grid", [("--n", f"0..{10**30}"), ("--n", f"-{10**30}..0"), ("--k", f"1..{10**30}")]

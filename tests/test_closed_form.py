@@ -231,9 +231,9 @@ def _cap(k):
 
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(1, 12), start=st.integers(0, 400), length=st.integers(1, 120))
-@example(k=3, start=200, length=4)  # a block of k indices: every rise below column j-1
-@example(k=3, start=200, length=5)  # k+1 indices: one rise read from column j-1 for values
-@example(k=3, start=200, length=6)
+@example(k=3, start=200, length=4)  # k sums, k+1 for values: no rise read from column j-1
+@example(k=3, start=200, length=5)  # k+1 sums, k+2 for values: one rise read for values
+@example(k=3, start=200, length=6)  # k+2 sums: one rise read from column j-1 for sums too
 @example(k=3, start=200, length=_cap(3))
 @example(k=3, start=200, length=_cap(3) + 1)
 @example(k=1, start=40, length=_cap(1) + 2)
@@ -241,6 +241,8 @@ def _cap(k):
 @example(k=5, start=2, length=120)  # start < k+1: columns that start with zeros
 @example(k=12, start=0, length=120)
 @example(k=1, start=0, length=120)
+@example(k=2, start=1, length=2 * _cap(2) + 3)  # three blocks, the first differenced from S(1)
+@example(k=7, start=1, length=2 * _cap(7) + 3)
 def test_ranges_match_the_recurrence(k, start, length):
     stop = start + length
     assert list(dunkel_sums_from(k, start, stop)) == list(sums_from(k, start, stop))

@@ -18,6 +18,7 @@ from kbonacci import (
     tiling_from_marks,
     verify_intersection_identity,
 )
+from kbonacci.tilings import bounded_tiles, exact_tiles, oversized_members, unrestricted_tiles
 
 from oracles import (
     naive_identity_sides,
@@ -171,6 +172,35 @@ class TestEnumerationCap:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             list(iter_tilings(2, -1))
+
+    @pytest.mark.parametrize("cap", [2.5, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cap: exact_tiles(2, 2, cap),
+            lambda cap: bounded_tiles(2, 2, cap),
+            lambda cap: unrestricted_tiles(2, cap),
+            lambda cap: iter_tilings(2, 2, cap),
+            lambda cap: iter_bounded_tilings(2, 2, cap),
+            lambda cap: iter_unrestricted(2, cap),
+            lambda cap: oversized_members(2, 3, cap),
+            lambda cap: verify_intersection_identity(2, 3, 1, cap),
+        ],
+        ids=[
+            "exact_tiles",
+            "bounded_tiles",
+            "unrestricted_tiles",
+            "iter_tilings",
+            "iter_bounded_tilings",
+            "iter_unrestricted",
+            "oversized_members",
+            "verify_intersection_identity",
+        ],
+    )
+    def test_non_int_cap_rejected(self, call, cap):
+        # 2.5 must not read as a cap between 2 and 3, nor True as cap 1
+        with pytest.raises(TypeError, match="cap must be an int"):
+            list(call(cap))
 
 
 def _enumerated_intersection_count(k, n, ends):
@@ -358,6 +388,11 @@ class TestRightmostTilePartition:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             count_by_rightmost_tile(2, 0)
+
+    @pytest.mark.parametrize("n", [0.5, 1.5])
+    def test_non_int_n_rejected_before_its_sign(self, n):
+        with pytest.raises(TypeError, match="n must be an int"):
+            count_by_rightmost_tile(2, n)
 
 
 def test_subtraction_skeleton():
