@@ -55,7 +55,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import sub
 from typing import Iterator
 
-from .sequence import _check_int, _check_k, _check_n
+from .sequence import _check_int, _check_k, _check_n, _count
 
 SUM_FORMULA = "sum-formula"
 TERM_FORMULA = "term-formula"
@@ -201,10 +201,7 @@ def _closed_range(k: int, start: int, stop: int, term: bool) -> Iterator[int]:
     blocks, in O(b n) bits for a block of b indices, and a block of values
     differences the sums of the block and of the index before it.
     """
-    _check_k(k)
-    _check_n(start)
-    _check_int("stop", stop)
-    if start < stop:
+    if _count(k, start, stop):
         row = _doubled(k, start) if term else _row(k, start)
         yield (_fold_row(row, k) << start % (k + 1)) >> term
     for block in _blocks(k, start, stop):

@@ -14,7 +14,8 @@ index by its own method, then goes on:
 * matrix: per index, the residue x^n mod x^k - x^(k-1) - ... - 1 times
   x, a shift of its k coefficients and one reduction by
   x^k = 1 + x + ... + x^(k-1), which adds the leaving coefficient at all
-  k places (at k = 1 the values are 1 and the sums n + 1);
+  k places (at k = 1 the values are 1 and the sums n + 1, and below k
+  they are powers of two);
 * dunkel and dunkel-term: the sums of the later indices in blocks, each
   evaluated column by column, C(n-jk, j) for every n of the block, mostly
   by Pascal's rule: about one addition per index and column besides the
@@ -28,7 +29,9 @@ Each generator carries its cost model as stream.cost(k, n): the number
 of big-integer operations one index n takes, which `bench` reports as
 `ops`.  It is the count of additions for the window engines, the summand
 count scaled for the closed forms, and for matrix the multiplications of
-its powering, counted by an OpCount.
+its powering, `matrix_power.matrix_cost`: k(k+1)/2 per squaring, times
+the squaring count that also bounds the powering's loop.  Every model is
+arithmetic on (k, n) and runs nothing.
 
 Each generator also carries its text range generator as stream.text, or
 None.  Only matrix has one: it finishes large residues in Decimal and
@@ -41,27 +44,33 @@ Every reader goes through this module: `eval`, `sum` and `bench` take
 their engine names from the tables, `eval` and `sum` print what
 `stream_value_texts`/`stream_sum_texts` yield, `bench` times the first
 text of the same call, and the `engines` suite of `verify` checks every
-registered engine.  The input domain is applied here once:
-every value engine reads n < 0 as f(n) = 0, while every sum engine
-rejects n < 0.
+registered engine.  One input domain holds for every engine: every value
+engine reads n < 0 as f(n) = 0, which this module yields itself, while
+every sum engine rejects n < 0.  Each range generator checks k, start and
+stop, the non-negative ones by `sequence._count`.  This module checks
+start and stop first, and k too for a value engine, whose generator sees
+no negative start; it reports a stop past sys.maxsize as the last index,
+stop - 1, that the caller asked for, so the largest index is
+sys.maxsize - 1.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from .closed_form import closed_values_from, dunkel_sums_from
 from .matrix_power import (
-    OpCount,
+    matrix_cost,
     matrix_sum_texts_from,
     matrix_sums_from,
     matrix_value_texts_from,
     matrix_values_from,
 )
 from .render import _decimal_str
-from .sequence import _check_int, _check_k, sums_from, values_from
+from .sequence import _check_index, _check_int, _check_k, sums_from, values_from
 
 
 def _costed(stream, cost: Callable[[int, int], int], text=None):
@@ -85,28 +94,16 @@ def _terms(k: int, n: int) -> int:
     return n // (k + 1) + 1
 
 
-def _powering_mults(stream, k: int, n: int) -> int:
-    """The multiplications of stream's residue powering to n, counted by
-    running it (none at k = 1, where the residue is 1)."""
-    ops = OpCount()
-    next(stream(k, n, n + 1, ops))
-    return ops.scalar_mults
-
-
 _VALUE_DISPATCH = {
     "recurrence": _costed(values_from, lambda k, n: 2 * n),
     "dunkel-term": _costed(closed_values_from, lambda k, n: 4 * _terms(k, n)),
-    "matrix": _costed(
-        matrix_values_from, partial(_powering_mults, matrix_values_from), matrix_value_texts_from
-    ),
+    "matrix": _costed(matrix_values_from, matrix_cost, matrix_value_texts_from),
 }
 
 _SUM_DISPATCH = {
     "direct": _costed(sums_from, lambda k, n: 3 * n),
     "dunkel": _costed(dunkel_sums_from, lambda k, n: 2 * _terms(k, n)),
-    "matrix": _costed(
-        matrix_sums_from, partial(_powering_mults, matrix_sums_from), matrix_sum_texts_from
-    ),
+    "matrix": _costed(matrix_sums_from, matrix_cost, matrix_sum_texts_from),
 }
 
 VALUE_NAMES = tuple(_VALUE_DISPATCH)
@@ -120,11 +117,20 @@ def _lookup(table: dict, engine: str):
         raise ValueError(f"engine {engine!r} is not one of {sorted(table)}") from None
 
 
+def _check_range(start: int, stop: int) -> None:
+    """start and stop as the range generators check them, except that a stop
+    past sys.maxsize is reported as the last index, n = stop - 1, that the
+    caller asked for."""
+    _check_int("n", start)
+    if type(stop) is int and stop > sys.maxsize:
+        _check_index(stop - 1)
+    _check_int("stop", stop)
+
+
 def _values_from(k: int, start: int, stop: int, engine: str, text: bool) -> Iterator:
     stream = _lookup(_VALUE_DISPATCH, engine)
     _check_k(k)
-    _check_int("n", start)
-    _check_int("stop", stop)
+    _check_range(start, stop)
     if text:
         stream = _text_stream(stream)
     if start < 0:
@@ -144,8 +150,7 @@ def stream_value_texts(k: int, start: int, stop: int, engine: str = "recurrence"
 
 def _sums_from(k: int, start: int, stop: int, engine: str, text: bool) -> Iterator:
     stream = _lookup(_SUM_DISPATCH, engine)
-    _check_int("n", start)
-    _check_int("stop", stop)
+    _check_range(start, stop)
     if text:
         stream = _text_stream(stream)
     return stream(k, start, stop)

@@ -23,7 +23,9 @@ P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), valid modulo its factor Q, down
 to degree k, and then once by x^k = 1 + x + ... + x^(k-1): shifts and
 additions only.
 
-A range of indices pays for one powering.  The residue of x^(n+1) is x
+A range of indices pays for one powering, and its indices below k none:
+there r = x^n, so f(n) = 2^(n-1), f(0) = 1 and S(n) = 2^n, and the
+residue is built from k on at the earliest.  The residue of x^(n+1) is x
 times that of x^n: the coefficients move up by one place, and the one that
 leaves, t = r[k-1], comes back by x^k = 1 + x + ... + x^(k-1) at all k
 places.  Since Q(2) = 1, the new r(2) is 2r(2) - t, and the new r(1) is
@@ -51,7 +53,7 @@ from operator import mul
 from typing import Iterator
 
 from .render import _decimal_str, _decimals, exact
-from .sequence import _check_int, _check_k, _check_n
+from .sequence import _check_k, _check_n, _count
 
 # Widest coefficient, in bits, that the text path still squares in ints.
 # The five big-index commands, powering plus str(), took 121-127 ms in all
@@ -87,6 +89,22 @@ def _reduced(r: list) -> list:
     return [c + top for c in r]
 
 
+def _squarings(k: int, n: int) -> int:
+    """The squarings of the powering to x^n: one per bit of n below its
+    leading bits that still form an exponent <= k, whose power of x, reduced
+    once if it is x^k, costs no multiplication."""
+    shift = max(n.bit_length() - k.bit_length(), 0)
+    if n >> shift > k:
+        shift += 1
+    return shift
+
+
+def matrix_cost(k: int, n: int) -> int:
+    """The multiplications of the powering to x^n: k(k+1)/2 per squaring,
+    none at k = 1, where the values and sums do not power."""
+    return 0 if k == 1 else _squarings(k, n) * (k * (k + 1) // 2)
+
+
 def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
     """Coefficients r[0..k-1] of x^n mod x^k - x^(k-1) - ... - 1, as ints.
 
@@ -97,11 +115,7 @@ def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
     """
     _check_k(k)
     _check_n(n)
-    # Start from the leading bits of n that still form an exponent <= k:
-    # that power of x, reduced once if it is x^k, costs no multiplication.
-    shift = max(n.bit_length() - k.bit_length(), 0)
-    if n >> shift > k:
-        shift += 1
+    shift = _squarings(k, n)
     r = [0] * (k + 1)
     r[n >> shift] = 1
     r = _reduced(r)
@@ -173,22 +187,26 @@ def _divide(x: int | Decimal, d: int) -> int | Decimal:
 
 
 def _values(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
-    """f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ...; at k = 1,
-    where Q = x - 1, f(n) = 1."""
+    """f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ...: 2^(n-1), or 1
+    at n = 0, below k, where r = x^n, so the residue is built from k on at
+    the earliest; at k = 1, where Q = x - 1, f(n) = 1."""
     if k == 1:
         yield from repeat(1)
     else:
-        for at_two, _, at_zero in _residues_from(k, start, ops, text):
+        # (r(2) + r(0)) / 2 for r = x^n, whose r(0) is 0 past n = 0
+        yield from ((1 << n) + (n == 0) >> 1 for n in range(start, k))
+        for at_two, _, at_zero in _residues_from(k, max(start, k), ops, text):
             yield _divide(at_two + at_zero, 2)
 
 
 def _sums(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
-    """S(n) = r(2) + (r(1) - 1) / (k - 1) for n = start, start+1, ...; at
-    k = 1, where Q = x - 1, S(n) = n + 1."""
+    """S(n) = r(2) + (r(1) - 1) / (k - 1) for n = start, start+1, ...: 2^n
+    below k, as for _values; at k = 1, where Q = x - 1, S(n) = n + 1."""
     if k == 1:
         yield from count(start + 1)
     else:
-        for at_two, at_one, _ in _residues_from(k, start, ops, text):
+        yield from (1 << n for n in range(start, k))
+        for at_two, at_one, _ in _residues_from(k, max(start, k), ops, text):
             yield at_two + _divide(at_one - 1, k - 1)
 
 
@@ -200,15 +218,6 @@ def _texts(numbers: Iterator) -> Iterator[str]:
             x = next(numbers)
             text = str(x) if type(x) is Decimal else _decimal_str(x)
         yield text
-
-
-def _count(k: int, start: int, stop: int) -> int:
-    """The number of indices start..stop-1, once k, start and stop pass
-    the checks every range generator makes."""
-    _check_k(k)
-    _check_n(start)
-    _check_int("stop", stop)
-    return max(stop - start, 0)
 
 
 def matrix_values_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:

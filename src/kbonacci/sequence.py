@@ -46,6 +46,23 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be non-negative, got {n}")
 
 
+def _check_index(n: int) -> None:
+    """n is an index below sys.maxsize: an engine computes index n as the
+    range n..n, whose stop n + 1 is bounded like every other."""
+    _check_int("n", n)
+    if n == sys.maxsize:
+        raise ValueError(f"n must be below sys.maxsize = {sys.maxsize}, got {n}")
+
+
+def _count(k: int, start: int, stop: int) -> int:
+    """The number of indices start..stop-1, once k, start and stop pass
+    the checks every non-negative range generator makes."""
+    _check_k(k)
+    _check_n(start)
+    _check_int("stop", stop)
+    return max(stop - start, 0)
+
+
 def values(k: int) -> Iterator[int]:
     """Yield f(0), f(1), f(2), ... for the given window length k.
 
@@ -80,10 +97,7 @@ def values_from(k: int, start: int, stop: int) -> Iterator[int]:
 
 def sums_from(k: int, start: int, stop: int) -> Iterator[int]:
     """Yield S(n) for n = start..stop-1, S(n) = f(0) + ... + f(n)."""
-    _check_k(k)
-    _check_n(start)
-    _check_int("stop", stop)
-    yield from islice(accumulate(values(k)), start, max(stop, 0))
+    yield from islice(accumulate(values(k)), start, start + _count(k, start, stop))
 
 
 def kbonacci_recurrence(k: int, n: int) -> int:

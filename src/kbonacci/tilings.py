@@ -266,11 +266,13 @@ def _positions(mask: int) -> tuple[int, ...]:
 def _ends_and_marks(k: int, n: int) -> Iterator[tuple[int, int]]:
     """(oversized right ends, marks) as bitmasks, for every member of U in
     increasing order of marks."""
-    # cover |= cover << step over these steps ORs marks << 0..k-1 together
+    # cover |= cover << step over these steps ORs marks << 0..w-1 together,
+    # w = min(k, n + 1): no wider shift leaves a mark inside the ruler
+    w = min(k, n + 1)
     steps = []
     width = 1
-    while width < k:
-        steps.append(min(width, k - width))
+    while width < w:
+        steps.append(min(width, w - width))
         width += steps[-1]
     for marks in range(1, 2 << n, 2):
         cover = marks

@@ -26,7 +26,13 @@ from .closed_form import (
     term_breakdown,
 )
 from .engines import SUM_NAMES, VALUE_NAMES, compute_sum, compute_value
-from .sequence import _check_int, kbonacci_prefix, kbonacci_recurrence, partial_sum_direct
+from .sequence import (
+    _check_index,
+    _check_int,
+    kbonacci_prefix,
+    kbonacci_recurrence,
+    partial_sum_direct,
+)
 from .tilings import (
     DEFAULT_CAP,
     _check_enumerable,
@@ -127,7 +133,7 @@ def suite_tilings(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
             )
             result.expect(
                 set(map(sum, exact)) == {n}
-                and set(chain.from_iterable(exact)) <= set(range(1, k + 1)),
+                and set(chain.from_iterable(exact)) <= set(range(1, min(k, n) + 1)),
                 f"invalid tiling emitted at k={k} n={n}",
             )
             result.expect(
@@ -256,9 +262,10 @@ def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[Suit
         effective = DEFAULT_CAP if cap is None else cap
         if ns[-1] > effective:
             _check_enumerable(effective + 1, cap)
-    for axis, grid in (("k", ks), ("n", ns)):
-        for end in (*grid[:1], *grid[-1:]):
-            _check_int(axis, end)
+    for end in (*ks[:1], *ks[-1:]):
+        _check_int("k", end)
+    for end in (*ns[:1], *ns[-1:]):
+        _check_index(end)
     cells: dict = {}
     return [
         SUITES[name](ks, ns, cap, cells) if name in _SHARE_CELLS else SUITES[name](ks, ns, cap)

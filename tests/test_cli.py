@@ -404,6 +404,57 @@ def test_oversized_arguments_exit_2(capsys, argv, fmt):
     assert err.startswith("error: ") and "sys.maxsize" in err
 
 
+_MAX = str(sys.maxsize)
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        *[
+            (("eval", "--k", _MAX, "--n", "-1..5", "--engine", engine), "0\n1\n1\n2\n4\n8\n16\n")
+            for engine in engines.VALUE_NAMES
+        ],
+        *[
+            (("sum", "--k", _MAX, "--n", "0..5", "--engine", engine), "1\n2\n4\n8\n16\n32\n")
+            for engine in engines.SUM_NAMES
+        ],
+        (("eval", "--k", _MAX, "--n", "5", "--engine", "matrix"), "16\n"),
+        (("sum", "--k", _MAX, "--n", "5", "--engine", "matrix"), "32\n"),
+        (
+            ("verify", "--k", _MAX),
+            "PASS engines checks=78\nPASS closed-form checks=90\n"
+            "PASS tilings checks=77\nPASS hash-marks checks=39\n"
+            "PASS inclusion-exclusion checks=13\nPASS bijection checks=0\n",
+        ),
+        (
+            ("verify", "--k", _MAX, "--suite", "inclusion-exclusion", "--n", "0..3"),
+            "PASS inclusion-exclusion checks=4\n",
+        ),
+    ],
+    ids=lambda v: " ".join(v).replace(_MAX, "maxsize") if type(v) is tuple else "",
+)
+def test_the_largest_k_is_in_the_domain(capsys, argv, out):
+    # no k-long list: below k the residue is x^n, the tiles of a tiling of
+    # n are at most n, and no mark shifts past the ruler's n + 1 bits
+    assert run(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--k", "2", "--n", _MAX),
+        ("sum", "--k", "2", "--n", f"0..{_MAX}"),
+        ("bench", "--k", "2", "--n", _MAX),
+        ("verify", "--n", _MAX, "--suite", "engines"),
+    ],
+    ids=lambda argv: " ".join(argv).replace(_MAX, "maxsize"),
+)
+def test_an_index_error_names_the_index_given(capsys, argv):
+    # n runs to sys.maxsize - 1: the stop n + 1 of its range is the largest
+    err = f"error: n must be below sys.maxsize = {_MAX}, got {_MAX}\n"
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -753,6 +804,31 @@ class TestBench:
         assert all(row["elapsed_ns"] >= 0 for row in rows)
         by_engine = {row["engine"]: row for row in rows}
         assert by_engine["matrix"]["ops"] < by_engine["recurrence"]["ops"]
+
+    def test_costs_run_no_powering(self, capsys, monkeypatch):
+        # one residue per timed run, and none for the ops column
+        calls = []
+        residue = matrix_power._residue
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return residue(*args, **kwargs)
+
+        monkeypatch.setattr(matrix_power, "_residue", counted)
+        code, out, _ = run(
+            capsys, "bench", "--k", "3", "--n", "1000", "--engines", "matrix", "--reps", "2"
+        )
+        assert (code, calls) == (0, [(3, 1000), (3, 1000)])
+        # 1000 = 0b1111101000: the leading 0b11 = k is free, and each of the
+        # 8 other bits costs a squaring of 6 multiplications
+        assert " ops=48 " in out
+
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    @pytest.mark.parametrize("engine", engines.VALUE_NAMES + engines.SUM_NAMES)
+    def test_k_checked_before_any_cost(self, capsys, k, engine):
+        # the closed forms' models divide by k + 1
+        code, out, err = run(capsys, "bench", "--k", k, "--n", "5", "--engines", engine)
+        assert (code, out, err) == (2, "", f"error: k must be a positive integer, got {k}\n")
 
     @pytest.mark.parametrize("table", ["_VALUE_DISPATCH", "_SUM_DISPATCH"])
     def test_value_is_the_text_eval_and_sum_print(self, capsys, monkeypatch, table):

@@ -1,4 +1,5 @@
 import decimal
+import sys
 from decimal import Decimal
 
 import pytest
@@ -17,6 +18,7 @@ from kbonacci import engines, matrix_power
 from kbonacci.matrix_power import (
     _divide,
     _residue,
+    matrix_cost,
     matrix_sum_texts_from,
     matrix_sums_from,
     matrix_value_texts_from,
@@ -121,6 +123,40 @@ def test_a_squaring_costs_k_k_plus_1_over_2_multiplications(k):
         _residue(k, n, ops)  # the values and sums at k = 1 do not power
         assert ops.matrix_products > 0
         assert ops.scalar_mults == ops.matrix_products * k * (k + 1) // 2
+
+
+def test_cost_model_is_the_measured_count():
+    # the model bench reports equals the multiplications the powering makes:
+    # every k to 40 at every n below 300, each n through one of the two
+    # generators, and larger n at the k where a powering is cheap
+    for k in range(1, 41):
+        for n in range(300):
+            ops = OpCount()
+            next((matrix_values_from, matrix_sums_from)[n & 1](k, n, n + 1, ops))
+            assert ops.scalar_mults == matrix_cost(k, n), (k, n)
+    for k in range(1, 7):
+        for n in (1000, 4097, 12345, 65535, 65536, 100000):
+            for stream in (matrix_values_from, matrix_sums_from):
+                ops = OpCount()
+                next(stream(k, n, n + 1, ops))
+                assert ops.scalar_mults == matrix_cost(k, n), (k, n)
+
+
+def test_indices_below_k_build_no_residue():
+    # below k, x^n is its own residue: f(n) = 2^(n-1), f(0) = 1, S(n) = 2^n.
+    # The residue of x^k has k coefficients, which k = sys.maxsize cannot hold.
+    k = sys.maxsize
+    values, sums = [1, 1, 2, 4, 8, 16, 32], [1, 2, 4, 8, 16, 32, 64]
+    for stream, texts, expected in [
+        (matrix_values_from, matrix_value_texts_from, values),
+        (matrix_sums_from, matrix_sum_texts_from, sums),
+    ]:
+        ops = OpCount()
+        assert list(stream(k, 0, 7, ops)) == expected
+        assert list(texts(k, 2, 7, ops)) == [str(x) for x in expected[2:]]
+        assert ops == OpCount()
+    assert kbonacci_matrix(k, 40) == 1 << 39
+    assert partial_sum_matrix(k, 40) == 1 << 40
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 64, 1000])
