@@ -150,6 +150,7 @@ def stream_value_texts(k: int, start: int, stop: int, engine: str = "recurrence"
 
 def _sums_from(k: int, start: int, stop: int, engine: str, text: bool) -> Iterator:
     stream = _lookup(_SUM_DISPATCH, engine)
+    _check_k(k)
     _check_range(start, stop)
     if text:
         stream = _text_stream(stream)

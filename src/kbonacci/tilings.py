@@ -168,24 +168,7 @@ def exact_tiles(k: int, n: int, cap: int | None = None) -> Iterator[Tiles]:
     in 1..k, in lexicographic order."""
     _check_k(k)
     _check_enumerable(n, cap)
-    return _exact(k, n)
-
-
-def _exact(k: int, n: int) -> Iterator[Tiles]:
-    # Lexicographic successor: drop tiles from the end until one can grow by
-    # one (below k, with room in the dropped total), grow it, and complete
-    # with 1s, the smallest completion.
-    tiles = [1] * n
-    yield tuple(tiles)
-    dropped = 0
-    while tiles:
-        t = tiles.pop()
-        dropped += t
-        if t < k and t < dropped:
-            tiles.append(t + 1)
-            tiles += [1] * (dropped - t - 1)
-            dropped = 0
-            yield tuple(tiles)
+    return _tiles(k, n, False)
 
 
 def iter_tilings(k: int, n: int, cap: int | None = None) -> Iterator[Tiling]:
@@ -199,19 +182,26 @@ def bounded_tiles(k: int, n: int, cap: int | None = None) -> Iterator[Tiles]:
     in 1..k, in lexicographic order."""
     _check_k(k)
     _check_enumerable(n, cap)
-    return _bounded(k, n)
+    return _tiles(k, n, True)
 
 
-def _bounded(k: int, n: int) -> Iterator[Tiles]:
-    # Depth-first preorder: every prefix is itself a tiling of total <= n.
+def _tiles(k: int, n: int, bounded: bool) -> Iterator[Tiles]:
+    # Depth-first preorder of the tree of tilings of total <= n with tiles
+    # in 1..k: a child adds one tile, and children come in increasing order
+    # of that tile, so the preorder, and any subsequence of it, is in
+    # lexicographic order.  A node with room left has the child 1, so the
+    # leaves are the tilings of total exactly n: bounded yields every node,
+    # exact only the leaves.
     tiles: list[int] = []
     room = n
     while True:
-        yield tuple(tiles)
         if room:
+            if bounded:
+                yield tuple(tiles)
             tiles.append(1)
             room -= 1
             continue
+        yield tuple(tiles)
         while tiles:  # back up to the last tile that can grow by one
             t = tiles.pop()
             room += t
@@ -232,7 +222,7 @@ def unrestricted_tiles(n: int, cap: int | None = None) -> Iterator[Tiles]:
     """Stream the tile tuples of U, in lexicographic order; see
     iter_unrestricted."""
     _check_enumerable(n, cap)
-    return _bounded(n, n)  # no tile of a tiling of total <= n exceeds n
+    return _tiles(n, n, True)  # no tile of a tiling of total <= n exceeds n
 
 
 def iter_unrestricted(n: int, cap: int | None = None) -> Iterator[Tiling]:

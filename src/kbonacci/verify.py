@@ -5,10 +5,10 @@ line per failure.  Suites are deterministic: cells are visited in sorted
 (k, n) order and results do not depend on execution interleaving.
 `run_suites` checks the n grid against the enumeration cap before any
 enumerating suite starts, and both ends of the k and n grids against
-the input bound before any suite starts, so no suite sweeps its cheap
-cells before an index it cannot reach.  It computes each (k, n) cell of
-the intersection identity once, from one sweep of U, for every suite of
-the call that reads it.
+the input domain before any suite starts, so no suite sweeps its cheap
+cells before a k or an index it cannot take.  It computes each (k, n)
+cell of the intersection identity once, from one sweep of U, for every
+suite of the call that reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .closed_form import (
 from .engines import SUM_NAMES, VALUE_NAMES, compute_sum, compute_value
 from .sequence import (
     _check_index,
-    _check_int,
+    _check_k,
     kbonacci_prefix,
     kbonacci_recurrence,
     partial_sum_direct,
@@ -263,7 +263,7 @@ def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[Suit
         if ns[-1] > effective:
             _check_enumerable(effective + 1, cap)
     for end in (*ks[:1], *ks[-1:]):
-        _check_int("k", end)
+        _check_k(end)
     for end in (*ns[:1], *ns[-1:]):
         _check_index(end)
     cells: dict = {}

@@ -455,6 +455,15 @@ def test_an_index_error_names_the_index_given(capsys, argv):
     assert run(capsys, *argv) == (2, "", err)
 
 
+@pytest.mark.parametrize(
+    "sub, engine",
+    [("eval", engine) for engine in engines.VALUE_NAMES] + [("sum", engine) for engine in engines.SUM_NAMES],
+)
+def test_k_is_checked_before_the_range(capsys, sub, engine):
+    argv = (sub, "--k", "0", "--n", f"0..{_BIG}", "--engine", engine)
+    assert run(capsys, *argv) == (2, "", "error: k must be a positive integer, got 0\n")
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -737,6 +746,18 @@ class TestVerify:
         assert (code, out, ran) == (2, "", [])
         assert err.startswith("error: ") and "sys.maxsize" in err
 
+    @pytest.mark.parametrize("grid, k", [("0..2", "0"), ("-5..-1", "-5"), (f"0..{10**30}", "0")])
+    @pytest.mark.parametrize("suites", [*verify.SUITES, "hash-marks,engines"])
+    def test_k_below_1_rejected_before_any_suite_runs(self, capsys, monkeypatch, suites, grid, k):
+        # hash-marks reads no k, so it would pass at any k if it ran
+        ran = []
+        for name, suite in list(verify.SUITES.items()):
+            monkeypatch.setitem(
+                verify.SUITES, name, lambda *args, name=name, suite=suite: ran.append(name) or suite(*args)
+            )
+        code, out, err = run(capsys, "verify", "--suite", suites, f"--k={grid}", "--n", "0..3")
+        assert (code, out, err, ran) == (2, "", f"error: k must be a positive integer, got {k}\n", [])
+
     def test_cap_ignored_by_suites_that_do_not_enumerate(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "engines", "--n", "20..25")
         # 4 k by 6 n cells, one check per registered engine in each: 3 + 3
@@ -823,11 +844,12 @@ class TestBench:
         # 8 other bits costs a squaring of 6 multiplications
         assert " ops=48 " in out
 
+    @pytest.mark.parametrize("n", ["5", str(10**22)])
     @pytest.mark.parametrize("k", ["-1", "0"])
     @pytest.mark.parametrize("engine", engines.VALUE_NAMES + engines.SUM_NAMES)
-    def test_k_checked_before_any_cost(self, capsys, k, engine):
-        # the closed forms' models divide by k + 1
-        code, out, err = run(capsys, "bench", "--k", k, "--n", "5", "--engines", engine)
+    def test_k_checked_before_any_cost(self, capsys, k, engine, n):
+        # the closed forms' models divide by k + 1; k is checked before n
+        code, out, err = run(capsys, "bench", "--k", k, "--n", n, "--engines", engine)
         assert (code, out, err) == (2, "", f"error: k must be a positive integer, got {k}\n")
 
     @pytest.mark.parametrize("table", ["_VALUE_DISPATCH", "_SUM_DISPATCH"])

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import pytest
@@ -143,11 +144,13 @@ class TestUnrestrictedEnumeration:
             assert tiling.right_ends() == marks  # marks recoverable from the tiling
 
 
-@pytest.mark.parametrize("n", range(0, 11))
+@pytest.mark.parametrize("n", range(0, 13))
 def test_iterators_yield_tilings_in_lexicographic_order(n):
+    # the 2^n mark subsets give distinct tilings, so each expected list is
+    # strictly increasing, and the exact one is the bounded one at total n
     every = sorted(tiles for _, tiles in subset_tilings(n))
     cases = [(iter_unrestricted(n), every)]
-    for k in range(1, 6):
+    for k in (*range(1, 7), 20, sys.maxsize):
         bounded = [t for t in every if max(t, default=1) <= k]
         exact = [t for t in bounded if sum(t) == n]
         cases += [(iter_bounded_tilings(k, n), bounded), (iter_tilings(k, n), exact)]
