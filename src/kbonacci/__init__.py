@@ -14,14 +14,12 @@ from .closed_form import (
     TERM_FORMULA,
     SignedTerm,
     binomial,
-    kbonacci_closed,
-    partial_sum_dunkel,
     partial_sum_dunkel_extended,
     term_breakdown,
 )
 from .engines import compute_sum, compute_value
-from .matrix_power import OpCount, kbonacci_matrix, partial_sum_matrix
-from .sequence import kbonacci_prefix, kbonacci_recurrence, partial_sum_direct, values
+from .matrix_power import OpCount
+from .sequence import kbonacci_prefix, values
 from .tilings import (
     DEFAULT_CAP,
     CapExceededError,
@@ -57,14 +55,8 @@ __all__ = [
     "iter_bounded_tilings",
     "iter_tilings",
     "iter_unrestricted",
-    "kbonacci_closed",
-    "kbonacci_matrix",
     "kbonacci_prefix",
-    "kbonacci_recurrence",
-    "partial_sum_direct",
-    "partial_sum_dunkel",
     "partial_sum_dunkel_extended",
-    "partial_sum_matrix",
     "term_breakdown",
     "tiling_from_marks",
     "values",

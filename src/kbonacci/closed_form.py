@@ -229,11 +229,6 @@ def closed_values_from(k: int, start: int, stop: int) -> Iterator[int]:
     return _closed_range(k, start, stop, True)
 
 
-def partial_sum_dunkel(k: int, n: int) -> int:
-    """Return f(0) + ... + f(n) via the alternating closed form."""
-    return next(dunkel_sums_from(k, n, n + 1))
-
-
 def _check_limit(k: int, n: int, m: int) -> None:
     """Raise unless m is a legal upper limit at n: floor(n/(k+1))..floor(n/k)."""
     _check_k(k)
@@ -249,26 +244,23 @@ def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
 
     Any m with floor(n/(k+1)) <= m <= floor(n/k) gives the same value: the
     extra summands have n-jk < j, so their binomials are 0.  Those are
-    checked to be 0, and the base row is folded as partial_sum_dunkel folds it.
+    checked to be 0, and the base row is folded as dunkel_sums_from folds
+    the single index n.
     """
     _check_limit(k, n, m)
     for j in range(n // (k + 1) + 1, m + 1):
         if binomial(n - j * k, j):
             # As in _nonnegative: no input can reach this, so it is a defect.
             raise ArithmeticError(f"raised-limit summand j={j} is nonzero at k={k}, n={n}")
-    return partial_sum_dunkel(k, n)
-
-
-def kbonacci_closed(k: int, n: int) -> int:
-    """Return f(n) via the per-term closed form."""
-    return next(closed_values_from(k, n, n + 1))
+    return next(dunkel_sums_from(k, n, n + 1))
 
 
 def term_breakdown(k: int, n: int, which: str = SUM_FORMULA) -> list[SignedTerm]:
     """Return the individual summands of the selected formula, by increasing j.
 
-    Folding the list with signed addition reproduces partial_sum_dunkel
-    (sum-formula) or kbonacci_closed (term-formula).
+    Folding the list with signed addition reproduces S(n) as
+    dunkel_sums_from folds it (sum-formula) or f(n) as closed_values_from
+    folds it (term-formula), at the single index n.
     """
     _check_k(k)
     _check_n(n)

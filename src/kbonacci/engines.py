@@ -44,14 +44,16 @@ Every reader goes through this module: `eval`, `sum` and `bench` take
 their engine names from the tables, `eval` and `sum` print what
 `stream_value_texts`/`stream_sum_texts` yield, `bench` times the first
 text of the same call, and the `engines` suite of `verify` checks every
-registered engine.  One input domain holds for every engine: every value
-engine reads n < 0 as f(n) = 0, which this module yields itself, while
-every sum engine rejects n < 0.  Each range generator checks k, start and
-stop, the non-negative ones by `sequence._count`.  This module checks
-start and stop first, and k too for a value engine, whose generator sees
-no negative start; it reports a stop past sys.maxsize as the last index,
-stop - 1, that the caller asked for, so the largest index is
-sys.maxsize - 1.
+registered engine.  `compute_value` and `compute_sum` are the one entry
+for a single index, `stream_*` for a range.  One input domain holds for
+every engine, and only this module holds it: every value engine reads
+n < 0 as f(n) = 0, which this module yields itself, while every sum
+engine rejects n < 0.  Every module range generator checks k, start and
+stop by `sequence._count`, which rejects a negative start, so no engine
+module reads n < 0 as 0.  This module checks start and stop first, and k
+too for a value engine, whose generator sees no negative start; it
+reports a stop past sys.maxsize as the last index, stop - 1, that the
+caller asked for, so the largest index is sys.maxsize - 1.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ places.  Since Q(2) = 1, the new r(2) is 2r(2) - t, and the new r(1) is
 r(1) + (k - 1) t, so each later index costs about k additions and no
 multiplication.  No floats: exactness is the point.
 
-The library functions return ints.  For decimal output the CLI asks for the
+The int generators yield ints.  For decimal output the CLI asks for the
 text generators instead: they square in ints while the coefficients are
 narrow, convert them once past _DECIMAL_BITS, then finish the squarings,
 the reduction, the fold at 2, the exact division and each later index in
@@ -242,14 +242,3 @@ def matrix_sum_texts_from(k: int, start: int, stop: int, ops: OpCount | None = N
     """matrix_sums_from as decimal strings, finished alike."""
     texts = _texts(_sums(k, start, ops, text=True))
     yield from islice(texts, _count(k, start, stop))
-
-
-def kbonacci_matrix(k: int, n: int, ops: OpCount | None = None) -> int:
-    """Return f(n) = (r(2) + r(0)) / 2 for r = x^n mod x^k - x^(k-1) - ... - 1."""
-    return next(matrix_values_from(k, n, n + 1, ops))
-
-
-def partial_sum_matrix(k: int, n: int, ops: OpCount | None = None) -> int:
-    """Return f(0) + ... + f(n), from r = x^n mod x^k - x^(k-1) - ... - 1
-    (see matrix_sums_from)."""
-    return next(matrix_sums_from(k, n, n + 1, ops))

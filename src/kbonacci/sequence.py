@@ -7,14 +7,16 @@ integer arithmetic; values grow roughly like 2^n, so Python's native big
 integers carry them without overflow at any index.
 
 This module is the baseline engine: the closed-form and matrix engines in
-the sibling modules are validated against it.
+the sibling modules are validated against it.  Like theirs, its range
+generators take non-negative indices only; `engines`, the one entry that
+computes f(n) and S(n) by engine name, reads an index n < 0 as f(n) = 0.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
 
@@ -84,15 +86,11 @@ def values(k: int) -> Iterator[int]:
 
 
 def values_from(k: int, start: int, stop: int) -> Iterator[int]:
-    """Yield f(n) for n = start..stop-1; negative indices give 0.
+    """Yield f(n) for n = start..stop-1.
 
     One pass of `values`: each later index costs one window step.
     """
-    _check_k(k)
-    _check_int("n", start)
-    _check_int("stop", stop)
-    yield from repeat(0, min(stop, 0) - start)
-    yield from islice(values(k), max(start, 0), max(stop, 0))
+    yield from islice(values(k), start, start + _count(k, start, stop))
 
 
 def sums_from(k: int, start: int, stop: int) -> Iterator[int]:
@@ -100,18 +98,8 @@ def sums_from(k: int, start: int, stop: int) -> Iterator[int]:
     yield from islice(accumulate(values(k)), start, start + _count(k, start, stop))
 
 
-def kbonacci_recurrence(k: int, n: int) -> int:
-    """Return f(n) for window length k; n may be negative (value 0)."""
-    return next(values_from(k, n, n + 1))
-
-
 def kbonacci_prefix(k: int, n: int) -> list[int]:
     """Return [f(0), f(1), ..., f(n)]."""
     _check_k(k)
     _check_n(n)
     return list(islice(values(k), n + 1))
-
-
-def partial_sum_direct(k: int, n: int) -> int:
-    """Return f(0) + f(1) + ... + f(n) by direct accumulation."""
-    return next(sums_from(k, n, n + 1))

@@ -20,19 +20,13 @@ from operator import sub
 from .closed_form import (
     SUM_FORMULA,
     TERM_FORMULA,
-    kbonacci_closed,
-    partial_sum_dunkel,
+    closed_values_from,
+    dunkel_sums_from,
     partial_sum_dunkel_extended,
     term_breakdown,
 )
 from .engines import SUM_NAMES, VALUE_NAMES, compute_sum, compute_value
-from .sequence import (
-    _check_index,
-    _check_k,
-    kbonacci_prefix,
-    kbonacci_recurrence,
-    partial_sum_direct,
-)
+from .sequence import _check_index, _check_k, _check_n, kbonacci_prefix, sums_from, values_from
 from .tilings import (
     DEFAULT_CAP,
     _check_enumerable,
@@ -62,18 +56,21 @@ class SuiteResult:
 
 
 def suite_engines(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
-    """Every registered engine agrees with the recurrence baseline, which is
-    called directly: the value engines with kbonacci_recurrence, the sum
-    engines with partial_sum_direct."""
+    """Every registered engine agrees with the recurrence, read from the
+    sequence module and not through the registry: per k, one pass of
+    values_from and sums_from over the grid's indices n >= 0 (the grid is a
+    range of step 1, as the CLI parses it).  The value baseline at n < 0 is
+    0, and there every sum engine raises."""
     result = SuiteResult("engines")
+    first = max(ns.start, 0)
     for k in ks:
+        baseline = zip(values_from(k, first, ns.stop), sums_from(k, first, ns.stop))
         for n in ns:
-            value = kbonacci_recurrence(k, n)
+            value, total = next(baseline) if n >= 0 else (0, None)
             for engine in VALUE_NAMES:
                 result.expect(
                     compute_value(k, n, engine) == value, f"value {engine} mismatch at k={k} n={n}"
                 )
-            total = partial_sum_direct(k, n)
             for engine in SUM_NAMES:
                 result.expect(
                     compute_sum(k, n, engine) == total, f"sum {engine} mismatch at k={k} n={n}"
@@ -87,22 +84,21 @@ def suite_closed_form(ks: range, ns: range, cap: int | None = None) -> SuiteResu
     result = SuiteResult("closed-form")
     for k in ks:
         for n in ns:
+            base = next(dunkel_sums_from(k, n, n + 1))
             if n <= k:
-                result.expect(
-                    partial_sum_dunkel(k, n) == 1 << n, f"base case 2^n fails at k={k} n={n}"
-                )
-            base = partial_sum_dunkel(k, n)
+                result.expect(base == 1 << n, f"base case 2^n fails at k={k} n={n}")
             for m in range(n // (k + 1), n // k + 1):
                 result.expect(
                     partial_sum_dunkel_extended(k, n, m) == base,
                     f"extended limit m={m} changes the sum at k={k} n={n}",
                 )
+            value = next(closed_values_from(k, n, n + 1))
             if n >= 1:
                 result.expect(
-                    kbonacci_closed(k, n) == base - partial_sum_dunkel(k, n - 1),
+                    value == base - next(dunkel_sums_from(k, n - 1, n)),
                     f"difference identity fails at k={k} n={n}",
                 )
-            for which, total in ((SUM_FORMULA, base), (TERM_FORMULA, kbonacci_closed(k, n))):
+            for which, total in ((SUM_FORMULA, base), (TERM_FORMULA, value)):
                 terms = term_breakdown(k, n, which)
                 result.expect(
                     sum(t.value for t in terms) == total,
@@ -199,7 +195,7 @@ def suite_inclusion_exclusion(
         for n in ns:
             with_oversized, reports = _identity_cell(cells, k, n, cap)
             result.expect(
-                (1 << n) - with_oversized == partial_sum_direct(k, n),
+                (1 << n) - with_oversized == compute_sum(k, n),
                 f"2^n minus oversized count misses the partial sum at k={k} n={n}",
             )
             for report in reports:
@@ -266,6 +262,8 @@ def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[Suit
         _check_k(end)
     for end in (*ns[:1], *ns[-1:]):
         _check_index(end)
+    if ns:
+        _check_n(ns[0])
     cells: dict = {}
     return [
         SUITES[name](ks, ns, cap, cells) if name in _SHARE_CELLS else SUITES[name](ks, ns, cap)

@@ -8,28 +8,27 @@ wall-clock budgets stated alongside each criterion.  Run with
 
 import json
 import time
+from functools import partial
 
 import pytest
 
 from kbonacci import (
     TERM_FORMULA,
+    compute_sum,
+    compute_value,
     iter_tilings,
     iter_unrestricted,
-    kbonacci_closed,
-    kbonacci_matrix,
     kbonacci_prefix,
-    kbonacci_recurrence,
-    partial_sum_direct,
-    partial_sum_dunkel,
     partial_sum_dunkel_extended,
-    partial_sum_matrix,
     term_breakdown,
     verify_intersection_identity,
 )
 from kbonacci.cli import main
+from kbonacci.engines import SUM_NAMES, VALUE_NAMES
 
-VALUE_ENGINES = (kbonacci_recurrence, kbonacci_closed, kbonacci_matrix)
-SUM_ENGINES = (partial_sum_direct, partial_sum_dunkel, partial_sum_matrix)
+# every registered engine, as its single-index call
+VALUE_ENGINES = tuple(partial(compute_value, engine=engine) for engine in VALUE_NAMES)
+SUM_ENGINES = tuple(partial(compute_sum, engine=engine) for engine in SUM_NAMES)
 
 
 @pytest.fixture
@@ -69,8 +68,8 @@ def test_criterion_02_degenerate_family(criterion):
     def body():
         assert kbonacci_prefix(1, 1000) == [1] * 1001
         for n in range(0, 1001):
-            assert kbonacci_closed(1, n) == 1
-            assert kbonacci_matrix(1, n) == 1
+            for engine in VALUE_ENGINES:
+                assert engine(1, n) == 1
 
     criterion(2, "degenerate family: f(n)=1 for k=1, n in 0..1000, every engine", 1.0, body)
 
@@ -82,9 +81,8 @@ def test_criterion_03_main_identity(criterion):
             prefix = kbonacci_prefix(k, 60)
             for n in range(0, 61):
                 running += prefix[n]
-                assert partial_sum_dunkel(k, n) == running
-                assert partial_sum_matrix(k, n) == running
-                assert partial_sum_direct(k, n) == running
+                for engine in SUM_ENGINES:
+                    assert engine(k, n) == running
 
     criterion(3, "main identity: three sum engines agree for k in 1..6, n in 0..60", 10.0, body)
 
@@ -93,7 +91,7 @@ def test_criterion_04_base_case(criterion):
     def body():
         for k in range(1, 11):
             for n in range(0, k + 1):
-                assert partial_sum_dunkel(k, n) == 1 << n
+                assert compute_sum(k, n, "dunkel") == 1 << n
 
     criterion(4, "base case: partial sum is 2^n whenever n <= k, k in 1..10", None, body)
 
@@ -102,7 +100,7 @@ def test_criterion_05_extended_limit(criterion):
     def body():
         for k in range(1, 6):
             for n in range(0, 41):
-                base = partial_sum_dunkel(k, n)
+                base = compute_sum(k, n, "dunkel")
                 for m in range(n // (k + 1), n // k + 1):
                     assert partial_sum_dunkel_extended(k, n, m) == base
 
@@ -114,7 +112,7 @@ def test_criterion_06_per_term_formula(criterion):
         for k in range(1, 7):
             prefix = kbonacci_prefix(k, 60)
             for n in range(0, 61):
-                assert kbonacci_closed(k, n) == prefix[n]
+                assert compute_value(k, n, "dunkel-term") == prefix[n]
                 for t in term_breakdown(k, n, TERM_FORMULA):
                     assert isinstance(t.magnitude, int)
                     assert t.magnitude >= 0
@@ -162,7 +160,7 @@ def test_criterion_09_subtraction_skeleton(criterion):
                 with_oversized = sum(
                     1 for t in iter_unrestricted(n) if any(x > k for x in t.tiles)
                 )
-                assert (1 << n) - with_oversized == partial_sum_direct(k, n)
+                assert (1 << n) - with_oversized == compute_sum(k, n)
 
     criterion(9, "skeleton: 2^n minus oversized tilings equals the partial sum", None, body)
 
@@ -170,11 +168,11 @@ def test_criterion_09_subtraction_skeleton(criterion):
 def test_criterion_10_performance(criterion, capsys):
     def body():
         start = time.perf_counter()
-        linear = kbonacci_recurrence(2, 100_000)
+        linear = compute_value(2, 100_000, "recurrence")
         linear_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        powered = kbonacci_matrix(2, 100_000)
+        powered = compute_value(2, 100_000, "matrix")
         powered_s = time.perf_counter() - start
 
         assert linear == powered

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 
@@ -21,13 +22,7 @@ from kbonacci import (
     CapExceededError,
     compute_sum,
     compute_value,
-    kbonacci_closed,
-    kbonacci_matrix,
     kbonacci_prefix,
-    kbonacci_recurrence,
-    partial_sum_direct,
-    partial_sum_dunkel,
-    partial_sum_matrix,
     term_breakdown,
 )
 from kbonacci import engines, matrix_power, verify
@@ -227,14 +222,10 @@ class TestSum:
                     assert (code, out.replace("matrix", reference)) == run(capsys, *argv, reference)[:2]
 
 
-# (subcommand, engine) -> the engine's single-index function
+# (subcommand, engine) -> the registry's single-index call at that engine
 _SINGLE_CALLS = {
-    ("eval", "recurrence"): kbonacci_recurrence,
-    ("eval", "dunkel-term"): kbonacci_closed,
-    ("eval", "matrix"): kbonacci_matrix,
-    ("sum", "direct"): partial_sum_direct,
-    ("sum", "dunkel"): partial_sum_dunkel,
-    ("sum", "matrix"): partial_sum_matrix,
+    **{("eval", engine): partial(compute_value, engine=engine) for engine in engines.VALUE_NAMES},
+    **{("sum", engine): partial(compute_sum, engine=engine) for engine in engines.SUM_NAMES},
 }
 
 
@@ -746,17 +737,30 @@ class TestVerify:
         assert (code, out, ran) == (2, "", [])
         assert err.startswith("error: ") and "sys.maxsize" in err
 
-    @pytest.mark.parametrize("grid, k", [("0..2", "0"), ("-5..-1", "-5"), (f"0..{10**30}", "0")])
-    @pytest.mark.parametrize("suites", [*verify.SUITES, "hash-marks,engines"])
-    def test_k_below_1_rejected_before_any_suite_runs(self, capsys, monkeypatch, suites, grid, k):
-        # hash-marks reads no k, so it would pass at any k if it ran
+    @staticmethod
+    def _suites_run(monkeypatch):
+        """The names of the suites that start, in order, as they start."""
         ran = []
         for name, suite in list(verify.SUITES.items()):
             monkeypatch.setitem(
                 verify.SUITES, name, lambda *args, name=name, suite=suite: ran.append(name) or suite(*args)
             )
+        return ran
+
+    @pytest.mark.parametrize("grid, k", [("0..2", "0"), ("-5..-1", "-5"), (f"0..{10**30}", "0")])
+    @pytest.mark.parametrize("suites", [*verify.SUITES, "hash-marks,engines"])
+    def test_k_below_1_rejected_before_any_suite_runs(self, capsys, monkeypatch, suites, grid, k):
+        # hash-marks reads no k, so it would pass at any k if it ran
+        ran = self._suites_run(monkeypatch)
         code, out, err = run(capsys, "verify", "--suite", suites, f"--k={grid}", "--n", "0..3")
         assert (code, out, err, ran) == (2, "", f"error: k must be a positive integer, got {k}\n", [])
+
+    @pytest.mark.parametrize("suites", [*verify.SUITES, "hash-marks,engines"])
+    def test_negative_n_rejected_before_any_suite_runs(self, capsys, monkeypatch, suites):
+        # engines and closed-form do not enumerate, so no cap check stops them
+        ran = self._suites_run(monkeypatch)
+        code, out, err = run(capsys, "verify", "--suite", suites, "--n", "-3..2")
+        assert (code, out, err, ran) == (2, "", "error: n must be non-negative, got -3\n", [])
 
     def test_cap_ignored_by_suites_that_do_not_enumerate(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "engines", "--n", "20..25")
@@ -956,8 +960,8 @@ def digits_at_100000():
     """str() of f(100000) and S(100000) at k=2, from the linear engines."""
     with digit_limit(0):
         return {
-            "eval": str(kbonacci_recurrence(2, 100_000)),
-            "sum": str(partial_sum_direct(2, 100_000)),
+            "eval": str(compute_value(2, 100_000, "recurrence")),
+            "sum": str(compute_sum(2, 100_000, "direct")),
         }
 
 
@@ -982,7 +986,7 @@ def test_large_values_print_every_digit(capsys, digits_at_100000, sub, fmt):
 @needs_digit_limit
 def test_output_ignores_the_digit_limit(capsys):
     with digit_limit(0):
-        value = str(kbonacci_recurrence(2, 30_000))
+        value = str(compute_value(2, 30_000, "recurrence"))
         rows = [
             f"{t.j} {'+' if t.sign > 0 else '-'} {t.magnitude}"
             for t in term_breakdown(2, 5000)

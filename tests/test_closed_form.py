@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +10,8 @@ from kbonacci import (
     TERM_FORMULA,
     SignedTerm,
     binomial,
-    kbonacci_closed,
-    kbonacci_recurrence,
-    partial_sum_direct,
-    partial_sum_dunkel,
+    compute_sum,
+    compute_value,
     partial_sum_dunkel_extended,
     term_breakdown,
 )
@@ -23,6 +22,11 @@ from kbonacci.sequence import sums_from, values_from
 from oracles import pascal_rows
 
 PASCAL = pascal_rows(80)
+
+dunkel = partial(compute_sum, engine="dunkel")
+dunkel_term = partial(compute_value, engine="dunkel-term")
+recurrence = partial(compute_value, engine="recurrence")
+direct = partial(compute_sum, engine="direct")
 
 
 class TestBinomial:
@@ -59,26 +63,26 @@ class TestBinomial:
                 assert list(_row(k, n)) == [binomial(n - j * k, j) for j in range(limit + 1)]
 
 
-class TestPartialSumDunkel:
+class TestDunkelSums:
     @pytest.mark.parametrize("k, n, expected", [(2, 4, 12), (3, 7, 96), (9, 6, 64)])
     def test_examples(self, k, n, expected):
-        assert partial_sum_dunkel(k, n) == expected
+        assert dunkel(k, n) == expected
 
     def test_equals_direct_sum_on_grid(self):
         for k in range(1, 7):
             for n in range(0, 45):
-                assert partial_sum_dunkel(k, n) == partial_sum_direct(k, n)
+                assert dunkel(k, n) == direct(k, n)
 
     def test_base_case_is_power_of_two(self):
         for k in range(1, 11):
             for n in range(0, k + 1):
-                assert partial_sum_dunkel(k, n) == 1 << n
+                assert dunkel(k, n) == 1 << n
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            partial_sum_dunkel(0, 4)
+            dunkel(0, 4)
         with pytest.raises(ValueError):
-            partial_sum_dunkel(2, -1)
+            dunkel(2, -1)
 
 
 class TestExtendedLimit:
@@ -94,13 +98,13 @@ class TestExtendedLimit:
         ],
     )
     def test_examples(self, k, n, m, expected):
-        assert partial_sum_direct(k, n) == expected  # oracle agrees first
+        assert direct(k, n) == expected  # oracle agrees first
         assert partial_sum_dunkel_extended(k, n, m) == expected
 
     def test_every_legal_limit_gives_the_same_value(self):
         for k in range(1, 6):
             for n in range(0, 41):
-                base = partial_sum_dunkel(k, n)
+                base = dunkel(k, n)
                 for m in range(n // (k + 1), n // k + 1):
                     assert partial_sum_dunkel_extended(k, n, m) == base
 
@@ -117,28 +121,27 @@ class TestExtendedLimit:
             partial_sum_dunkel_extended(2, 4, 2)
 
 
-class TestKbonacciClosed:
+class TestDunkelTerm:
     @pytest.mark.parametrize("k, n, expected", [(2, 4, 5), (3, 0, 1), (4, 4, 8)])
     def test_examples(self, k, n, expected):
-        assert kbonacci_closed(k, n) == expected
+        assert dunkel_term(k, n) == expected
 
     def test_equals_recurrence_on_grid(self):
         for k in range(1, 7):
             for n in range(0, 45):
-                assert kbonacci_closed(k, n) == kbonacci_recurrence(k, n)
+                assert dunkel_term(k, n) == recurrence(k, n)
 
     def test_difference_of_partial_sums(self):
         for k in range(1, 6):
             for n in range(1, 35):
-                assert kbonacci_closed(k, n) == partial_sum_dunkel(k, n) - partial_sum_dunkel(
-                    k, n - 1
-                )
+                assert dunkel_term(k, n) == dunkel(k, n) - dunkel(k, n - 1)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            kbonacci_closed(0, 3)
-        with pytest.raises(ValueError):
-            kbonacci_closed(3, -1)
+            dunkel_term(0, 3)
+        # the module's generator rejects n < 0; only the registry reads it as 0
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            next(closed_values_from(3, -1, 0))
 
 
 class TestTermBreakdown:
@@ -160,10 +163,10 @@ class TestTermBreakdown:
         for k in range(1, 6):
             for n in range(0, 30):
                 assert sum(t.value for t in term_breakdown(k, n, SUM_FORMULA)) == (
-                    partial_sum_dunkel(k, n)
+                    dunkel(k, n)
                 )
                 assert sum(t.value for t in term_breakdown(k, n, TERM_FORMULA)) == (
-                    kbonacci_closed(k, n)
+                    dunkel_term(k, n)
                 )
 
     def test_terms_match_pascal_rows(self):
@@ -201,16 +204,16 @@ class TestTermBreakdown:
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 7), n=st.integers(0, 80))
 def test_sum_identity_random(k, n):
-    assert partial_sum_dunkel(k, n) == partial_sum_direct(k, n)
+    assert dunkel(k, n) == direct(k, n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 7), n=st.integers(0, 80))
 def test_value_identity_random(k, n):
-    assert kbonacci_closed(k, n) == kbonacci_recurrence(k, n)
+    assert dunkel_term(k, n) == recurrence(k, n)
 
 
-@pytest.mark.parametrize("fn", [kbonacci_closed, partial_sum_dunkel])
+@pytest.mark.parametrize("fn", [dunkel_term, dunkel], ids=["dunkel-term", "dunkel"])
 def test_single_index_streams_its_row(fn):
     # At k=2, n=12000 the row C(n-2j, j) holds about 2.3 MiB of binomials;
     # one index folds it as it is made and keeps only a few n-bit values.
@@ -258,7 +261,7 @@ def test_short_range_holds_no_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert values == [kbonacci_recurrence(2, n) for n in (20_000, 20_001)]
+    assert values == [recurrence(2, n) for n in (20_000, 20_001)]
     assert peak < 1024 * 1024
 
 

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from functools import partial
 
 import pytest
 
@@ -8,14 +9,8 @@ from kbonacci import (
     compute_value,
     iter_bounded_tilings,
     iter_tilings,
-    kbonacci_closed,
-    kbonacci_matrix,
     kbonacci_prefix,
-    kbonacci_recurrence,
-    partial_sum_direct,
-    partial_sum_dunkel,
     partial_sum_dunkel_extended,
-    partial_sum_matrix,
     verify_intersection_identity,
 )
 from kbonacci.closed_form import closed_values_from, dunkel_sums_from
@@ -85,6 +80,14 @@ def test_value_engines_read_negative_indices_as_zero():
     for engine in SUM_NAMES:
         with pytest.raises(ValueError, match="n must be non-negative"):
             compute_sum(3, -1, engine)
+    # the index given, not the stop n + 1 of its range, is what is reported
+    too_large = f"n must be below sys.maxsize = {sys.maxsize}, got {sys.maxsize}$"
+    for engine in VALUE_NAMES:
+        with pytest.raises(ValueError, match=too_large):
+            compute_value(3, sys.maxsize, engine)
+    for engine in SUM_NAMES:
+        with pytest.raises(ValueError, match=too_large):
+            compute_sum(3, sys.maxsize, engine)
 
 
 def _extended(k, n):
@@ -121,14 +124,10 @@ def _identity_index(k, n):
 @pytest.mark.parametrize(
     "fn",
     [
-        kbonacci_recurrence,
-        kbonacci_closed,
-        kbonacci_matrix,
+        *(pytest.param(partial(compute_value, engine=e), id=f"compute_value-{e}") for e in VALUE_NAMES),
+        *(pytest.param(partial(compute_sum, engine=e), id=f"compute_sum-{e}") for e in SUM_NAMES),
         kbonacci_prefix,
-        partial_sum_direct,
-        partial_sum_dunkel,
         _extended,
-        partial_sum_matrix,
         iter_tilings,
         iter_bounded_tilings,
         _extended_limit,
@@ -145,22 +144,30 @@ def test_non_int_arguments_raise_type_error(fn, k, n):
         fn(k, n)
 
 
-@pytest.mark.parametrize(
-    "stream",
-    [
-        values_from,
-        sums_from,
-        closed_values_from,
-        dunkel_sums_from,
-        matrix_values_from,
-        matrix_sums_from,
-        matrix_value_texts_from,
-        matrix_sum_texts_from,
-    ],
-)
+# every range generator of the engine modules
+RANGE_GENERATORS = [
+    values_from,
+    sums_from,
+    closed_values_from,
+    dunkel_sums_from,
+    matrix_values_from,
+    matrix_sums_from,
+    matrix_value_texts_from,
+    matrix_sum_texts_from,
+]
+
+
+@pytest.mark.parametrize("stream", RANGE_GENERATORS)
 @pytest.mark.parametrize("stop, error", [(10**30, ValueError), (2.5, TypeError), (True, TypeError)])
 def test_range_generators_check_their_stop(stream, stop, error):
     # the check the registry makes, before the first value; an int stop is valid
     assert next(stream(2, 0, 3)) in (1, "1")
     with pytest.raises(error, match="stop must"):
         next(stream(2, 0, stop))
+
+
+@pytest.mark.parametrize("stream", RANGE_GENERATORS)
+def test_range_generators_reject_a_negative_start(stream):
+    # only the registry reads n < 0 as f(n) = 0; no engine module does
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+        next(stream(2, -1, 3))

@@ -1,19 +1,13 @@
 import decimal
 import sys
 from decimal import Decimal
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbonacci import (
-    OpCount,
-    kbonacci_matrix,
-    kbonacci_prefix,
-    kbonacci_recurrence,
-    partial_sum_direct,
-    partial_sum_matrix,
-)
+from kbonacci import OpCount, compute_sum, compute_value, kbonacci_prefix
 from kbonacci import engines, matrix_power
 from kbonacci.matrix_power import (
     _divide,
@@ -26,19 +20,22 @@ from kbonacci.matrix_power import (
 )
 from kbonacci.render import _decimal_str, exact
 
+matrix_value = partial(compute_value, engine="matrix")
+matrix_sum = partial(compute_sum, engine="matrix")
+
 
 @pytest.mark.parametrize("k, n, expected", [(2, 4, 5), (3, 0, 1), (5, 2, 2)])
 def test_value_examples(k, n, expected):
-    assert kbonacci_matrix(k, n) == expected
+    assert matrix_value(k, n) == expected
 
 
 def test_value_matches_recurrence_at_64():
-    assert kbonacci_matrix(2, 64) == kbonacci_recurrence(2, 64)
+    assert matrix_value(2, 64) == compute_value(2, 64, "recurrence")
 
 
 @pytest.mark.parametrize("k, n, expected", [(2, 4, 12), (5, 0, 1), (3, 7, 96)])
 def test_sum_examples(k, n, expected):
-    assert partial_sum_matrix(k, n) == expected
+    assert matrix_sum(k, n) == expected
 
 
 def test_cross_engine_grid():
@@ -47,14 +44,14 @@ def test_cross_engine_grid():
         running = 0
         for n in range(0, 81):
             running += prefix[n]
-            assert kbonacci_matrix(k, n) == prefix[n]
-            assert partial_sum_matrix(k, n) == running
+            assert matrix_value(k, n) == prefix[n]
+            assert matrix_sum(k, n) == running
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
 def test_large_indices_match_linear_engine(k, n):
-    assert kbonacci_matrix(k, n) == kbonacci_recurrence(k, n)
+    assert matrix_value(k, n) == compute_value(k, n, "recurrence")
 
 
 @settings(max_examples=60, deadline=None)
@@ -62,22 +59,23 @@ def test_large_indices_match_linear_engine(k, n):
 def test_wide_windows_match_linear_engines(k, n):
     # the reduction x^e = 2x^(e-1) - x^(e-k-1) indexes by k, so reach past
     # the grid's k <= 6
-    assert kbonacci_matrix(k, n) == kbonacci_recurrence(k, n)
-    assert partial_sum_matrix(k, n) == partial_sum_direct(k, n)
+    assert matrix_value(k, n) == compute_value(k, n, "recurrence")
+    assert matrix_sum(k, n) == compute_sum(k, n, "direct")
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        kbonacci_matrix(0, 4)
+        matrix_value(0, 4)
+    # the module's generator rejects n < 0; only the registry reads it as 0
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        next(matrix_values_from(2, -1, 0))
     with pytest.raises(ValueError):
-        kbonacci_matrix(2, -1)
-    with pytest.raises(ValueError):
-        partial_sum_matrix(2, -1)
+        matrix_sum(2, -1)
 
 
 def test_op_counting_is_logarithmic():
     ops = OpCount()
-    kbonacci_matrix(2, 100_000, ops)
+    next(matrix_values_from(2, 100_000, 100_001, ops))
     assert ops.matrix_products > 0
     # ~log2(n) squarings of the 2-coefficient residue, 3 multiplications
     # each, nowhere near the 2n additions the linear engine spends
@@ -88,10 +86,10 @@ def test_delegates_below_k_without_matrix_work():
     # n = k = 6 starts from x^6's residue 1 + x + ... + x^5, still unsquared
     for n, value in [(3, 4), (6, 32)]:
         ops = OpCount()
-        assert kbonacci_matrix(6, n, ops) == value
+        assert next(matrix_values_from(6, n, n + 1, ops)) == value
         assert ops.matrix_products == 0
         ops = OpCount()
-        assert partial_sum_matrix(6, n, ops) == partial_sum_direct(6, n)
+        assert next(matrix_sums_from(6, n, n + 1, ops)) == compute_sum(6, n, "direct")
         assert ops.matrix_products == 0
 
 
@@ -102,7 +100,7 @@ def test_op_count_of_a_small_cell():
     # 2 squares + 1 cross product = 3 multiplications, 6 in all.
     # Bit 1 also multiplies by x (x^5), bit 0 does not (x^10).
     ops = OpCount()
-    assert kbonacci_matrix(2, 10, ops) == 89
+    assert next(matrix_values_from(2, 10, 11, ops)) == 89
     assert ops == OpCount(matrix_products=2, scalar_mults=6)
 
 
@@ -112,7 +110,7 @@ def test_range_counts_only_the_jump(stream):
     ops = OpCount()
     values = list(stream(2, 10, 51, ops))
     assert ops == OpCount(matrix_products=2, scalar_mults=6)  # as for the single cell
-    single = kbonacci_matrix if stream is matrix_values_from else partial_sum_matrix
+    single = matrix_value if stream is matrix_values_from else matrix_sum
     assert values == [single(2, n) for n in range(10, 51)]
 
 
@@ -155,8 +153,8 @@ def test_indices_below_k_build_no_residue():
         assert list(stream(k, 0, 7, ops)) == expected
         assert list(texts(k, 2, 7, ops)) == [str(x) for x in expected[2:]]
         assert ops == OpCount()
-    assert kbonacci_matrix(k, 40) == 1 << 39
-    assert partial_sum_matrix(k, 40) == 1 << 40
+    assert matrix_value(k, 40) == 1 << 39
+    assert matrix_sum(k, 40) == 1 << 40
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 64, 1000])
@@ -170,7 +168,7 @@ def test_ranges_match_the_window_engines():
     for k in range(1, 9):
         for start in (0, 1, k - 1, k, k + 1, 97, 298):
             values = kbonacci_prefix(k, start + 39)[start:]
-            sums = [partial_sum_direct(k, n) for n in range(start, start + 40)]
+            sums = [compute_sum(k, n, "direct") for n in range(start, start + 40)]
             assert list(matrix_values_from(k, start, start + 40)) == values, (k, start)
             assert list(matrix_sums_from(k, start, start + 40)) == sums, (k, start)
 
@@ -178,16 +176,16 @@ def test_ranges_match_the_window_engines():
 def test_sums_at_k_1_count_the_indices():
     # Q = x - 1 leaves r = 1, so f(n) = 1 and S(n) = n + 1 without a
     # powering, on both paths
-    for stream, texts, single, at in [
-        (matrix_values_from, matrix_value_texts_from, kbonacci_matrix, lambda n: 1),
-        (matrix_sums_from, matrix_sum_texts_from, partial_sum_matrix, lambda n: n + 1),
+    for stream, texts, at in [
+        (matrix_values_from, matrix_value_texts_from, lambda n: 1),
+        (matrix_sums_from, matrix_sum_texts_from, lambda n: n + 1),
     ]:
         for start in (0, 1, 7, 10**6):
             expected = [at(n) for n in range(start, start + 5)]
             ops = OpCount()
             assert list(stream(1, start, start + 5, ops)) == expected
             assert list(texts(1, start, start + 5, ops)) == [str(x) for x in expected]
-            assert single(1, start, ops) == at(start)
+            assert next(stream(1, start, start + 1, ops)) == at(start)
             assert ops == OpCount()
         for gen in (stream, texts):
             with pytest.raises(ValueError):
@@ -262,7 +260,7 @@ def test_halving_an_odd_decimal_raises_inexact():
 
 
 def test_library_stays_on_ints(monkeypatch):
-    assert type(kbonacci_matrix(2, 10**6)) is int
+    assert type(matrix_value(2, 10**6)) is int
     # the int path ignores the switch, however low it is
     monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 0)
     for name in engines.VALUE_NAMES:

@@ -1,12 +1,16 @@
+from functools import partial
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbonacci import kbonacci_prefix, kbonacci_recurrence, partial_sum_direct, values
+from kbonacci import compute_sum, compute_value, kbonacci_prefix, values
 
 from oracles import naive_partial_sum, naive_prefix, naive_value
+
+recurrence = partial(compute_value, engine="recurrence")
+direct = partial(compute_sum, engine="direct")
 
 
 @pytest.mark.parametrize(
@@ -21,7 +25,7 @@ from oracles import naive_partial_sum, naive_prefix, naive_value
     ],
 )
 def test_recurrence_examples(k, n, expected):
-    assert kbonacci_recurrence(k, n) == expected
+    assert recurrence(k, n) == expected
 
 
 @pytest.mark.parametrize(
@@ -38,7 +42,7 @@ def test_prefix_examples(k, n, expected):
 
 @pytest.mark.parametrize("k, n, expected", [(2, 4, 12), (3, 7, 96), (9, 0, 1)])
 def test_partial_sum_examples(k, n, expected):
-    assert partial_sum_direct(k, n) == expected
+    assert direct(k, n) == expected
 
 
 def test_prefix_matches_naive_definition():
@@ -49,21 +53,21 @@ def test_prefix_matches_naive_definition():
 def test_partial_sum_matches_naive():
     for k in range(1, 6):
         for n in range(0, 25):
-            assert partial_sum_direct(k, n) == naive_partial_sum(k, n)
+            assert direct(k, n) == naive_partial_sum(k, n)
 
 
 def test_prefix_elements_equal_single_evaluations():
     for k in range(1, 7):
         prefix = kbonacci_prefix(k, 40)
         for i in (0, 1, 2, 7, 39, 40):
-            assert prefix[i] == kbonacci_recurrence(k, i)
+            assert prefix[i] == recurrence(k, i)
 
 
 def test_early_terms_double_while_window_reaches_zero():
     # f(n) = 2^(n-1) for 1 <= n <= k
     for k in range(1, 9):
         for n in range(1, k + 1):
-            assert kbonacci_recurrence(k, n) == 1 << (n - 1)
+            assert recurrence(k, n) == 1 << (n - 1)
 
 
 def test_monotone_for_k_at_least_two():
@@ -75,18 +79,18 @@ def test_monotone_for_k_at_least_two():
 @pytest.mark.parametrize("bad_k", [0, -1, -7])
 def test_rejects_nonpositive_k(bad_k):
     with pytest.raises(ValueError):
-        kbonacci_recurrence(bad_k, 3)
+        recurrence(bad_k, 3)
     with pytest.raises(ValueError):
         kbonacci_prefix(bad_k, 3)
     with pytest.raises(ValueError):
-        partial_sum_direct(bad_k, 3)
+        direct(bad_k, 3)
 
 
 def test_rejects_negative_n_where_sums_are_defined():
     with pytest.raises(ValueError):
         kbonacci_prefix(2, -1)
     with pytest.raises(ValueError):
-        partial_sum_direct(2, -1)
+        direct(2, -1)
 
 
 def test_values_stream_is_restartable_and_consistent():
@@ -106,4 +110,4 @@ def test_window_identity_holds(k, n):
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 6), n=st.integers(0, 60))
 def test_random_cells_match_naive(k, n):
-    assert kbonacci_recurrence(k, n) == naive_value(k, n)
+    assert recurrence(k, n) == naive_value(k, n)
