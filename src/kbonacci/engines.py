@@ -15,7 +15,9 @@ index by its own method, then goes on:
   x, a shift of its k coefficients and one reduction by
   x^k = 1 + x + ... + x^(k-1), which adds the leaving coefficient at all
   k places (at k = 1 the values are 1 and the sums n + 1, and below k
-  they are powers of two);
+  they are powers of two).  A range of one index powers only to
+  x^(n // 2) and finishes with one k-term inner product over the next
+  steps;
 * dunkel and dunkel-term: the sums of the later indices in blocks, each
   evaluated column by column, C(n-jk, j) for every n of the block, mostly
   by Pascal's rule: about one addition per index and column besides the
@@ -28,10 +30,11 @@ closed forms need stop to size their blocks.
 Each generator carries its cost model as stream.cost(k, n): the number
 of big-integer operations one index n takes, which `bench` reports as
 `ops`.  It is the count of additions for the window engines, the summand
-count scaled for the closed forms, and for matrix the multiplications of
-its powering, `matrix_power.matrix_cost`: k(k+1)/2 per squaring, times
-the squaring count that also bounds the powering's loop.  Every model is
-arithmetic on (k, n) and runs nothing.
+count scaled for the closed forms, and for matrix the multiplications
+that one index takes, `matrix_power.matrix_cost`: k(k+1)/2 per squaring
+of the powering to x^(n // 2), whose squaring count also bounds that
+loop, plus k for the inner product, and none where x^n needs no
+squaring.  Every model is arithmetic on (k, n) and runs nothing.
 
 Each generator also carries its text range generator as stream.text, or
 None.  Only matrix has one: it finishes large residues in Decimal and

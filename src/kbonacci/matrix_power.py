@@ -32,15 +32,26 @@ places.  Since Q(2) = 1, the new r(2) is 2r(2) - t, and the new r(1) is
 r(1) + (k - 1) t, so each later index costs about k additions and no
 multiplication.  No floats: exactness is the point.
 
+A single index stops the powering one squaring short.  The numerators
+2f(n) = r(2) + r(0) and (k - 1) S(n) + 1 = (k - 1) r(2) + r(1) are linear
+in the residue, so with m = n // 2, b = n % 2 and s the residue of x^m,
+x^n = s x^(m+b) gives N(n) = s[0] N(m+b) + ... + s[k-1] N(m+b+k-1) for
+either numerator N.  Those k values are read off b + k - 1 steps from s,
+as above, and k multiplications replace the last and widest squaring's
+k(k+1)/2, about two thirds of the powering under Karatsuba.  A range keeps
+the full powering, since it would need the k multiplications at each of
+its indices.
+
 The int generators yield ints.  For decimal output the CLI asks for the
 text generators instead: they square in ints while the coefficients are
 narrow, convert them once past _DECIMAL_BITS, then finish the squarings,
-the reduction, the fold at 2, the exact division and each later index in
-Decimal under `render.exact()`, whose products are subquadratic from a few
-ten thousand bits on (libmpdec's number-theoretic transform against
-CPython's Karatsuba; Brent & Zimmermann, Modern Computer Arithmetic,
-sections 1.3 and 2.3), and print the result with str(): no binary to
-decimal conversion of the result at all.  One squaring loop, written with
+the reduction, the fold at 2, a single index's inner product, the exact
+division and each later index in Decimal under `render.exact()`, whose
+products are subquadratic from a few ten thousand bits on (libmpdec's
+number-theoretic transform against CPython's Karatsuba; Brent &
+Zimmermann, Modern Computer Arithmetic, sections 1.3 and 2.3), and print
+the result with str(): no binary to decimal conversion of the result at
+all.  One squaring loop, written with
 + rather than << 1, serves both coefficient types.
 """
 
@@ -48,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, Inexact
-from itertools import count, islice, repeat
+from itertools import count, islice, repeat, starmap
 from operator import mul
 from typing import Iterator
 
@@ -56,14 +67,14 @@ from .render import _decimal_str, _decimals, exact
 from .sequence import _check_k, _check_n, _count
 
 # Widest coefficient, in bits, that the text path still squares in ints.
-# The five big-index commands, powering plus str(), took 121-127 ms in all
-# switching at 16k bits, 139-144 ms at 32k and 163-180 ms at 64k (CPython
-# 3.11.7, libmpdec 2.5.1, 2-vCPU VM, best of 7 runs each, three interleaved
-# rounds); switches from 4k to 16k bits were within noise of each other.
-# Each command then converts its coefficients at 17k-27k bits.  One int
+# With a single index powered only to x^(n // 2), the five big-index
+# commands of each of two seeds, powering plus str(), took 155-156 ms in all
+# switching at 8k bits, 155-158 ms at 16k and 171-174 ms at 32k (CPython
+# 3.11.7, libmpdec 2.5.1, 2-vCPU VM, best of 9 interleaved runs each).
+# Each command then converts its coefficients at 17k-28k bits.  One int
 # product is still the faster there (0.19 against 0.26 ms at 20k bits), but
 # converting three coefficients takes 1.8 ms at 20k bits against 4.9 ms at
-# 40k.  wide-window and range-sweep coefficients stay below 11k bits.
+# 40k.  The wide-window and range-sweep residues stay below 10k bits.
 _DECIMAL_BITS = 16_384
 
 
@@ -74,8 +85,9 @@ class OpCount:
     matrix_products counts squarings of the residue modulo
     x^k - x^(k-1) - ... - 1 (the field keeps its name for the code that
     reads it); scalar_mults counts the coefficient multiplications inside
-    them, k(k+1)/2 per squaring.  Shifts, additions and the small
-    multiples of a range step are not counted.
+    them, k(k+1)/2 per squaring, and the k of the inner product that
+    finishes a single index one squaring short (_by_halves).  Shifts,
+    additions and the small multiples of a step are not counted.
     """
 
     matrix_products: int = 0
@@ -100,9 +112,13 @@ def _squarings(k: int, n: int) -> int:
 
 
 def matrix_cost(k: int, n: int) -> int:
-    """The multiplications of the powering to x^n: k(k+1)/2 per squaring,
-    none at k = 1, where the values and sums do not power."""
-    return 0 if k == 1 else _squarings(k, n) * (k * (k + 1) // 2)
+    """The multiplications f(n) or S(n) alone takes: none at k = 1, where
+    the values and sums do not power, nor where the powering to x^n does
+    not square; otherwise k(k+1)/2 per squaring of the powering to
+    x^(n // 2), and k for the inner product of _by_halves."""
+    if k == 1 or not _squarings(k, n):
+        return 0
+    return _squarings(k, n >> 1) * (k * (k + 1) // 2) + k
 
 
 def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
@@ -154,13 +170,9 @@ def _at_two(r) -> int | Decimal:
     return acc
 
 
-def _residues_from(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator[tuple]:
-    """Yield (r(2), r(1), r(0)) for r = x^n mod x^k - x^(k-1) - ... - 1,
-    n = start, start+1, ...
-
-    Only the powering to start is counted in ops.  text is _residue's.
-    """
-    r = _residue(k, start, ops, text)
+def _steps(k: int, r: list) -> Iterator[tuple]:
+    """Yield (r(2), r(1), r(0)) for the residue r and then for x r, x^2 r,
+    ..., each reduced modulo x^k - x^(k-1) - ... - 1."""
     at_two, at_one = _at_two(r), sum(r)
     while True:
         yield at_two, at_one, r[0]
@@ -168,6 +180,22 @@ def _residues_from(k: int, start: int, ops: OpCount | None, text: bool = False) 
         r = _reduced([0, *r])
         at_two += at_two - top
         at_one += (k - 1) * top
+
+
+def _by_halves(k: int, n: int, ops: OpCount | None, text: bool, numerator) -> int | Decimal:
+    """numerator(r(2), r(1), r(0)) at the residue r of x^n, from the
+    residue s of x^m, m = n // 2, one squaring short of r.
+
+    The numerator is linear in r, so with b = n % 2 and x^n = s x^(m+b), its
+    value at x^n is the sum of s[i] times its value at x^(m+b+i), i < k, and
+    the next b + k - 1 steps from s give those.  text is _residue's.
+    """
+    half = _residue(k, n >> 1, ops, text)
+    window = starmap(numerator, islice(_steps(k, half), n & 1, None))
+    total = sum(map(mul, half, window))
+    if ops is not None:
+        ops.scalar_mults += k
+    return total
 
 
 def _divide(x: int | Decimal, d: int) -> int | Decimal:
@@ -186,27 +214,35 @@ def _divide(x: int | Decimal, d: int) -> int | Decimal:
     return quotient
 
 
-def _values(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
+def _values(k: int, start: int, ops: OpCount | None, text: bool = False, single: bool = False) -> Iterator:
     """f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ...: 2^(n-1), or 1
     at n = 0, below k, where r = x^n, so the residue is built from k on at
-    the earliest; at k = 1, where Q = x - 1, f(n) = 1."""
+    the earliest; at k = 1, where Q = x - 1, f(n) = 1.  With single, only
+    f(start) is asked for, and taken _by_halves if its powering squares."""
     if k == 1:
         yield from repeat(1)
+    elif single and _squarings(k, start):
+        yield _divide(_by_halves(k, start, ops, text, lambda at_two, _, at_zero: at_two + at_zero), 2)
     else:
         # (r(2) + r(0)) / 2 for r = x^n, whose r(0) is 0 past n = 0
         yield from ((1 << n) + (n == 0) >> 1 for n in range(start, k))
-        for at_two, _, at_zero in _residues_from(k, max(start, k), ops, text):
+        for at_two, _, at_zero in _steps(k, _residue(k, max(start, k), ops, text)):
             yield _divide(at_two + at_zero, 2)
 
 
-def _sums(k: int, start: int, ops: OpCount | None, text: bool = False) -> Iterator:
+def _sums(k: int, start: int, ops: OpCount | None, text: bool = False, single: bool = False) -> Iterator:
     """S(n) = r(2) + (r(1) - 1) / (k - 1) for n = start, start+1, ...: 2^n
-    below k, as for _values; at k = 1, where Q = x - 1, S(n) = n + 1."""
+    below k, as for _values; at k = 1, where Q = x - 1, S(n) = n + 1.  With
+    single as for _values, by the numerator (k - 1) r(2) + r(1) =
+    (k - 1) S(n) + 1."""
     if k == 1:
         yield from count(start + 1)
+    elif single and _squarings(k, start):
+        numerator = _by_halves(k, start, ops, text, lambda at_two, at_one, _: (k - 1) * at_two + at_one)
+        yield _divide(numerator - 1, k - 1)
     else:
         yield from (1 << n for n in range(start, k))
-        for at_two, at_one, _ in _residues_from(k, max(start, k), ops, text):
+        for at_two, at_one, _ in _steps(k, _residue(k, max(start, k), ops, text)):
             yield at_two + _divide(at_one - 1, k - 1)
 
 
@@ -222,23 +258,25 @@ def _texts(numbers: Iterator) -> Iterator[str]:
 
 def matrix_values_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
     """Yield f(n) = (r(2) + r(0)) / 2, or 1 at k = 1, for n = start..stop-1."""
-    yield from islice(_values(k, start, ops), _count(k, start, stop))
+    indices = _count(k, start, stop)
+    yield from islice(_values(k, start, ops, single=indices == 1), indices)
 
 
 def matrix_sums_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
     """Yield S(n) = r(2) + (r(1) - 1) / (k - 1), or n + 1 at k = 1, for
     n = start..stop-1."""
-    yield from islice(_sums(k, start, ops), _count(k, start, stop))
+    indices = _count(k, start, stop)
+    yield from islice(_sums(k, start, ops, single=indices == 1), indices)
 
 
 def matrix_value_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_values_from as decimal strings, finished in Decimal once the
     coefficients pass _DECIMAL_BITS."""
-    texts = _texts(_values(k, start, ops, text=True))
-    yield from islice(texts, _count(k, start, stop))
+    indices = _count(k, start, stop)
+    yield from islice(_texts(_values(k, start, ops, text=True, single=indices == 1)), indices)
 
 
 def matrix_sum_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_sums_from as decimal strings, finished alike."""
-    texts = _texts(_sums(k, start, ops, text=True))
-    yield from islice(texts, _count(k, start, stop))
+    indices = _count(k, start, stop)
+    yield from islice(_texts(_sums(k, start, ops, text=True, single=indices == 1)), indices)

@@ -843,10 +843,12 @@ class TestBench:
         code, out, _ = run(
             capsys, "bench", "--k", "3", "--n", "1000", "--engines", "matrix", "--reps", "2"
         )
-        assert (code, calls) == (0, [(3, 1000), (3, 1000)])
-        # 1000 = 0b1111101000: the leading 0b11 = k is free, and each of the
-        # 8 other bits costs a squaring of 6 multiplications
-        assert " ops=48 " in out
+        # a single index powers to half of it, x^500
+        assert (code, calls) == (0, [(3, 500), (3, 500)])
+        # 500 = 0b111110100: the leading 0b11 = k is free, and each of the
+        # 7 other bits costs a squaring of 6 multiplications, 42; the inner
+        # product that finishes f(1000) takes k = 3 more: 45
+        assert " ops=45 " in out
 
     @pytest.mark.parametrize("n", ["5", str(10**22)])
     @pytest.mark.parametrize("k", ["-1", "0"])

@@ -2,6 +2,7 @@ import decimal
 import sys
 from decimal import Decimal
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -94,22 +95,26 @@ def test_delegates_below_k_without_matrix_work():
 
 
 def test_op_count_of_a_small_cell():
-    # k=2, n=10=0b1010: the leading bits 0b10 = 2 = k give the start x^2,
-    # whose residue modulo x^2 - x - 1 is 1 + x, for free.  The two
-    # remaining bits each cost one squaring of the 2-coefficient residue:
-    # 2 squares + 1 cross product = 3 multiplications, 6 in all.
-    # Bit 1 also multiplies by x (x^5), bit 0 does not (x^10).
+    # k=2, n=10 = 2*5: a single index powers only to x^5, 0b101.  Its
+    # leading bits 0b10 = 2 = k give the start x^2, whose residue modulo
+    # x^2 - x - 1 is 1 + x, for free.  The one remaining bit costs one
+    # squaring of the 2-coefficient residue, 2 squares + 1 cross product =
+    # 3 multiplications, and multiplies by x: x^5.  With s its residue,
+    # f(10) = s[0] f(5) + s[1] f(6) by 2 more multiplications: 5 in all.
     ops = OpCount()
     assert next(matrix_values_from(2, 10, 11, ops)) == 89
-    assert ops == OpCount(matrix_products=2, scalar_mults=6)
+    assert ops == OpCount(matrix_products=1, scalar_mults=5)
 
 
 @pytest.mark.parametrize("stream", [matrix_values_from, matrix_sums_from])
 def test_range_counts_only_the_jump(stream):
-    # 40 steps past n=10 shift the residue without multiplying
+    # a range powers to its first index in full: n=10 = 0b1010 starts at
+    # x^2 for free, and its two remaining bits cost one squaring of 3
+    # multiplications each, 6 in all; the 40 steps past n=10 shift the
+    # residue without multiplying
     ops = OpCount()
     values = list(stream(2, 10, 51, ops))
-    assert ops == OpCount(matrix_products=2, scalar_mults=6)  # as for the single cell
+    assert ops == OpCount(matrix_products=2, scalar_mults=6)
     single = matrix_value if stream is matrix_values_from else matrix_sum
     assert values == [single(2, n) for n in range(10, 51)]
 
@@ -229,11 +234,15 @@ def test_text_range_stepped_after_the_switch_matches_int_path(monkeypatch, ints,
     for k in range(1, 9):
         for start in (100, 171):
             assert list(texts(k, start, start + 30)) == [str(v) for v in ints(k, start, start + 30)]
+            # and a single index, whose half residue and steps are in Decimal
+            assert next(texts(k, start, start + 1)) == str(next(ints(k, start, start + 1)))
 
 
 # Indices whose residue is finished in Decimal: its coefficients are
 # converted at 26,033 bits at k=2, 24,175 at k=3 and 21,299 at k=4, past
-# the switch's 16,384, and the last two squarings run in Decimal.
+# the switch's 16,384, and the last two squarings run in Decimal.  A single
+# index 2n or 2n + 1 powers only to x^n, so that same residue is the half
+# that its inner product finishes from, at both parities.
 @pytest.mark.parametrize("k, n", [(2, 150_000), (3, 110_000), (4, 90_000)])
 @pytest.mark.parametrize("ints, texts", TEXT_PATHS)
 def test_text_range_past_the_real_switch(ints, texts, k, n):
@@ -241,6 +250,19 @@ def test_text_range_past_the_real_switch(ints, texts, k, n):
         assert {type(c) for c in _residue(k, n, None, text=True)} == {Decimal}
     expected = list(map(_decimal_str, ints(k, n, n + 30)))
     assert list(texts(k, n, n + 30)) == expected
+    for single in (2 * n, 2 * n + 1):
+        assert next(texts(k, single, single + 1)) == _decimal_str(next(ints(k, single, single + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 40), n=st.integers(1, 3000), switch=st.sampled_from([0, 8, 64, 16_384]))
+def test_single_index_matches_the_range_path(k, n, switch):
+    # a single index is one squaring short of x^n and finishes with an
+    # inner product; the second index of a range steps the residue of
+    # x^(n-1) once.  A lowered switch sends both through Decimal.
+    with mock.patch.object(matrix_power, "_DECIMAL_BITS", switch):
+        for stream in (matrix_values_from, matrix_sums_from, matrix_value_texts_from, matrix_sum_texts_from):
+            assert next(stream(k, n, n + 1)) == list(stream(k, n - 1, n + 1))[1], stream.__name__
 
 
 def test_halving_an_odd_decimal_raises_inexact():
