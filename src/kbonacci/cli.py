@@ -5,15 +5,17 @@ choices, defaults and bench's --engines come from the registry in
 `engines`, which also applies the input domain.
 
 Values are always written as exact decimal strings, whatever their size.
-`eval`, `sum` and `bench` ask `engines` for their values as text: the
-matrix engine finishes large results in Decimal and prints them with str(),
-and every other value goes through the one renderer, `render._decimal_str`,
-which converts by divide and conquer through the `decimal` module:
-subquadratic in the digit count, where `int.__str__` is quadratic on
-CPython before 3.12, and independent of the interpreter's int/str digit
-limit.  `terms` renders its ints through it too.  `eval` and `sum` check
-their whole --n range before writing anything, then write each record as
-soon as it is rendered, so a range holds one record at a time.  `bench`
+`eval`, `sum` and `bench` ask `engines` for their values as text, which
+one renderer, `render._texts`, makes: a Decimal by str(), and an int by
+divide and conquer through the `decimal` module, subquadratic in the digit
+count, where `int.__str__` is quadratic on CPython before 3.12, and
+independent of the interpreter's int/str digit limit.  The matrix engine
+finishes large results in Decimal, and the recurrence, direct and matrix
+engines step a range in Decimal after its first record, so its later
+records need no conversion.  `terms` renders its ints through
+`render._decimal_str`.  `eval` and `sum` check their whole --n range
+before writing anything, then write each record as soon as it is
+rendered, so a range holds one record at a time.  `bench`
 times the first record of that same text range generator, started at n,
 so its elapsed_ns is the compute and render that `eval` or `sum` print.
 
@@ -23,7 +25,9 @@ exception is the `tilings` listing: text is most of a listing command's
 time, so it joins its rows by hand, byte for byte what the json and csv
 modules would write, and writes them 1024 to a call.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or parameter error.
+1 verification failure, 2 usage or parameter error, or an input too large
+for memory (the error line names the function that ran out, and records
+already written stay written).
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
+import traceback
 from itertools import chain, islice
 from operator import itemgetter
 
@@ -285,6 +291,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # name where it ran out, so that one from a bug (libmpdec raises it
+        # for a Decimal quotient that does not terminate) is not lost
+        where = traceback.extract_tb(exc.__traceback__, -1)[0]
+        origin = f"{where.name} ({os.path.basename(where.filename)}:{where.lineno})"
+        print(f"error: the input is too large: out of memory in {origin}", file=sys.stderr)
         return 2
 
 

@@ -37,11 +37,15 @@ loop, plus k for the inner product, and none where x^n needs no
 squaring.  Every model is arithmetic on (k, n) and runs nothing.
 
 Each generator also carries its text range generator as stream.text, or
-None.  Only matrix has one: it finishes large residues in Decimal and
-prints them with str() (see `matrix_power`).  For every other engine
-`stream_value_texts`/`stream_sum_texts` map the shared renderer,
-`render._decimal_str`, over its ints.  The int generators and
-`compute_*` never convert back from Decimal.
+None.  recurrence, direct and matrix have one: a range converts the
+engine's state (the window of k values or sums, or the residue) to
+Decimal once its first record is out and steps the rest there, and
+matrix also finishes large residues in Decimal (see `sequence` and
+`matrix_power`).  The closed forms, which fold each index anew, have
+none: `stream_value_texts`/`stream_sum_texts` pass their ints through
+the same renderer, `render._texts`, which prints a Decimal with str() and
+an int by the subquadratic split.  The int generators and `compute_*`
+never convert to Decimal.
 
 Every reader goes through this module: `eval`, `sum` and `bench` take
 their engine names from the tables, `eval` and `sum` print what
@@ -74,24 +78,32 @@ from .matrix_power import (
     matrix_value_texts_from,
     matrix_values_from,
 )
-from .render import _decimal_str
-from .sequence import _check_index, _check_int, _check_k, sums_from, values_from
+from .render import _texts
+from .sequence import (
+    _check_index,
+    _check_int,
+    _check_k,
+    sum_texts_from,
+    sums_from,
+    value_texts_from,
+    values_from,
+)
 
 
 def _costed(stream, cost: Callable[[int, int], int], text=None):
     """stream, with cost as its cost model and text as its own text range
-    generator (None: the renderer mapped over its ints)."""
+    generator (None: its ints through the renderer)."""
     stream.cost = cost
     stream.text = text
     return stream
 
 
 def _text_stream(stream):
-    """stream's text range generator: its own, or the renderer over its ints."""
+    """stream's text range generator: its own, or its ints through the renderer."""
     text = getattr(stream, "text", None)
     if text is not None:
         return text
-    return lambda *args: map(_decimal_str, stream(*args))
+    return lambda *args: _texts(stream(*args))
 
 
 def _terms(k: int, n: int) -> int:
@@ -100,13 +112,13 @@ def _terms(k: int, n: int) -> int:
 
 
 _VALUE_DISPATCH = {
-    "recurrence": _costed(values_from, lambda k, n: 2 * n),
+    "recurrence": _costed(values_from, lambda k, n: 2 * n, value_texts_from),
     "dunkel-term": _costed(closed_values_from, lambda k, n: 4 * _terms(k, n)),
     "matrix": _costed(matrix_values_from, matrix_cost, matrix_value_texts_from),
 }
 
 _SUM_DISPATCH = {
-    "direct": _costed(sums_from, lambda k, n: 3 * n),
+    "direct": _costed(sums_from, lambda k, n: 3 * n, sum_texts_from),
     "dunkel": _costed(dunkel_sums_from, lambda k, n: 2 * _terms(k, n)),
     "matrix": _costed(matrix_sums_from, matrix_cost, matrix_sum_texts_from),
 }

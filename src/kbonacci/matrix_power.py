@@ -51,8 +51,11 @@ products are subquadratic from a few ten thousand bits on (libmpdec's
 number-theoretic transform against CPython's Karatsuba; Brent &
 Zimmermann, Modern Computer Arithmetic, sections 1.3 and 2.3), and print
 the result with str(): no binary to decimal conversion of the result at
-all.  One squaring loop, written with
-+ rather than << 1, serves both coefficient types.
+all.  A range that steps its residue past the first record converts it
+once that record is out, however narrow, so each later record costs a few
+Decimal additions and str() where it would cost a conversion.  One
+squaring loop, written with + rather than << 1, and one step serve both
+coefficient types, and `render._texts` prints either.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from itertools import count, islice, repeat, starmap
 from operator import mul
 from typing import Iterator
 
-from .render import _decimal_str, _decimals, exact
+from .render import _decimals, _texts
 from .sequence import _check_k, _check_n, _count
 
 # Widest coefficient, in bits, that the text path still squares in ints.
@@ -170,16 +173,22 @@ def _at_two(r) -> int | Decimal:
     return acc
 
 
-def _steps(k: int, r: list) -> Iterator[tuple]:
+def _steps(k: int, r: list, convert: bool = False) -> Iterator[tuple]:
     """Yield (r(2), r(1), r(0)) for the residue r and then for x r, x^2 r,
-    ..., each reduced modulo x^k - x^(k-1) - ... - 1."""
+    ..., each reduced modulo x^k - x^(k-1) - ... - 1.  With convert, an int
+    r is converted to Decimals once its own triple is out, and every later
+    triple is stepped in Decimal; the caller runs it under exact()."""
     at_two, at_one = _at_two(r), sum(r)
+    yield at_two, at_one, r[0]
+    if convert and type(r[0]) is int:
+        r = _decimals(r)
+        at_two, at_one = _at_two(r), sum(r)
     while True:
-        yield at_two, at_one, r[0]
         top = r[-1]
         r = _reduced([0, *r])
         at_two += at_two - top
         at_one += (k - 1) * top
+        yield at_two, at_one, r[0]
 
 
 def _by_halves(k: int, n: int, ops: OpCount | None, text: bool, numerator) -> int | Decimal:
@@ -226,7 +235,7 @@ def _values(k: int, start: int, ops: OpCount | None, text: bool = False, single:
     else:
         # (r(2) + r(0)) / 2 for r = x^n, whose r(0) is 0 past n = 0
         yield from ((1 << n) + (n == 0) >> 1 for n in range(start, k))
-        for at_two, _, at_zero in _steps(k, _residue(k, max(start, k), ops, text)):
+        for at_two, _, at_zero in _steps(k, _residue(k, max(start, k), ops, text), text):
             yield _divide(at_two + at_zero, 2)
 
 
@@ -242,18 +251,8 @@ def _sums(k: int, start: int, ops: OpCount | None, text: bool = False, single: b
         yield _divide(numerator - 1, k - 1)
     else:
         yield from (1 << n for n in range(start, k))
-        for at_two, at_one, _ in _steps(k, _residue(k, max(start, k), ops, text)):
+        for at_two, at_one, _ in _steps(k, _residue(k, max(start, k), ops, text), text):
             yield at_two + _divide(at_one - 1, k - 1)
-
-
-def _texts(numbers: Iterator) -> Iterator[str]:
-    """The endless numbers as exact decimal strings, each made under exact():
-    str() of a Decimal, _decimal_str() of an int."""
-    while True:
-        with exact():
-            x = next(numbers)
-            text = str(x) if type(x) is Decimal else _decimal_str(x)
-        yield text
 
 
 def matrix_values_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
@@ -271,7 +270,8 @@ def matrix_sums_from(k: int, start: int, stop: int, ops: OpCount | None = None) 
 
 def matrix_value_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_values_from as decimal strings, finished in Decimal once the
-    coefficients pass _DECIMAL_BITS."""
+    coefficients pass _DECIMAL_BITS, and a range stepped in Decimal after
+    the first record of its residue."""
     indices = _count(k, start, stop)
     yield from islice(_texts(_values(k, start, ops, text=True, single=indices == 1)), indices)
 

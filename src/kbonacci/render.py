@@ -1,19 +1,24 @@
-"""Exact decimal text of big integers, shared by the CLI and the residue engine.
+"""Exact decimal text of big integers, shared by the CLI and the engines.
 
 `_decimal_str` renders an int by divide and conquer through `decimal`:
 subquadratic in the digit count, where `int.__str__` is quadratic on CPython
 before 3.12, and independent of the interpreter's int/str digit limit.
 `exact()` is the context all of it runs under: unbounded precision and
 exponent, with Inexact trapped, so integer arithmetic on Decimals is exact
-or raises instead of printing a wrong digit.  The residue engine converts
-its coefficients once through the same splitter (`_decimals`) and finishes
-its arithmetic in Decimal under that context.
+or raises instead of printing a wrong digit.
+
+`_texts` is the one renderer of every engine's text range: it prints a
+Decimal with str() and an int through the splitter.  An engine whose range
+goes on by additions converts its state once through the same splitter
+(`_decimals`) and steps it in Decimal under `exact()`, so its later records
+need no binary to decimal conversion at all.
 """
 
 from __future__ import annotations
 
 import decimal
 from contextlib import AbstractContextManager
+from typing import Iterator
 
 # Widest piece converted by Decimal(int) directly.  Render times of 3,000
 # to 694,000-bit values were flat for leaves of 2,048 to 8,192 bits
@@ -41,6 +46,20 @@ def _decimal_str(n: int) -> str:
     """
     with exact():
         return str(_to_decimal(n, n.bit_length(), {}))
+
+
+def _texts(numbers: Iterator) -> Iterator[str]:
+    """numbers, ints or Decimals, as exact decimal strings, each made under
+    exact(): str() of a Decimal, the splitter's Decimal of an int.  The
+    next number is computed under exact() too, so an engine steps its
+    Decimal state there."""
+    while True:
+        with exact():
+            x = next(numbers, None)
+            if x is None:
+                return
+            text = str(x if type(x) is decimal.Decimal else _to_decimal(x, x.bit_length(), {}))
+        yield text
 
 
 def _decimals(ints: list[int]) -> list[decimal.Decimal]:

@@ -10,6 +10,13 @@ This module is the baseline engine: the closed-form and matrix engines in
 the sibling modules are validated against it.  Like theirs, its range
 generators take non-negative indices only; `engines`, the one entry that
 computes f(n) and S(n) by engine name, reads an index n < 0 as f(n) = 0.
+
+The int generators stay on ints.  The text range generators, which the CLI
+prints, walk to the range's start in ints alike.  A range of more than
+one index then converts the last k terms to Decimal once its first record
+is out and goes on with the same window sums in Decimal, S by its own window
+rule S(n) = S(n-1) + ... + S(n-k) + 1: each later record is a few exact
+additions and str(), not a binary to decimal conversion (see `render`).
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ import sys
 from collections import deque
 from itertools import accumulate, islice
 from typing import Iterable, Iterator
+
+from .render import _decimals, _texts
 
 
 def _check_int(name: str, value: int) -> None:
@@ -65,6 +74,23 @@ def _count(k: int, start: int, stop: int) -> int:
     return max(stop - start, 0)
 
 
+def _after(window: deque, c) -> Iterator:
+    """Yield the terms after window of t(n) = t(n-1) + ... + t(n-k) + c,
+    k = window.maxlen, where window holds the last min(n, k) terms and the
+    terms before it are 0: f at c = 0 once f(0) is in the window, and S at
+    c = 1, since S(n) = S(n-1) + ... + S(n-k) + 1 from n = 0.  The terms
+    are ints or Decimals, as window's are: additions serve both."""
+    k = window.maxlen
+    total = sum(window) + c  # the next term
+    while True:
+        value = total
+        if len(window) == k:
+            total -= window[0]  # about to fall out of the window
+        total += value
+        window.append(value)
+        yield value
+
+
 def values(k: int) -> Iterator[int]:
     """Yield f(0), f(1), f(2), ... for the given window length k.
 
@@ -72,17 +98,8 @@ def values(k: int) -> Iterator[int]:
     the first n terms costs O(n) big-integer additions and O(k) memory.
     """
     _check_k(k)
-    window: deque[int] = deque(maxlen=k)
-    total = 0  # sum of the values currently in the window
-    n = 0
-    while True:
-        value = 1 if n == 0 else total
-        if len(window) == k:
-            total -= window[0]  # about to fall out of the window
-        total += value
-        window.append(value)
-        yield value
-        n += 1
+    yield 1
+    yield from _after(deque([1], maxlen=k), 0)
 
 
 def values_from(k: int, start: int, stop: int) -> Iterator[int]:
@@ -96,6 +113,28 @@ def values_from(k: int, start: int, stop: int) -> Iterator[int]:
 def sums_from(k: int, start: int, stop: int) -> Iterator[int]:
     """Yield S(n) for n = start..stop-1, S(n) = f(0) + ... + f(n)."""
     yield from islice(accumulate(values(k)), start, start + _count(k, start, stop))
+
+
+def _stepped(terms: Iterator[int], k: int, start: int, c: int) -> Iterator:
+    """The terms from start on: the int walk of terms to start, then _after
+    its last k terms, converted to Decimals once the first is out, so every
+    later term is a Decimal, a few exact additions.  Run it under exact();
+    a caller that asks for one term converts nothing."""
+    window = deque(islice(terms, max(start - k + 1, 0), start + 1), maxlen=k)
+    yield window[-1]
+    yield from _after(deque(_decimals(window), maxlen=k), c)
+
+
+def value_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
+    """values_from as exact decimal strings, stepped as _stepped says."""
+    indices = _count(k, start, stop)
+    yield from islice(_texts(_stepped(values(k), k, start, 0)), indices)
+
+
+def sum_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
+    """sums_from as exact decimal strings, stepped as _stepped says."""
+    indices = _count(k, start, stop)
+    yield from islice(_texts(_stepped(accumulate(values(k)), k, start, 1)), indices)
 
 
 def kbonacci_prefix(k: int, n: int) -> list[int]:

@@ -25,7 +25,7 @@ from kbonacci import (
     kbonacci_prefix,
     term_breakdown,
 )
-from kbonacci import engines, matrix_power, verify
+from kbonacci import cli, engines, matrix_power, verify
 from kbonacci.cli import FORMATS, build_parser, main, parse_range
 from kbonacci.render import _LEAF_BITS, _decimal_str, _decimals, exact
 
@@ -484,6 +484,17 @@ class TestTerms:
         code, out, _ = run(capsys, "terms", "--k", "3", "--n", "7", "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["j,sign,magnitude", "0,1,128", "1,-1,32"]
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # at n = sys.maxsize the first summand is a shift by about 2^63 bits
+        def too_large(k, n, which):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "term_breakdown", too_large)
+        code, out, err = run(capsys, "terms", "--k", "2", "--n", str(sys.maxsize))
+        assert (code, out) == (2, "")
+        # the line names where memory ran out: here, the stand-in above
+        assert re.fullmatch(r"error: the input is too large: out of memory in too_large \(test_cli\.py:\d+\)\n", err)
 
 
 class TestTilings:

@@ -1,8 +1,13 @@
 import inspect
+import io
 import sys
+from contextlib import redirect_stdout
 from functools import partial
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kbonacci import (
     compute_sum,
@@ -13,13 +18,17 @@ from kbonacci import (
     partial_sum_dunkel_extended,
     verify_intersection_identity,
 )
+from kbonacci import matrix_power, sequence
+from kbonacci.cli import main
 from kbonacci.closed_form import closed_values_from, dunkel_sums_from
 from kbonacci.engines import (
     _SUM_DISPATCH,
     _VALUE_DISPATCH,
     SUM_NAMES,
     VALUE_NAMES,
+    stream_sum_texts,
     stream_sums,
+    stream_value_texts,
     stream_values,
 )
 from kbonacci.matrix_power import (
@@ -28,7 +37,8 @@ from kbonacci.matrix_power import (
     matrix_value_texts_from,
     matrix_values_from,
 )
-from kbonacci.sequence import sums_from, values_from
+from kbonacci.render import _decimal_str
+from kbonacci.sequence import sum_texts_from, sums_from, value_texts_from, values_from
 
 
 def test_value_engines_agree():
@@ -154,6 +164,8 @@ RANGE_GENERATORS = [
     matrix_sums_from,
     matrix_value_texts_from,
     matrix_sum_texts_from,
+    value_texts_from,
+    sum_texts_from,
 ]
 
 
@@ -171,3 +183,98 @@ def test_range_generators_reject_a_negative_start(stream):
     # only the registry reads n < 0 as f(n) = 0; no engine module does
     with pytest.raises(ValueError, match="n must be non-negative, got -1"):
         next(stream(2, -1, 3))
+
+
+# (text range, int range, engine names) of each quantity
+QUANTITIES = [
+    (stream_value_texts, stream_values, VALUE_NAMES),
+    (stream_sum_texts, stream_sums, SUM_NAMES),
+]
+
+
+# None keeps the real switch; a lower one sends the residue through Decimal
+# squarings before a range steps it
+@pytest.mark.parametrize("switch", [None, 0, 8, 64])
+@settings(max_examples=40, deadline=None)
+@example(k_count=(1, 1), start=0)
+@example(k_count=(1, 2), start=0)
+@example(k_count=(5, 5), start=40)
+@example(k_count=(5, 6), start=40)
+@example(k_count=(5, 6), start=1)
+@example(k_count=(12, 38), start=-3)
+@given(
+    k_count=st.integers(1, 12).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 3 * k + 2))),
+    start=st.integers(-20, 300),
+)
+def test_text_ranges_print_the_int_ranges(switch, k_count, start):
+    # counts on both sides of k, from one index, which renders its int, to
+    # ranges that step in Decimal after their first record
+    k, count = k_count
+    bits = matrix_power._DECIMAL_BITS if switch is None else switch
+    with mock.patch.object(matrix_power, "_DECIMAL_BITS", bits):
+        for texts, ints, names in QUANTITIES:
+            # only value engines read n < 0, as f(n) = 0
+            first = start if ints is stream_values else max(start, 0)
+            for engine in names:
+                expected = list(map(_decimal_str, ints(k, first, first + count, engine)))
+                assert list(texts(k, first, first + count, engine)) == expected, (engine, k, first, count)
+
+
+def _converted_after(monkeypatch, run):
+    """How many texts run had consumed at each conversion of an engine's
+    state to Decimal: run takes the list that it appends its texts to."""
+    texts, calls = [], []
+    real = matrix_power._decimals
+
+    def spy(ints):
+        calls.append(len(texts))
+        return real(ints)
+
+    for module in (matrix_power, sequence):
+        monkeypatch.setattr(module, "_decimals", spy)
+    run(texts)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+@pytest.mark.parametrize("start", [0, 1, 40, 300])
+def test_a_range_converts_once_after_its_first_text(monkeypatch, k, start):
+    for texts, _, names in QUANTITIES:
+        for engine in names:
+            for count in (1, 2, k, k + 1, 3 * k + 2):
+                calls = _converted_after(monkeypatch, lambda out: out.extend(texts(k, start, start + count, engine)))
+                # the window engines convert the window at start; matrix its
+                # residue, the state of the indices from k on (those below
+                # k are powers of two, and at k = 1 no index powers); the
+                # closed forms fold each index anew and keep no state
+                below = max(k - start, 0) if engine == "matrix" else 0
+                steps = engine in ("recurrence", "direct") or (engine == "matrix" and k > 1)
+                expected = [below + 1] if steps and count - below > 1 else []
+                assert calls == expected, (engine, k, start, count)
+
+
+def test_a_residue_already_in_decimal_is_not_converted_again(monkeypatch):
+    # past the switch the residue is converted once, before the first text
+    monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 8)
+    for texts, _, _ in QUANTITIES:
+        assert _converted_after(monkeypatch, lambda out: out.extend(texts(3, 300, 340, "matrix"))) == [0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--k", "3", "--n", "5000", "--engine", "recurrence"),
+        ("eval", "--k", "3", "--n", "5000", "--engine", "matrix"),
+        ("sum", "--k", "5", "--n", "6000", "--engine", "direct"),
+        ("sum", "--k", "5", "--n", "6000", "--engine", "matrix"),
+        ("bench", "--k", "3", "--n", "5000", "--reps", "2"),
+        ("bench", "--k", "5", "--n", "6000", "--engines", "direct,dunkel,matrix", "--reps", "2"),
+    ],
+)
+def test_a_single_index_converts_no_state(monkeypatch, argv):
+    def run(out):
+        with redirect_stdout(io.StringIO()) as stdout:
+            assert main(list(argv)) == 0
+        out.extend(stdout.getvalue().splitlines())
+
+    assert _converted_after(monkeypatch, run) == []
