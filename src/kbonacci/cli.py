@@ -23,7 +23,12 @@ Every subcommand builds records, dicts of its fields, and hands them to one
 writer, `_emit`, which owns the three formats (plain, json, csv).  The one
 exception is the `tilings` listing: text is most of a listing command's
 time, so it joins its rows by hand, byte for byte what the json and csv
-modules would write, and writes them 1024 to a call.
+modules would write, and writes them 1024 to a call.  It reads the
+enumeration as `tilings.subtrees` gives it, a walk over prefixes and one
+suffix table per room left: each table is rendered once into the format's
+suffix texts, so a row is one concatenation of its prefix's text with a
+suffix text, and `--count` adds up the sizes of the walked tables without
+building a tiling.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parameter error, or an input too large
 for memory (the error line names the function that ran out, and records
@@ -39,13 +44,13 @@ import os
 import sys
 import time
 import traceback
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, islice, starmap
+from operator import add, itemgetter
 
 from .closed_form import SUM_FORMULA, TERM_FORMULA, term_breakdown
 from .engines import SUM_NAMES, VALUE_NAMES, bench_plan, stream_sum_texts, stream_value_texts
 from .render import _decimal_str
-from .tilings import DEFAULT_CAP, bounded_tiles, exact_tiles
+from .tilings import DEFAULT_CAP, subtrees
 from .verify import SUITES, run_suites
 
 FORMATS = ("plain", "json", "csv")
@@ -53,13 +58,26 @@ VALUE_FIELDS = ["k", "n", "engine", "value"]
 BENCH_FIELDS = VALUE_FIELDS + ["elapsed_ns", "ops"]
 
 
+def _is_int(text: str) -> bool:
+    """An optional '-' then ASCII digits.  int() alone would also take
+    spaces around the digits, '_' between them, a '+' and non-ASCII
+    digits."""
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
+def parse_int(text: str) -> int:
+    if not _is_int(text):
+        # argparse's own wording for a value that int() rejects
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def parse_range(text: str) -> range:
     """'a..b' (inclusive both ends) or a single integer."""
-    if ".." in text:
-        a, b = text.split("..", 1)
-        start, stop = int(a), int(b)
-    else:
-        start = stop = int(text)
+    ends = text.split("..", 1)
+    if not all(map(_is_int, ends)):
+        raise ValueError(f"not an integer or a range a..b: {text!r}")
+    start, stop = int(ends[0]), int(ends[-1])
     if start > stop:
         raise ValueError(f"range {text!r} is empty")
     return range(start, stop + 1)
@@ -127,27 +145,52 @@ _ROWS_PER_WRITE = 1024
 
 
 def cmd_tilings(args) -> int:
-    producer = bounded_tiles if args.bounded else exact_tiles
-    tilings = producer(args.k, args.n, args.cap)
+    n = args.n
+    tables, walk = subtrees(args.k, n, args.bounded, args.cap)
     if args.count:
-        record = {"k": args.k, "n": args.n, "bounded": args.bounded, "count": sum(1 for _ in tilings)}
+        count = sum(len(tables[room]) for _, room in walk)
+        record = {"k": args.k, "n": n, "bounded": args.bounded, "count": count}
         _emit([record], args.format, ["k", "n", "bounded", "count"], itemgetter("count"))
         return 0
     # Rows are joined by hand: they match the json/csv modules' output byte
     # for byte, as no field needs escaping or quoting.  No tile or total
-    # exceeds n, so each number is one lookup.
-    digits = [str(t) for t in range(args.n + 1)]
-    if args.format == "plain":
-        rows = ("[" + ",".join([digits[t] for t in tiles]) + "]" for tiles in tilings)
-    elif args.format == "json":
-        rows = (
-            '{"tiles":[' + ",".join([digits[t] for t in tiles])
-            + '],"total":' + digits[sum(tiles)] + "}"
-            for tiles in tilings
-        )
+    # exceeds n, so each number is one lookup.  Each table is rendered once
+    # into suffix texts, and a row is its prefix's text + a suffix text; a
+    # suffix text opens with the separator unless the suffix is empty.
+    digits = [str(t) for t in range(n + 1)]
+    fmt = args.format
+    sep = " " if fmt == "csv" else ","
+
+    def joined(tiles):
+        return sep.join([digits[t] for t in tiles])
+
+    def total(room, tiles):
+        return digits[n - room + sum(tiles)]
+
+    def suffix_text(room, tiles):
+        text = sep + joined(tiles) if tiles else ""
+        if fmt == "json":
+            return text + '],"total":' + total(room, tiles) + "}"
+        return text + "]" if fmt == "plain" else text
+
+    texts = [[suffix_text(room, tiles) for tiles in table] for room, table in enumerate(tables)]
+    totals = None
+    if fmt == "plain":
+        opening = "["
+    elif fmt == "json":
+        opening = '{"tiles":['
     else:
         print("total,tiles")
-        rows = (digits[sum(tiles)] + "," + " ".join([digits[t] for t in tiles]) for tiles in tilings)
+        opening = "," if args.bounded else digits[n] + ","
+        if args.bounded:  # a bounded csv row starts with its own total
+            totals = [[total(room, tiles) for tiles in table] for room, table in enumerate(tables)]
+
+    def subtree_rows(prefix, room):
+        suffixes = texts[room] if prefix else [text.removeprefix(sep) for text in texts[room]]
+        rows = map((opening + joined(prefix)).__add__, suffixes)
+        return rows if totals is None else map(add, totals[room], rows)
+
+    rows = chain.from_iterable(starmap(subtree_rows, walk))
     while block := list(islice(rows, _ROWS_PER_WRITE)):
         print("\n".join(block))
     return 0
@@ -224,25 +267,25 @@ def build_parser() -> argparse.ArgumentParser:
         ("sum", SUM_NAMES, stream_sum_texts, "f(0)+...+f(n)"),
     ):
         p = sub.add_parser(name, help=f"compute {quantity} for one engine")
-        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--k", type=parse_int, required=True)
         p.add_argument("--n", type=parse_range, required=True, help="index or inclusive range a..b")
         p.add_argument("--engine", choices=sorted(names), default=names[0])
         add_format(p)
         p.set_defaults(func=cmd_values, texts=texts)
 
     p = sub.add_parser("terms", help="list the summands of a closed form")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=parse_int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
     p.add_argument("--which", choices=(SUM_FORMULA, TERM_FORMULA), default=SUM_FORMULA)
     add_format(p)
     p.set_defaults(func=cmd_terms)
 
     p = sub.add_parser("tilings", help="enumerate ruler tilings with tiles 1..k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=parse_int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
     p.add_argument("--bounded", action="store_true", help="total <= n instead of == n")
     p.add_argument("--count", action="store_true", help="print only the count")
-    p.add_argument("--cap", type=int, default=None, help=f"enumeration cap (default {DEFAULT_CAP})")
+    p.add_argument("--cap", type=parse_int, default=None, help=f"enumeration cap (default {DEFAULT_CAP})")
     add_format(p)
     p.set_defaults(func=cmd_tilings)
 
@@ -255,15 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=parse_range, default=range(1, 5), help="k range (default 1..4)")
     p.add_argument("--n", type=parse_range, default=range(0, 13), help="n range (default 0..12)")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=parse_int, default=None)
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time engines against each other")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=parse_int, required=True)
+    p.add_argument("--n", type=parse_int, required=True)
     p.add_argument("--engines", default=",".join(VALUE_NAMES))
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=parse_int, default=3)
     add_format(p)
     p.set_defaults(func=cmd_bench)
 

@@ -25,7 +25,7 @@ from kbonacci import (
     kbonacci_prefix,
     term_breakdown,
 )
-from kbonacci import cli, engines, matrix_power, verify
+from kbonacci import cli, engines, matrix_power, tilings, verify
 from kbonacci.cli import FORMATS, build_parser, main, parse_range
 from kbonacci.render import _LEAF_BITS, _decimal_str, _decimals, exact
 
@@ -134,6 +134,11 @@ class TestParseRange:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             parse_range("5..2")
+
+    @pytest.mark.parametrize("text", [" 3", "3 ", "\u0663", "1_0", "+5", "1.. 3", "-1..+3", "", "-", "1..", "..3"])
+    def test_only_ascii_digits_after_an_optional_minus(self, text):
+        with pytest.raises(ValueError):
+            parse_range(text)
 
 
 class TestEval:
@@ -532,21 +537,53 @@ class TestTilings:
         [(2, 0, True), (3, 0, False), (2, 6, False), (4, 13, False), (2, 15, True)],
     )
     def test_listing_bytes_match_the_json_and_csv_modules(self, capsys, fmt, k, n, bounded):
+        self._assert_listing_matches_the_modules(capsys, fmt, k, n, bounded)
+
+    # cells whose root is a table (n = depth) and one room above it, for
+    # the walk alone (0), tables of one and three rooms, and the default
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, sys.maxsize])
+    @pytest.mark.parametrize("above", [0, 1])
+    @pytest.mark.parametrize("depth", [0, 1, 3, tilings._TABLE_ROOM])
+    def test_listing_bytes_across_the_table_boundary(self, capsys, monkeypatch, depth, above, k, bounded, fmt):
+        monkeypatch.setattr(tilings, "_TABLE_ROOM", depth)
+        self._assert_listing_matches_the_modules(capsys, fmt, k, depth + above, bounded)
+
+    @staticmethod
+    def _assert_listing_matches_the_modules(capsys, fmt, k, n, bounded):
         every = sorted(tiles for _, tiles in subset_tilings(n))
-        tilings = [t for t in every if max(t, default=1) <= k and (bounded or sum(t) == n)]
+        listed = [t for t in every if max(t, default=1) <= k and (bounded or sum(t) == n)]
         expected = io.StringIO()
         if fmt == "csv":
             writer = csv.writer(expected, lineterminator="\n")
             writer.writerow(["total", "tiles"])
-            for t in tilings:
+            for t in listed:
                 writer.writerow([sum(t), " ".join(map(str, t))])
         else:
-            for t in tilings:
+            for t in listed:
                 obj = list(t) if fmt == "plain" else {"tiles": list(t), "total": sum(t)}
                 print(json.dumps(obj, sort_keys=True, separators=(",", ":")), file=expected)
         argv = ["tilings", "--k", str(k), "--n", str(n), "--format", fmt] + ["--bounded"] * bounded
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (0, expected.getvalue())
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    @pytest.mark.parametrize("k", [*range(1, 6), sys.maxsize])
+    def test_count_is_the_number_of_listed_rows(self, capsys, k, bounded):
+        for n in range(0, 15):
+            for fmt in FORMATS:
+                argv = ["tilings", "--k", str(k), "--n", str(n), "--format", fmt] + ["--bounded"] * bounded
+                code, out, _ = run(capsys, *argv)
+                rows = out.splitlines()[fmt == "csv" :]  # past the csv header
+                code_count, out_count, _ = run(capsys, *argv, "--count")
+                if fmt == "plain":
+                    count = int(out_count)
+                elif fmt == "json":
+                    count = json.loads(out_count)["count"]
+                else:
+                    count = int(next(csv.DictReader(io.StringIO(out_count)))["count"])
+                assert (code, code_count, count) == (0, 0, len(rows)), (n, fmt)
 
     def test_cap_flag_allows_and_blocks(self, capsys):
         code, _, err = run(capsys, "tilings", "--k", "1", "--n", "30", "--count")
@@ -936,6 +973,50 @@ class TestBench:
         assert code == 2
         assert out == ""
         assert "--reps must be at least 1" in err
+
+
+# int() takes each of these, the CLI none: a space before or after the
+# digits, an Arabic-Indic three, '_' between digits and a '+'
+_NON_ASCII_INTS = [" 3", "3 ", "\u0663", "1_0", "+5"]
+# per subcommand: a valid command's options and values, and its range options
+_INT_OPTIONS = {
+    "eval": ({"--k": "2", "--n": "4"}, {"--n"}),
+    "sum": ({"--k": "2", "--n": "4"}, {"--n"}),
+    "terms": ({"--k": "2", "--n": "4"}, set()),
+    "tilings": ({"--k": "2", "--n": "4", "--cap": "10"}, set()),
+    "verify": ({"--suite": "engines", "--k": "1..2", "--n": "0..3", "--cap": "10"}, {"--k", "--n"}),
+    "bench": ({"--k": "2", "--n": "4", "--reps": "1"}, set()),
+}
+
+
+def _int_argv(sub, option=None, value=None):
+    argv = [sub]
+    for opt, default in _INT_OPTIONS[sub][0].items():
+        argv += [opt, value if opt == option else default]
+    return argv
+
+
+def _non_ascii_int_cases():
+    for sub, (options, ranges) in _INT_OPTIONS.items():
+        for option in options.keys() - {"--suite"}:
+            forms = ["{}", "{}..20", "0..{}"] if option in ranges else ["{}"]
+            for form in forms:
+                for token in _NON_ASCII_INTS:
+                    yield sub, option, form.format(token)
+
+
+@pytest.mark.parametrize("sub", _INT_OPTIONS)
+def test_the_int_options_base_command_runs(capsys, sub):
+    assert run(capsys, *_int_argv(sub))[0] == 0
+
+
+@pytest.mark.parametrize("sub, option, value", sorted(_non_ascii_int_cases()))
+def test_an_int_is_ascii_digits_after_an_optional_minus(capsys, sub, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(_int_argv(sub, option, value))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: kbonacci ") and f"error: argument {option}: invalid " in err
 
 
 def test_usage_error_exits_2(capsys):

@@ -19,6 +19,7 @@ from kbonacci import (
     tiling_from_marks,
     verify_intersection_identity,
 )
+from kbonacci import tilings
 from kbonacci.tilings import bounded_tiles, exact_tiles, oversized_members, unrestricted_tiles
 
 from oracles import (
@@ -144,20 +145,42 @@ class TestUnrestrictedEnumeration:
             assert tiling.right_ends() == marks  # marks recoverable from the tiling
 
 
-@pytest.mark.parametrize("n", range(0, 13))
-def test_iterators_yield_tilings_in_lexicographic_order(n):
-    # the 2^n mark subsets give distinct tilings, so each expected list is
-    # strictly increasing, and the exact one is the bounded one at total n
+def _lexicographic_oracle(n):
+    """The oracle's tilings of total at most n, sorted, then (k, bounded,
+    exact) for k 1..6, 20 and sys.maxsize.
+
+    The 2^n mark subsets give distinct tilings, so each list is strictly
+    increasing, and the exact one is the bounded one at total n."""
     every = sorted(tiles for _, tiles in subset_tilings(n))
-    cases = [(iter_unrestricted(n), every)]
+    by_k = []
     for k in (*range(1, 7), 20, sys.maxsize):
         bounded = [t for t in every if max(t, default=1) <= k]
-        exact = [t for t in bounded if sum(t) == n]
+        by_k.append((k, bounded, [t for t in bounded if sum(t) == n]))
+    return every, by_k
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_iterators_yield_tilings_in_lexicographic_order(n):
+    every, by_k = _lexicographic_oracle(n)
+    cases = [(iter_unrestricted(n), every)]
+    for k, bounded, exact in by_k:
         cases += [(iter_bounded_tilings(k, n), bounded), (iter_tilings(k, n), exact)]
     for stream, expected in cases:
         tilings = list(stream)
         assert all(type(t) is Tiling for t in tilings)
         assert [t.tiles for t in tilings] == expected
+
+
+# the walk alone (0), tables of one and three rooms, and the default
+@pytest.mark.parametrize("depth", [0, 1, 3, tilings._TABLE_ROOM])
+@pytest.mark.parametrize("n", range(0, 13))
+def test_tuples_match_the_oracle_across_the_table_boundary(monkeypatch, depth, n):
+    monkeypatch.setattr(tilings, "_TABLE_ROOM", depth)
+    every, by_k = _lexicographic_oracle(n)
+    assert list(unrestricted_tiles(n)) == every
+    for k, bounded, exact in by_k:
+        assert list(bounded_tiles(k, n)) == bounded, k
+        assert list(exact_tiles(k, n)) == exact, k
 
 
 class TestEnumerationCap:
