@@ -25,22 +25,31 @@ the doubled entries 2 C(m, j) - C(m-1, j) = C(m, j) + C(m-1, j-1),
 m = n-jk, and takes C(m-1, j-1) = C(m, j) j / m from the row of n alone.
 
 A range start..stop-1 folds its first index alone, its row as the row is
-made, in O(n) bits.  The rest is cut into blocks of at most 16 (k+1)
-indices, whose sums S(n) are folded column by column: column j holds
-C(m, j) for the m of every index of the block, and each index keeps its
-own Horner accumulator, folded as j ascends.  A column starts from its
-entry in the row of the block's first index and is filled by Pascal's
-rule, C(m+1, j) = C(m, j) + C(m, j-1), from column j-1 moved k entries
-down; the k entries below column j-1 are made by the ratio rule
-C(m, j-1) = C(m-1, j-1) m / (m-j+1).  That is one row step, k exact
-divisions and b-1 additions per column of a block of b indices, where
-stepping the row of each index, C(m+1, j) = C(m, j)(m+1) / (m+1-j),
-costs b divisions; a block of k indices or fewer makes only the
-divisions of its own entries.  A block holds O(b n) = O(k n) bits.
-A range's later values are differences of consecutive sums,
-f(n) = S(n) - S(n-1), so a block of values folds the sums of its indices
-and of the one before them.  A single index, or the first of a range,
-folds the doubled row instead: one fold where a difference takes two.
+made, in O(n) bits, and yields it before anything else is folded.  The
+next k indices at most form one block, whose sums S(n) are folded column
+by column: column j holds C(m, j) for the m of every index of the block,
+and each index keeps its own Horner accumulator, folded as j ascends.  A
+column starts from its entry in the row of the block's first index and
+steps down the block by the ratio rule C(m+1, j) = C(m, j)(m+1) / (m+1-j):
+one row step and b-1 exact divisions per column of a block of b indices,
+where stepping the row of each index costs b row steps, each a product
+and a quotient of k+1 factors.  The block holds O(k n) bits.  A block of
+values folds the sums of its indices and of the one before them, and
+takes the differences f(n) = S(n) - S(n-1).  A single index, or the
+first of a range, folds the doubled row instead: one fold where a
+difference takes two.
+
+Every later index takes one shift and one subtraction.  Pascal's rule,
+summed over the signed, 2-power-weighted row, gives
+
+    S(n+1) = 2 S(n) - S(n-k),   n >= 0,
+
+the recurrence of P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), and f follows
+it from n = 1 on.  So a range holds its last k+1 values and steps them,
+whatever its length.  The text generators, which the CLI prints, convert
+those k+1 values to Decimal once the first record is out and step there
+under `render.exact()`: each later record is a Decimal subtraction and
+str(), not a binary to decimal conversion.
 `term_breakdown` lists the summands of the rows.  The extended form is
 the base fold plus the raised-limit binomials, each checked to be 0.
 
@@ -50,11 +59,13 @@ Powers of two are produced by shifting; no floating point anywhere.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 from operator import sub
 from typing import Iterator
 
+from .render import _decimals, _texts
 from .sequence import _check_int, _check_k, _check_n, _count
 
 SUM_FORMULA = "sum-formula"
@@ -122,45 +133,25 @@ def _fold_row(row, k: int) -> int:
     return _nonnegative(total)
 
 
-_SPAN = 16  # a block is at most this many times k+1 indices long
-
-
-def _blocks(k: int, start: int, stop: int) -> Iterator[range]:
-    """The indices start+1..stop-1 in blocks of at most _SPAN (k+1)."""
-    cap = _SPAN * (k + 1)
-    for a in range(start + 1, stop, cap):
-        yield range(a, min(a + cap, stop))
-
-
 def _columns(k: int, lo: int, hi: int):
     """Yield column j for j = 1..floor((hi-1)/(k+1)), where at the indices
     n = lo + i, lo <= n < hi, column[i] = C(n - jk, j).
 
-    Column j starts from C(lo - jk, j), entry j of the row of lo (0 past
-    its end), and is filled by Pascal's rule, C(m+1, j) = C(m, j) + C(m, j-1).
-    Its rises C(m, j-1) are column j-1 moved k entries down.  Those below
-    column j-1 are made up from the first nonzero one, C(lo-jk, j) j / (m-j+1)
-    or C(j-1, j-1) = 1, by C(m, j-1) = C(m-1, j-1) m / (m-j+1): at most k
-    exact divisions per column, and one addition per entry.
+    Column j starts from C(lo - jk, j), entry j of the row of lo, or past
+    the row's end from C(m, j) = 0 up to C(j, j) = 1, and steps by the
+    ratio rule C(m, j) = C(m-1, j) m / (m-j): one row step per column and
+    one exact division per later entry.
     """
-    width = hi - lo
-    low = min(k, width - 1)  # the rises below column j-1
-    column = [1] * width
     seeds = chain(islice(_row(k, lo), 1, None), repeat(0))
-    for j, seed in zip(range(1, (hi - 1) // (k + 1) + 1), seeds):
-        m = lo - j * k  # the m of the first rise
-        if seed:
-            zeros, c = 0, seed * j // (m - j + 1)
-        else:
-            zeros, c = min(j - 1 - m, low), 1
-        rises = [0] * zeros
-        if zeros < low:
-            rises.append(c)
-            for m in range(m + zeros + 1, m + low):
-                c = c * m // (m - j + 1)
-                rises.append(c)
-        rises += column[: width - 1 - low]
-        column = list(accumulate(rises, initial=seed))
+    for j, c in zip(range(1, (hi - 1) // (k + 1) + 1), seeds):
+        m = lo - j * k  # the m of the first entry
+        if c:
+            column = [c]
+        else:  # the column reaches m = j, since j <= (hi-1-jk)
+            column, c, m = [0] * (j - m) + [1], 1, j
+        for m in range(m + 1, hi - j * k):
+            c = c * m // (m - j)
+            column.append(c)
         yield column
 
 
@@ -193,21 +184,45 @@ def _doubled(k: int, n: int) -> Iterator[int]:
         yield c + (c * j // m if m else 1)
 
 
-def _closed_range(k: int, start: int, stop: int, term: bool) -> Iterator[int]:
+def _later(window: deque) -> Iterator:
+    """Yield the terms after window of t(n+1) = 2 t(n) - t(n-k), where
+    window holds the last k+1 = window.maxlen terms.  Both S from n = 0
+    and f from n = 1 follow it: summing Pascal's rule over the signed row
+    of n gives the recurrence of P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x).
+    The terms are ints or Decimals, as window's are: additions serve both."""
+    while True:
+        last = window[-1]
+        window.append(last + last - window[0])
+        yield window[-1]
+
+
+def _closed_range(k: int, start: int, stop: int, term: bool, text: bool = False) -> Iterator:
     """S(n) (term=False) or f(n) (term=True) for n = start..stop-1.
 
     The first index folds its row as the row is made, in O(n) bits; a
-    value halves its doubled fold.  The later indices fold their sums in
-    blocks, in O(b n) bits for a block of b indices, and a block of values
-    differences the sums of the block and of the index before it.
+    value halves its doubled fold.  The next k indices at most fold their
+    sums as one block, in O(k n) bits, and a block of values differences
+    the sums of the block and of the index before it.  Every later index
+    is one step of _later over the last k+1.  With text, a range that
+    steps converts those k+1 to Decimals once its first is out, so each
+    stepped index is a Decimal; run it under exact().
     """
-    if _count(k, start, stop):
-        row = _doubled(k, start) if term else _row(k, start)
-        yield (_fold_row(row, k) << start % (k + 1)) >> term
-    for block in _blocks(k, start, stop):
-        sums = _block_folds(k, range(block.start - term, block.stop))
-        yield from map(sub, sums[1:], sums) if term else sums
-        del sums  # not held while the next block is folded
+    count = _count(k, start, stop)
+    if not count:
+        return
+    row = _doubled(k, start) if term else _row(k, start)
+    first = (_fold_row(row, k) << start % (k + 1)) >> term
+    yield first
+    head = range(start + 1, start + min(count, k + 1))
+    sums = _block_folds(k, range(head.start - term, head.stop)) if head else []
+    window = [first, *(map(sub, sums[1:], sums) if term else sums)]
+    del sums  # not held while the range steps
+    steps = count - k - 1
+    if text and steps > 0:
+        window = _decimals(window)
+    yield from window[1:]
+    if steps > 0:
+        yield from islice(_later(deque(window, maxlen=k + 1)), steps)
 
 
 def dunkel_sums_from(k: int, start: int, stop: int) -> Iterator[int]:
@@ -227,6 +242,17 @@ def closed_values_from(k: int, start: int, stop: int) -> Iterator[int]:
     base case n = 0 is the lone term 2 * 2^-1 = 1.
     """
     return _closed_range(k, start, stop, True)
+
+
+def dunkel_sum_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
+    """dunkel_sums_from as exact decimal strings, stepped in Decimal past
+    the range's first k+1 indices (see _closed_range)."""
+    return _texts(_closed_range(k, start, stop, False, True))
+
+
+def closed_value_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
+    """closed_values_from as exact decimal strings, stepped alike."""
+    return _texts(_closed_range(k, start, stop, True, True))
 
 
 def _check_limit(k: int, n: int, m: int) -> None:

@@ -18,14 +18,15 @@ index by its own method, then goes on:
   they are powers of two).  A range of one index powers only to
   x^(n // 2) and finishes with one k-term inner product over the next
   steps;
-* dunkel and dunkel-term: the sums of the later indices in blocks, each
-  evaluated column by column, C(n-jk, j) for every n of the block, mostly
-  by Pascal's rule: about one addition per index and column besides the
-  Horner fold (see `closed_form`).  dunkel-term takes its values as the
-  differences f(n) = S(n) - S(n-1) of consecutive sums.
+* dunkel and dunkel-term: the sums of the next k indices at most as one
+  block, evaluated column by column, C(n-jk, j) for every n of the block,
+  one exact division per entry (see `closed_form`); dunkel-term takes its
+  values as the differences f(n) = S(n) - S(n-1) of consecutive sums.
+  Every later index is one shift and one subtraction,
+  t(n+1) = 2 t(n) - t(n-k), over the last k+1 values.
 
 The window and matrix engines cut their endless internals at stop; the
-closed forms need stop to size their blocks.
+closed forms need stop to size their block.
 
 Each generator carries its cost model as stream.cost(k, n): the number
 of big-integer operations one index n takes, which `bench` reports as
@@ -36,16 +37,17 @@ of the powering to x^(n // 2), whose squaring count also bounds that
 loop, plus k for the inner product, and none where x^n needs no
 squaring.  Every model is arithmetic on (k, n) and runs nothing.
 
-Each generator also carries its text range generator as stream.text, or
-None.  recurrence, direct and matrix have one: a range converts the
-engine's state (the window of k values or sums, or the residue) to
-Decimal once its first record is out and steps the rest there, and
-matrix also finishes large residues in Decimal (see `sequence` and
-`matrix_power`).  The closed forms, which fold each index anew, have
-none: `stream_value_texts`/`stream_sum_texts` pass their ints through
-the same renderer, `render._texts`, which prints a Decimal with str() and
-an int by the subquadratic split.  The int generators and `compute_*`
-never convert to Decimal.
+Each generator also carries its text range generator as stream.text: a
+range converts the engine's state (the window of k values or sums, the
+residue, or a closed form's last k+1 values) to Decimal once its first
+record is out and steps the rest there, and matrix also finishes large
+residues in Decimal (see `sequence`, `matrix_power` and `closed_form`).
+A closed-form range of at most k+1 indices never steps, and converts
+nothing.  Every text generator prints through one renderer,
+`render._texts`, which prints a Decimal with str() and an int by the
+subquadratic split; a stream without .text (a stand-in put in a table)
+has its ints passed through it.  The int generators and `compute_*` never
+convert to Decimal.
 
 Every reader goes through this module: `eval`, `sum` and `bench` take
 their engine names from the tables, `eval` and `sum` print what
@@ -70,7 +72,12 @@ from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
-from .closed_form import closed_values_from, dunkel_sums_from
+from .closed_form import (
+    closed_value_texts_from,
+    closed_values_from,
+    dunkel_sum_texts_from,
+    dunkel_sums_from,
+)
 from .matrix_power import (
     matrix_cost,
     matrix_sum_texts_from,
@@ -90,16 +97,17 @@ from .sequence import (
 )
 
 
-def _costed(stream, cost: Callable[[int, int], int], text=None):
+def _costed(stream, cost: Callable[[int, int], int], text):
     """stream, with cost as its cost model and text as its own text range
-    generator (None: its ints through the renderer)."""
+    generator."""
     stream.cost = cost
     stream.text = text
     return stream
 
 
 def _text_stream(stream):
-    """stream's text range generator: its own, or its ints through the renderer."""
+    """stream's text range generator: its own, or, for a stream that has
+    none, its ints through the renderer."""
     text = getattr(stream, "text", None)
     if text is not None:
         return text
@@ -113,13 +121,13 @@ def _terms(k: int, n: int) -> int:
 
 _VALUE_DISPATCH = {
     "recurrence": _costed(values_from, lambda k, n: 2 * n, value_texts_from),
-    "dunkel-term": _costed(closed_values_from, lambda k, n: 4 * _terms(k, n)),
+    "dunkel-term": _costed(closed_values_from, lambda k, n: 4 * _terms(k, n), closed_value_texts_from),
     "matrix": _costed(matrix_values_from, matrix_cost, matrix_value_texts_from),
 }
 
 _SUM_DISPATCH = {
     "direct": _costed(sums_from, lambda k, n: 3 * n, sum_texts_from),
-    "dunkel": _costed(dunkel_sums_from, lambda k, n: 2 * _terms(k, n)),
+    "dunkel": _costed(dunkel_sums_from, lambda k, n: 2 * _terms(k, n), dunkel_sum_texts_from),
     "matrix": _costed(matrix_sums_from, matrix_cost, matrix_sum_texts_from),
 }
 

@@ -15,8 +15,9 @@ from kbonacci import (
     partial_sum_dunkel_extended,
     term_breakdown,
 )
-from kbonacci.closed_form import _SPAN, closed_values_from, dunkel_sums_from
-from kbonacci.engines import stream_values
+from kbonacci import closed_form
+from kbonacci.closed_form import closed_values_from, dunkel_sums_from
+from kbonacci.engines import stream_sum_texts, stream_value_texts, stream_values
 from kbonacci.sequence import sums_from, values_from
 
 from oracles import pascal_rows
@@ -53,6 +54,19 @@ class TestBinomial:
     def test_random_against_pascal(self, a, b):
         expected = PASCAL[a][b] if 0 <= b <= a else 0
         assert binomial(a, b) == expected
+
+    def test_block_columns_match_pascal_triangle(self):
+        # column j of a block lo..hi-1 holds C(n - jk, j) for each n, 0 where
+        # n - jk < j, at every block width a range folds (up to k+1)
+        for k in range(1, 8):
+            for lo in range(0, 60):
+                for width in range(1, k + 2):
+                    hi = lo + width
+                    columns = list(closed_form._columns(k, lo, hi))
+                    assert columns == [
+                        [PASCAL[n - j * k][j] if n - j * k >= j else 0 for n in range(lo, hi)]
+                        for j in range(1, (hi - 1) // (k + 1) + 1)
+                    ], (k, lo, width)
 
     def test_incremental_row_matches_direct_evaluation(self):
         from kbonacci.closed_form import _row
@@ -226,26 +240,27 @@ def test_single_index_streams_its_row(fn):
     assert peak < 256 * 1024
 
 
-def _cap(k):
-    """The longest range that _blocks covers in one block after the lone
-    first index."""
-    return 1 + _SPAN * (k + 1)
-
-
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(1, 12), start=st.integers(0, 400), length=st.integers(1, 120))
-@example(k=3, start=200, length=4)  # k sums, k+1 for values: no rise read from column j-1
-@example(k=3, start=200, length=5)  # k+1 sums, k+2 for values: one rise read for values
-@example(k=3, start=200, length=6)  # k+2 sums: one rise read from column j-1 for sums too
-@example(k=3, start=200, length=_cap(3))
-@example(k=3, start=200, length=_cap(3) + 1)
-@example(k=1, start=40, length=_cap(1) + 2)
-@example(k=12, start=400, length=_cap(12) + 1)
+# lengths k, k+1 (the first index and one block of k, no step), k+2 (one
+# step) and 2k+3 (steps past the whole window), from starts 0, 1 and k
+@example(k=1, start=0, length=1)
+@example(k=1, start=1, length=2)
+@example(k=1, start=0, length=3)  # f(2) = 2 f(1) - f(0) steps from f(0)
+@example(k=1, start=1, length=5)
+@example(k=1, start=1, length=3)
+@example(k=3, start=3, length=3)
+@example(k=3, start=200, length=4)  # a block of k sums, k+1 for values
+@example(k=3, start=200, length=5)
+@example(k=3, start=0, length=9)
+@example(k=7, start=1, length=8)
+@example(k=7, start=7, length=17)
+@example(k=12, start=12, length=14)
+@example(k=12, start=0, length=27)
+@example(k=12, start=1, length=12)
 @example(k=5, start=2, length=120)  # start < k+1: columns that start with zeros
 @example(k=12, start=0, length=120)
 @example(k=1, start=0, length=120)
-@example(k=2, start=1, length=2 * _cap(2) + 3)  # three blocks, the first differenced from S(1)
-@example(k=7, start=1, length=2 * _cap(7) + 3)
 def test_ranges_match_the_recurrence(k, start, length):
     stop = start + length
     assert list(dunkel_sums_from(k, start, stop)) == list(sums_from(k, start, stop))
@@ -265,10 +280,11 @@ def test_short_range_holds_no_row():
     assert peak < 1024 * 1024
 
 
-def test_long_range_holds_blocks_not_rows():
-    # Blocks of at most _SPAN (k+1) indices keep a long range to O(k n)
-    # bits; the row C(n-j, j) of n = 4000 alone holds about 1.2 MiB.
-    start, stop = 4_000, 4_000 + 2 * _cap(1) + 5
+def test_range_memory_does_not_grow_with_its_length():
+    # A range holds one block of at most k indices, then its last k+1
+    # values, whatever its length; the row C(n-j, j) of n = 4000 alone
+    # holds about 1.2 MiB.
+    start, stop = 4_000, 4_000 + 710
     tracemalloc.start()
     try:
         values = list(stream_values(1, start, stop, "dunkel-term"))
@@ -277,3 +293,22 @@ def test_long_range_holds_blocks_not_rows():
         tracemalloc.stop()
     assert values == list(values_from(1, start, stop))
     assert peak < 512 * 1024
+
+
+@pytest.mark.parametrize("texts, engine", [(stream_sum_texts, "dunkel"), (stream_value_texts, "dunkel-term")])
+def test_the_first_record_comes_before_the_block(monkeypatch, texts, engine):
+    # the first index is folded alone, so a range's first record does not
+    # wait for the block of the next k indices
+    calls = []
+    real = closed_form._block_folds
+
+    def spy(k, block):
+        calls.append(block)
+        return real(k, block)
+
+    monkeypatch.setattr(closed_form, "_block_folds", spy)
+    records = texts(3, 6000, 6056, engine)
+    next(records)
+    assert calls == []
+    next(records)
+    assert len(calls) == 1

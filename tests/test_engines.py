@@ -18,9 +18,14 @@ from kbonacci import (
     partial_sum_dunkel_extended,
     verify_intersection_identity,
 )
-from kbonacci import matrix_power, sequence
+from kbonacci import closed_form, matrix_power, sequence
 from kbonacci.cli import main
-from kbonacci.closed_form import closed_values_from, dunkel_sums_from
+from kbonacci.closed_form import (
+    closed_value_texts_from,
+    closed_values_from,
+    dunkel_sum_texts_from,
+    dunkel_sums_from,
+)
 from kbonacci.engines import (
     _SUM_DISPATCH,
     _VALUE_DISPATCH,
@@ -166,6 +171,8 @@ RANGE_GENERATORS = [
     matrix_sum_texts_from,
     value_texts_from,
     sum_texts_from,
+    closed_value_texts_from,
+    dunkel_sum_texts_from,
 ]
 
 
@@ -230,7 +237,7 @@ def _converted_after(monkeypatch, run):
         calls.append(len(texts))
         return real(ints)
 
-    for module in (matrix_power, sequence):
+    for module in (matrix_power, sequence, closed_form):
         monkeypatch.setattr(module, "_decimals", spy)
     run(texts)
     return calls
@@ -241,15 +248,19 @@ def _converted_after(monkeypatch, run):
 def test_a_range_converts_once_after_its_first_text(monkeypatch, k, start):
     for texts, _, names in QUANTITIES:
         for engine in names:
-            for count in (1, 2, k, k + 1, 3 * k + 2):
+            for count in (1, 2, k, k + 1, k + 2, 3 * k + 2):
                 calls = _converted_after(monkeypatch, lambda out: out.extend(texts(k, start, start + count, engine)))
                 # the window engines convert the window at start; matrix its
                 # residue, the state of the indices from k on (those below
                 # k are powers of two, and at k = 1 no index powers); the
-                # closed forms fold each index anew and keep no state
+                # closed forms their last k+1 values, once the range steps
+                # past its first k+1 indices
                 below = max(k - start, 0) if engine == "matrix" else 0
                 steps = engine in ("recurrence", "direct") or (engine == "matrix" and k > 1)
-                expected = [below + 1] if steps and count - below > 1 else []
+                if engine in ("dunkel", "dunkel-term"):
+                    expected = [1] if count > k + 1 else []
+                else:
+                    expected = [below + 1] if steps and count - below > 1 else []
                 assert calls == expected, (engine, k, start, count)
 
 
