@@ -24,15 +24,13 @@ from .tilings import (
     DEFAULT_CAP,
     CapExceededError,
     IntersectionIdentityReport,
-    MarkConfig,
-    Tiling,
+    bounded_tiles,
     count_by_rightmost_tile,
+    exact_tiles,
     expand_marks,
-    iter_bounded_tilings,
-    iter_tilings,
-    iter_unrestricted,
-    tiling_from_marks,
-    verify_intersection_identity,
+    identity_report,
+    oversized_members,
+    unrestricted_tiles,
 )
 
 __version__ = "0.1.0"
@@ -41,25 +39,23 @@ __all__ = [
     "CapExceededError",
     "DEFAULT_CAP",
     "IntersectionIdentityReport",
-    "MarkConfig",
     "OpCount",
     "SignedTerm",
     "SUM_FORMULA",
     "TERM_FORMULA",
-    "Tiling",
     "binomial",
+    "bounded_tiles",
     "compute_sum",
     "compute_value",
     "count_by_rightmost_tile",
+    "exact_tiles",
     "expand_marks",
-    "iter_bounded_tilings",
-    "iter_tilings",
-    "iter_unrestricted",
+    "identity_report",
     "kbonacci_prefix",
+    "oversized_members",
     "partial_sum_dunkel_extended",
     "term_breakdown",
-    "tiling_from_marks",
+    "unrestricted_tiles",
     "values",
-    "verify_intersection_identity",
     "__version__",
 ]

@@ -19,8 +19,9 @@ by an explicit construction on a reduced ruler of length n - ik: choose i
 "dashed" mark positions and any subset of the remaining positions as
 normal marks, tile between the marks, then lengthen each tile ending at a
 dashed mark by k units, shifting everything to its right.
-`verify_intersection_identity` checks both the count identity and that the
-construction is a bijection, by brute force.
+`identity_report` checks both the count identity and that the
+construction is a bijection, by brute force, from one sweep of U by
+`oversized_members` that serves every i of a (k, n) cell.
 
 The exact, bounded and unrestricted enumerations are one depth-first walk
 of the tree of tilings of total at most n, in which a child adds one tile.
@@ -43,9 +44,8 @@ positions at or left of p.  So the dashed r_l lands on the end
 j_l = r_l + l*k, and the free positions between r_l and r_(l+1) form a
 segment that shifts by l*k as one block.  Shifting the free positions
 once per choice of dashed marks and walking the submasks of the result
-yields the image of every configuration.  `Tiling` and `MarkConfig`
-objects are built only at the public boundary: the iter_* functions,
-expand_marks and tiling_from_marks.
+yields the image of every configuration.  The public functions take and
+hand out tilings as the same tuples.
 
 Everything here is exponential in n by design; the enumeration cap keeps
 calls at desk scale and is overridable per call.
@@ -53,7 +53,7 @@ calls at desk scale and is overridable per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import sub
 from typing import Iterable, Iterator
@@ -84,107 +84,12 @@ def _check_enumerable(n: int, cap: int | None) -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
-class Tiling:
-    """An ordered covering of a ruler by tiles of positive integer length.
-
-    The tile-length tuple is the single source of truth; totals, right-end
-    positions and hash marks are derived views.  The empty tuple is the
-    unique tiling of total 0.
-    """
-
-    tiles: Tiles = ()
-
-    def __post_init__(self):
-        if not isinstance(self.tiles, tuple):
-            object.__setattr__(self, "tiles", tuple(self.tiles))
-        _check_ints("tile length", self.tiles)
-        if min(self.tiles, default=1) < 1:
-            raise ValueError(f"tile lengths must be positive, got {self.tiles}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.tiles)
-
-    def right_ends(self) -> tuple[int, ...]:
-        """Cumulative right-end positions, one per tile."""
-        ends = []
-        pos = 0
-        for t in self.tiles:
-            pos += t
-            ends.append(pos)
-        return tuple(ends)
-
-    def oversized_right_ends(self, k: int) -> tuple[int, ...]:
-        """Right ends of the tiles longer than k, in increasing order."""
-        _check_int("k", k)
-        ends = []
-        pos = 0
-        for t in self.tiles:
-            pos += t
-            if t > k:
-                ends.append(pos)
-        return tuple(ends)
-
-
-def tiling_from_marks(marks: Iterable[int]) -> Tiling:
-    """Build the tiling delimited by hash marks at the given positions.
-
-    Position 0 is implicitly marked; the tiling ends at the largest mark.
-    Marks must be distinct positive integers.
-    """
-    sorted_marks = sorted(marks)
-    _check_ints("mark position", sorted_marks)
-    tiles = tuple(map(sub, sorted_marks, [0, *sorted_marks]))
-    if tiles and tiles[0] < 1:
-        raise ValueError("mark positions must be >= 1 (position 0 is implicit)")
-    if min(tiles, default=1) < 1:  # a repeated mark leaves a tile of length 0
-        raise ValueError("mark positions must be distinct")
-    return Tiling(tiles)
-
-
-@dataclass(frozen=True)
-class MarkConfig:
-    """Mark placement on a reduced ruler of length n_reduced.
-
-    `dashed` are the strictly increasing positions r_1 < ... < r_i chosen
-    from 1..n_reduced whose tiles get lengthened; `normal` is any disjoint
-    subset of the remaining positions.  Position 0 is always marked.
-    """
-
-    n_reduced: int
-    dashed: tuple[int, ...] = ()
-    normal: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dashed", tuple(self.dashed))
-        object.__setattr__(self, "normal", frozenset(self.normal))
-        _check_int("n_reduced", self.n_reduced)
-        _check_ints("mark position", (*self.dashed, *self.normal))
-        if self.n_reduced < 0:
-            raise ValueError(f"n_reduced must be non-negative, got {self.n_reduced}")
-        if any(not 1 <= r <= self.n_reduced for r in self.dashed):
-            raise ValueError(f"dashed positions must lie in 1..{self.n_reduced}")
-        if any(a >= b for a, b in zip(self.dashed, self.dashed[1:])):
-            raise ValueError("dashed positions must be strictly increasing")
-        if any(not 1 <= p <= self.n_reduced for p in self.normal):
-            raise ValueError(f"normal positions must lie in 1..{self.n_reduced}")
-        if self.normal & set(self.dashed):
-            raise ValueError("normal and dashed positions must be disjoint")
-
-
 def exact_tiles(k: int, n: int, cap: int | None = None) -> Iterator[Tiles]:
     """Stream the tile tuples of all tilings of total exactly n with tiles
     in 1..k, in lexicographic order."""
     _check_k(k)
     _check_enumerable(n, cap)
     return _tiles(k, n, False)
-
-
-def iter_tilings(k: int, n: int, cap: int | None = None) -> Iterator[Tiling]:
-    """Stream all tilings of total exactly n with tiles in 1..k, in
-    lexicographic order of the tile lists."""
-    return map(Tiling, exact_tiles(k, n, cap))
 
 
 def bounded_tiles(k: int, n: int, cap: int | None = None) -> Iterator[Tiles]:
@@ -279,26 +184,16 @@ def _tiles(k: int, n: int, bounded: bool) -> Iterator[Tiles]:
     yield from chain.from_iterable(map(tuple(prefix).__add__, tables[room]) for prefix, room in walk)
 
 
-def iter_bounded_tilings(k: int, n: int, cap: int | None = None) -> Iterator[Tiling]:
-    """Stream all tilings of total at most n with tiles in 1..k, lex order."""
-    return map(Tiling, bounded_tiles(k, n, cap))
-
-
 def unrestricted_tiles(n: int, cap: int | None = None) -> Iterator[Tiles]:
-    """Stream the tile tuples of U, in lexicographic order; see
-    iter_unrestricted."""
-    _check_enumerable(n, cap)
-    return _tiles(n, n, True)  # no tile of a tiling of total <= n exceeds n
-
-
-def iter_unrestricted(n: int, cap: int | None = None) -> Iterator[Tiling]:
-    """Stream the set U: all tilings of total at most n, any tile lengths.
+    """Stream the tile tuples of the set U: all tilings of total at most n,
+    any tile lengths.
 
     One tiling per subset of the mark positions 1..n, so exactly 2^n
     tilings; emitted in lexicographic order of the tile lists (which is
     also lexicographic order of the mark subsets).
     """
-    return map(Tiling, unrestricted_tiles(n, cap))
+    _check_enumerable(n, cap)
+    return _tiles(n, n, True)  # no tile of a tiling of total <= n exceeds n
 
 
 def _mask(positions: Iterable[int]) -> int:
@@ -346,26 +241,35 @@ def _lengthen(k: int, dashed: tuple[int, ...], marks: int) -> int:
     return marks
 
 
-def expand_marks(k: int, n: int, cfg: MarkConfig) -> tuple[Tiling, tuple[int, ...]]:
+def expand_marks(
+    k: int, n: int, dashed: Iterable[int], normal: Iterable[int] = ()
+) -> tuple[Tiles, tuple[int, ...]]:
     """Run the mark-expansion construction for ruler length n.
 
-    Tiles the reduced ruler (length n - i*k, i = number of dashed marks)
+    `dashed` are the strictly increasing positions r_1 < ... < r_i on the
+    reduced ruler of length n - i*k whose tiles get lengthened; `normal` is
+    any set of the remaining positions 1..n - i*k.  Tiles the reduced ruler
     using all marks, then replaces each tile ending at a dashed mark with a
     tile k units longer, shifting everything to its right by k.  Returns
-    the expanded tiling together with the oversized right ends
+    the expanded tiles together with the oversized right ends
     j_l = r_l + l*k; the result lies in the intersection of the U_{j_l}.
     """
     _check_k(k)
     _check_n(n)
-    i = len(cfg.dashed)
-    if cfg.n_reduced != n - i * k:
-        raise ValueError(
-            f"inconsistent config: n_reduced={cfg.n_reduced} but n - i*k = {n - i * k} "
-            f"for n={n}, k={k}, i={i}"
-        )
-    ends = _lengthen(k, cfg.dashed, _mask(cfg.dashed))
-    marks = _lengthen(k, cfg.dashed, _mask(cfg.normal)) | ends
-    return tiling_from_marks(_positions(marks)), _positions(ends)
+    dashed = tuple(dashed)
+    normal = frozenset(normal)
+    _check_ints("mark position", (*dashed, *normal))
+    n_reduced = n - len(dashed) * k
+    for name, positions in (("dashed", dashed), ("normal", normal)):
+        if any(not 1 <= p <= n_reduced for p in positions):
+            raise ValueError(f"{name} positions must lie in 1..n - i*k = {n_reduced}, i={len(dashed)}")
+    if any(a >= b for a, b in zip(dashed, dashed[1:])):
+        raise ValueError("dashed positions must be strictly increasing")
+    if normal.intersection(dashed):
+        raise ValueError("normal and dashed positions must be disjoint")
+    ends = _lengthen(k, dashed, _mask(dashed))
+    marks = _positions(_lengthen(k, dashed, _mask(normal)) | ends)
+    return tuple(map(sub, marks, (0, *marks))), _positions(ends)
 
 
 @dataclass(frozen=True)
@@ -418,13 +322,18 @@ def _check_i(k: int, n: int, i: int) -> None:
 def identity_report(
     k: int, n: int, i: int, members: dict[int, list[int]]
 ) -> IntersectionIdentityReport:
-    """The report of verify_intersection_identity(k, n, i), from
-    members = oversized_members(k, n).
+    """Brute-force both sides of the intersection-count identity for
+    (k, n, i) and check that the mark-expansion construction is a bijection.
 
-    Both sides are sets of (ends, marks) pairs, each packed into the int
-    ends << (n+1) | marks.  The left side takes every i-subset of each
-    member's oversized ends; the image lengthens every mark configuration.
+    members must be oversized_members(k, n), one sweep of U for every i of
+    the cell.  Both sides are sets of (ends, marks) pairs, each packed into
+    the int ends << (n+1) | marks.  The left side, whose size is the sum of
+    the intersection counts, takes every i-subset of each member's
+    oversized ends; the image lengthens every mark configuration, and must
+    equal the left side with no two configurations colliding.
     """
+    _check_k(k)
+    _check_n(n)
     _check_i(k, n, i)
     n_reduced = n - i * k
     rhs = binomial(n_reduced, i) << (n_reduced - i)
@@ -463,26 +372,6 @@ def identity_report(
         injective=len(image) == configurations,
         image_matches=image == union,
     )
-
-
-def verify_intersection_identity(
-    k: int, n: int, i: int, cap: int | None = None
-) -> IntersectionIdentityReport:
-    """Brute-force both sides of the intersection-count identity for (k, n, i)
-    and check that the mark-expansion construction is a bijection.
-
-    The left side is the sum of intersection counts over all end tuples
-    j_1 < ... < j_i; it is accumulated from a single sweep over U (each
-    tiling contributes one pair per i-subset of its oversized right ends).
-    The image of the construction over all mark configurations must hit
-    exactly those (ends, tiling) pairs, with no two configurations
-    colliding.  To check every i of a cell, sweep once with
-    oversized_members and pass the result to identity_report.
-    """
-    _check_k(k)
-    _check_enumerable(n, cap)
-    _check_i(k, n, i)
-    return identity_report(k, n, i, oversized_members(k, n, cap))
 
 
 def count_by_rightmost_tile(k: int, n: int, cap: int | None = None) -> list[tuple[int, int]]:

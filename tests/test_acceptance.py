@@ -16,12 +16,13 @@ from kbonacci import (
     TERM_FORMULA,
     compute_sum,
     compute_value,
-    iter_tilings,
-    iter_unrestricted,
+    exact_tiles,
+    identity_report,
     kbonacci_prefix,
+    oversized_members,
     partial_sum_dunkel_extended,
     term_breakdown,
-    verify_intersection_identity,
+    unrestricted_tiles,
 )
 from kbonacci.cli import main
 from kbonacci.engines import SUM_NAMES, VALUE_NAMES
@@ -58,8 +59,8 @@ def test_criterion_01_small_counts(criterion):
         for engine in VALUE_ENGINES:
             assert engine(2, 4) == 5
             assert engine(4, 4) == 8
-        assert len(list(iter_tilings(2, 4))) == 5
-        assert len(list(iter_tilings(4, 4))) == 8
+        assert len(list(exact_tiles(2, 4))) == 5
+        assert len(list(exact_tiles(4, 4))) == 8
 
     criterion(1, "small counts: f(4) for k=2 and k=4, engines and tilings", 1.0, body)
 
@@ -125,8 +126,8 @@ def test_criterion_07_hash_mark_count(criterion):
         for n in range(0, 17):
             seen = set()
             count = 0
-            for tiling in iter_unrestricted(n):
-                seen.add(tiling.tiles)
+            for tiling in unrestricted_tiles(n):
+                seen.add(tiling)
                 count += 1
             assert count == 1 << n
             assert len(seen) == count
@@ -138,8 +139,9 @@ def test_criterion_08_inclusion_exclusion_bijection(criterion):
     def body():
         for n in range(0, 17):
             for k in range(1, n + 1):
+                members = oversized_members(k, n)  # one sweep of U for every i
                 for i in range(1, n // (k + 1) + 1):
-                    report = verify_intersection_identity(k, n, i)
+                    report = identity_report(k, n, i, members)
                     assert report.lhs == report.rhs, (k, n, i)
                     assert report.injective, (k, n, i)
                     assert report.image_matches, (k, n, i)
@@ -158,7 +160,7 @@ def test_criterion_09_subtraction_skeleton(criterion):
         for k in range(1, 5):
             for n in range(0, 13):
                 with_oversized = sum(
-                    1 for t in iter_unrestricted(n) if any(x > k for x in t.tiles)
+                    1 for t in unrestricted_tiles(n) if any(x > k for x in t)
                 )
                 assert (1 << n) - with_oversized == compute_sum(k, n)
 

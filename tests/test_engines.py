@@ -10,13 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbonacci import (
+    bounded_tiles,
     compute_sum,
     compute_value,
-    iter_bounded_tilings,
-    iter_tilings,
+    exact_tiles,
+    expand_marks,
+    identity_report,
     kbonacci_prefix,
+    oversized_members,
     partial_sum_dunkel_extended,
-    verify_intersection_identity,
 )
 from kbonacci import closed_form, matrix_power, sequence
 from kbonacci.cli import main
@@ -116,7 +118,13 @@ def _extended_limit(k, n):
 
 
 def _identity(k, n):
-    return verify_intersection_identity(k, n, 1)
+    # members of a fixed valid cell: the check must come from identity_report
+    return identity_report(k, n, 1, oversized_members(2, 5))
+
+
+def _expand(k, n):
+    # n = 5 leaves a reduced ruler of 3 for the dashed mark at 1
+    return expand_marks(k, n, (1,))
 
 
 def _value_stops(k, n):
@@ -133,7 +141,7 @@ def _sum_stops(k, n):
 def _identity_index(k, n):
     # n doubles as the index i: the int cell (2, 15, i=5) is legal, and a
     # bool n reaches the check only as i, since 3 * True is an int
-    return verify_intersection_identity(k, 3 * n, n)
+    return identity_report(k, 3 * n, n, oversized_members(2, 15))
 
 
 @pytest.mark.parametrize(
@@ -143,10 +151,12 @@ def _identity_index(k, n):
         *(pytest.param(partial(compute_sum, engine=e), id=f"compute_sum-{e}") for e in SUM_NAMES),
         kbonacci_prefix,
         _extended,
-        iter_tilings,
-        iter_bounded_tilings,
+        exact_tiles,
+        bounded_tiles,
+        oversized_members,
         _extended_limit,
         _identity,
+        _expand,
         _identity_index,
         _value_stops,
         _sum_stops,

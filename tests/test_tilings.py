@@ -1,5 +1,5 @@
 import sys
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,22 +7,20 @@ from hypothesis import strategies as st
 
 from kbonacci import (
     CapExceededError,
-    MarkConfig,
+    bounded_tiles,
     compute_sum,
-    Tiling,
     count_by_rightmost_tile,
+    exact_tiles,
     expand_marks,
-    iter_bounded_tilings,
-    iter_tilings,
-    iter_unrestricted,
+    identity_report,
     kbonacci_prefix,
-    tiling_from_marks,
-    verify_intersection_identity,
+    oversized_members,
+    unrestricted_tiles,
 )
 from kbonacci import tilings
-from kbonacci.tilings import bounded_tiles, exact_tiles, oversized_members, unrestricted_tiles
 
 from oracles import (
+    naive_expand,
     naive_identity_sides,
     naive_intersection_count,
     naive_value,
@@ -32,51 +30,9 @@ from oracles import (
 )
 
 
-class TestTilingType:
-    def test_total_and_right_ends(self):
-        t = Tiling((1, 3, 2))
-        assert t.total == 6
-        assert t.right_ends() == (1, 4, 6)
-        assert t.oversized_right_ends(2) == (4,)
-
-    def test_empty_tiling(self):
-        t = Tiling(())
-        assert t.total == 0
-        assert t.right_ends() == ()
-
-    def test_rejects_nonpositive_tiles(self):
-        with pytest.raises(ValueError):
-            Tiling((1, 0, 2))
-
-    def test_from_marks(self):
-        assert tiling_from_marks([3, 1]) == Tiling((1, 2))
-        assert tiling_from_marks([]) == Tiling(())
-        with pytest.raises(ValueError):
-            tiling_from_marks([0, 2])
-        with pytest.raises(ValueError):
-            tiling_from_marks([2, 2])
-
-    @pytest.mark.parametrize("tiles", [(1.5, True), (2, True), (1.0, 2), (2, "3")])
-    def test_non_int_tiles_raise_type_error(self, tiles):
-        with pytest.raises(TypeError):
-            Tiling(tiles)
-
-    @pytest.mark.parametrize("marks", [[1.5, 3], [True, 3], [1, 3.0]])
-    def test_non_int_marks_raise_type_error(self, marks):
-        with pytest.raises(TypeError):
-            tiling_from_marks(marks)
-
-    @pytest.mark.parametrize("k", [True, 1.0, "1"])
-    def test_non_int_oversize_bound_raises_type_error(self, k):
-        assert Tiling((2, 1)).oversized_right_ends(1) == (2,)
-        with pytest.raises(TypeError):
-            Tiling((2, 1)).oversized_right_ends(k)
-
-
 class TestExactEnumeration:
     def test_squares_and_dominoes_length_four(self):
-        tilings = list(iter_tilings(2, 4))
-        assert [t.tiles for t in tilings] == [
+        assert list(exact_tiles(2, 4)) == [
             (1, 1, 1, 1),
             (1, 1, 2),
             (1, 2, 1),
@@ -85,64 +41,65 @@ class TestExactEnumeration:
         ]
 
     def test_window_four_length_four(self):
-        assert len(list(iter_tilings(4, 4))) == 8
+        assert len(list(exact_tiles(4, 4))) == 8
 
     def test_length_zero_has_the_empty_tiling(self):
-        assert list(iter_tilings(3, 0)) == [Tiling(())]
+        assert list(exact_tiles(3, 0)) == [()]
 
     def test_counts_match_sequence(self):
         for k in range(1, 6):
             prefix = kbonacci_prefix(k, 12)
             for n in range(0, 13):
-                tilings = list(iter_tilings(k, n))
+                tilings = list(exact_tiles(k, n))
                 assert len(tilings) == prefix[n]
                 assert len(set(tilings)) == len(tilings)
-                assert all(t.total == n and max(t.tiles, default=1) <= k for t in tilings)
+                assert all(sum(t) == n and max(t, default=1) <= k for t in tilings)
                 assert tilings == sorted(tilings)
 
 
 class TestBoundedEnumeration:
     def test_examples(self):
-        assert len(list(iter_bounded_tilings(2, 4))) == 12
-        assert [t.tiles for t in iter_bounded_tilings(1, 2)] == [(), (1,), (1, 1)]
-        assert [t.tiles for t in iter_bounded_tilings(3, 1)] == [(), (1,)]
+        assert len(list(bounded_tiles(2, 4))) == 12
+        assert list(bounded_tiles(1, 2)) == [(), (1,), (1, 1)]
+        assert list(bounded_tiles(3, 1)) == [(), (1,)]
 
     def test_counts_match_partial_sums(self):
         for k in range(1, 5):
             for n in range(0, 12):
-                assert len(list(iter_bounded_tilings(k, n))) == compute_sum(k, n)
+                assert len(list(bounded_tiles(k, n))) == compute_sum(k, n)
 
 
 class TestUnrestrictedEnumeration:
     def test_small_cases(self):
-        assert list(iter_unrestricted(0)) == [Tiling(())]
-        assert sorted(t.tiles for t in list(iter_unrestricted(2))) == [
+        assert list(unrestricted_tiles(0)) == [()]
+        assert sorted(unrestricted_tiles(2)) == [
             (),
             (1,),
             (1, 1),
             (2,),
         ]
-        assert len(list(iter_unrestricted(5))) == 32
+        assert len(list(unrestricted_tiles(5))) == 32
 
     def test_powers_of_two_without_duplicates(self):
         for n in range(0, 13):
-            tilings = list(iter_unrestricted(n))
+            tilings = list(unrestricted_tiles(n))
             assert len(tilings) == 1 << n
             assert len(set(tilings)) == len(tilings)
 
     def test_lexicographic_order(self):
-        tilings = list(iter_unrestricted(4))
+        tilings = list(unrestricted_tiles(4))
         assert tilings == sorted(tilings)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(0, 9))
     def test_mark_subsets_biject_onto_tilings(self, n):
-        by_subset = {marks: Tiling(tiles) for marks, tiles in subset_tilings(n)}
+        by_subset = dict(subset_tilings(n))
         assert len(by_subset) == 1 << n
-        assert set(by_subset.values()) == set(iter_unrestricted(n))
-        for marks, tiling in by_subset.items():
-            assert tiling_from_marks(marks) == tiling
-            assert tiling.right_ends() == marks  # marks recoverable from the tiling
+        assert set(by_subset.values()) == set(unrestricted_tiles(n))
+        for marks, tiles in by_subset.items():
+            # no dashed mark: the expansion tiles between the marks
+            assert expand_marks(1, n, (), marks) == (tiles, ())
+            assert tuple(accumulate(tiles)) == marks  # marks recoverable from the tiling
 
 
 def _lexicographic_oracle(n):
@@ -162,13 +119,13 @@ def _lexicographic_oracle(n):
 @pytest.mark.parametrize("n", range(0, 13))
 def test_iterators_yield_tilings_in_lexicographic_order(n):
     every, by_k = _lexicographic_oracle(n)
-    cases = [(iter_unrestricted(n), every)]
+    cases = [(unrestricted_tiles(n), every)]
     for k, bounded, exact in by_k:
-        cases += [(iter_bounded_tilings(k, n), bounded), (iter_tilings(k, n), exact)]
+        cases += [(bounded_tiles(k, n), bounded), (exact_tiles(k, n), exact)]
     for stream, expected in cases:
         tilings = list(stream)
-        assert all(type(t) is Tiling for t in tilings)
-        assert [t.tiles for t in tilings] == expected
+        assert all(type(t) is tuple for t in tilings)
+        assert tilings == expected
 
 
 # the walk alone (0), tables of one and three rooms, and the default
@@ -186,18 +143,18 @@ def test_tuples_match_the_oracle_across_the_table_boundary(monkeypatch, depth, n
 class TestEnumerationCap:
     def test_default_cap_rejects_large_n(self):
         with pytest.raises(CapExceededError):
-            list(iter_unrestricted(25))
+            list(unrestricted_tiles(25))
         with pytest.raises(CapExceededError):
-            list(iter_tilings(2, 25))
+            list(exact_tiles(2, 25))
 
     def test_cap_override(self):
-        assert len(list(iter_tilings(1, 30, cap=30))) == 1
+        assert len(list(exact_tiles(1, 30, cap=30))) == 1
         with pytest.raises(CapExceededError):
-            list(iter_tilings(1, 30, cap=10))
+            list(exact_tiles(1, 30, cap=10))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
-            list(iter_tilings(2, -1))
+            list(exact_tiles(2, -1))
 
     @pytest.mark.parametrize("cap", [2.5, True])
     @pytest.mark.parametrize(
@@ -206,21 +163,13 @@ class TestEnumerationCap:
             lambda cap: exact_tiles(2, 2, cap),
             lambda cap: bounded_tiles(2, 2, cap),
             lambda cap: unrestricted_tiles(2, cap),
-            lambda cap: iter_tilings(2, 2, cap),
-            lambda cap: iter_bounded_tilings(2, 2, cap),
-            lambda cap: iter_unrestricted(2, cap),
             lambda cap: oversized_members(2, 3, cap),
-            lambda cap: verify_intersection_identity(2, 3, 1, cap),
         ],
         ids=[
             "exact_tiles",
             "bounded_tiles",
             "unrestricted_tiles",
-            "iter_tilings",
-            "iter_bounded_tilings",
-            "iter_unrestricted",
             "oversized_members",
-            "verify_intersection_identity",
         ],
     )
     def test_non_int_cap_rejected(self, call, cap):
@@ -232,7 +181,7 @@ class TestEnumerationCap:
 def _enumerated_intersection_count(k, n, ends):
     """Members of U, as the library enumerates them, with an oversized tile
     ending at every j in ends."""
-    return sum(1 for t in iter_unrestricted(n) if set(ends) <= set(t.oversized_right_ends(k)))
+    return sum(1 for t in unrestricted_tiles(n) if set(ends) <= oversized_ends(t, k))
 
 
 class TestIntersectionCount:
@@ -269,53 +218,48 @@ class TestIntersectionCount:
 class TestExpandMarks:
     def test_reduced_ruler_illustration(self):
         # n=11, k=3, two dashed marks at 2 and 4 plus a normal mark at 3
-        tiling, ends = expand_marks(3, 11, MarkConfig(5, (2, 4), frozenset({3})))
-        assert tiling == Tiling((5, 1, 4))
-        assert ends == (5, 10)
+        assert expand_marks(3, 11, (2, 4), {3}) == ((5, 1, 4), (5, 10))
 
     def test_single_dashed_mark(self):
-        tiling, ends = expand_marks(2, 3, MarkConfig(1, (1,), frozenset()))
-        assert tiling == Tiling((3,))
-        assert ends == (3,)
+        assert expand_marks(2, 3, (1,)) == ((3,), (3,))
 
     def test_dashed_then_normal(self):
-        tiling, ends = expand_marks(2, 5, MarkConfig(3, (1,), frozenset({3})))
-        assert tiling == Tiling((3, 2))
-        assert ends == (3,)
+        assert expand_marks(2, 5, (1,), {3}) == ((3, 2), (3,))
 
     def test_no_dashed_marks_is_the_identity_embedding(self):
-        tiling, ends = expand_marks(2, 4, MarkConfig(4, (), frozenset({1, 3})))
-        assert tiling == Tiling((1, 2))
-        assert ends == ()
+        assert expand_marks(2, 4, (), {1, 3}) == ((1, 2), ())
+        assert expand_marks(1, 3, (), [3, 1]) == ((1, 2), ())
+        assert expand_marks(1, 0, ()) == ((), ())
 
-    def test_inconsistent_reduced_length_rejected(self):
-        with pytest.raises(ValueError):
-            expand_marks(2, 5, MarkConfig(2, (1,), frozenset()))
-
-    def test_invalid_configs_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            MarkConfig(3, (0,), frozenset())
-        with pytest.raises(ValueError):
-            MarkConfig(3, (2, 1), frozenset())
-        with pytest.raises(ValueError):
-            MarkConfig(3, (2,), frozenset({2}))
-        with pytest.raises(ValueError):
-            MarkConfig(3, (1,), frozenset({4}))
-
+    # k = 2 throughout, so n - i*k = 3 in every case with an int n but the last
     @pytest.mark.parametrize(
-        "n_reduced, dashed, normal",
-        [(1.0, (1,), ()), (True, (1,), ()), (3, (True,), {3}), (3, (1.0,), ()), (3, (1,), {True}), (3, (), {2.0})],
+        "n, dashed, normal, error, match",
+        [
+            (5, (0,), (), ValueError, r"dashed positions must lie in 1\.\.n - i\*k = 3,"),
+            (7, (2, 1), (), ValueError, "dashed positions must be strictly increasing"),
+            (5, (2,), {2}, ValueError, "normal and dashed positions must be disjoint"),
+            (5, (1,), {4}, ValueError, r"normal positions must lie in 1\.\.n - i\*k = 3,"),
+            (3, (), {0}, ValueError, r"normal positions must lie in 1\.\.n - i\*k = 3,"),
+            (3.0, (1,), (), TypeError, "n must be an int"),
+            (True, (1,), (), TypeError, "n must be an int"),
+            (5, (True,), {3}, TypeError, "mark position must be an int"),
+            (5, (1.0,), (), TypeError, "mark position must be an int"),
+            (5, (1,), {True}, TypeError, "mark position must be an int"),
+            (3, (), {2.0}, TypeError, "mark position must be an int"),
+            # a dashed position past n - i*k, and n - i*k < 0
+            (5, (4,), (), ValueError, r"dashed positions must lie in 1\.\.n - i\*k = 3,"),
+            (3, (1, 2), (), ValueError, r"dashed positions must lie in 1\.\.n - i\*k = -1,"),
+        ],
     )
-    def test_non_int_config_fields_raise_type_error(self, n_reduced, dashed, normal):
-        with pytest.raises(TypeError):
-            MarkConfig(n_reduced, dashed, normal)
+    def test_argument_contract(self, n, dashed, normal, error, match):
+        with pytest.raises(error, match=match):
+            expand_marks(2, n, dashed, normal)
 
     @pytest.mark.parametrize("n", [3.0, True, "3"])
     def test_non_int_n_raises_type_error(self, n):
-        cfg = MarkConfig(1, (1,), ())
-        assert expand_marks(2, 3, cfg) == (Tiling((3,)), (3,))
+        assert expand_marks(2, 3, (1,)) == ((3,), (3,))
         with pytest.raises(TypeError):
-            expand_marks(2, n, cfg)
+            expand_marks(2, n, (1,))
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -328,13 +272,14 @@ class TestExpandMarks:
         normal = frozenset(data.draw(st.sets(st.sampled_from(free)))) if free else frozenset()
         n = n_reduced + i * k
 
-        tiling, ends = expand_marks(k, n, MarkConfig(n_reduced, dashed, normal))
+        tiles, ends = expand_marks(k, n, dashed, normal)
 
-        assert tiling.total <= n
+        assert (ends, tiles) == naive_expand(k, dashed, normal)
+        assert sum(tiles) <= n
         assert ends == tuple(r + (idx + 1) * k for idx, r in enumerate(dashed))
         # expanded tiles are oversized exactly at the promised positions
-        assert set(ends) <= oversized_ends(tiling.tiles, k)
-        lengths = dict(zip(tiling.right_ends(), tiling.tiles))
+        assert set(ends) <= oversized_ends(tiles, k)
+        lengths = dict(zip(accumulate(tiles), tiles))
         for j in ends:
             assert lengths[j] >= k + 1
         # non-overlap spacing of the oversized ends
@@ -345,12 +290,12 @@ class TestExpandMarks:
 
 class TestIntersectionIdentity:
     def test_single_end_grid_cell(self):
-        report = verify_intersection_identity(2, 5, 1)
+        report = identity_report(2, 5, 1, oversized_members(2, 5))
         assert report.lhs == report.rhs == 12
         assert report.passed
 
     def test_two_end_grid_cell(self):
-        report = verify_intersection_identity(2, 6, 2)
+        report = identity_report(2, 6, 2, oversized_members(2, 6))
         assert report.lhs == report.rhs == 1
         assert report.passed
 
@@ -358,8 +303,9 @@ class TestIntersectionIdentity:
         binomials = pascal_rows(9)
         for n in range(2, 10):
             for k in range(1, n):
+                members = oversized_members(k, n)
                 for i in range(1, n // (k + 1) + 1):
-                    report = verify_intersection_identity(k, n, i)
+                    report = identity_report(k, n, i, members)
                     union, image = naive_identity_sides(k, n, i)
                     lhs = sum(
                         naive_intersection_count(k, n, ends)
@@ -376,18 +322,19 @@ class TestIntersectionIdentity:
     @pytest.mark.parametrize("i", [True, 1.0, "1", None])
     def test_non_int_i_rejected(self, i):
         with pytest.raises(TypeError, match="i must be an int"):
-            verify_intersection_identity(2, 6, i)
+            identity_report(2, 6, i, oversized_members(2, 6))
 
     @pytest.mark.parametrize("i", [0, -1, 2])
     def test_out_of_range_i_rejected(self, i):
         with pytest.raises(ValueError):
-            verify_intersection_identity(3, 3, i)  # floor(3/4) = 0 legal values
+            identity_report(3, 3, i, oversized_members(3, 3))  # floor(3/4) = 0 legal values
 
     def test_small_grid_passes(self):
         for n in range(2, 11):
             for k in range(1, n):
+                members = oversized_members(k, n)
                 for i in range(1, n // (k + 1) + 1):
-                    assert verify_intersection_identity(k, n, i).passed
+                    assert identity_report(k, n, i, members).passed
 
 
 class TestRightmostTilePartition:
@@ -426,6 +373,6 @@ def test_subtraction_skeleton():
     for k in range(1, 5):
         for n in range(0, 11):
             with_oversized = sum(
-                1 for t in iter_unrestricted(n) if any(x > k for x in t.tiles)
+                1 for t in unrestricted_tiles(n) if any(x > k for x in t)
             )
             assert (1 << n) - with_oversized == compute_sum(k, n)
