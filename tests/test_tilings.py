@@ -215,6 +215,28 @@ class TestIntersectionCount:
         assert _enumerated_intersection_count(k, n, ends) == naive_intersection_count(k, n, ends)
 
 
+def _marks_mask(tiles):
+    """The member of U that tiles spans: bit 0 and the bit of every right end."""
+    return sum(1 << j for j in (0, *accumulate(tiles)))
+
+
+class TestOversizedMembers:
+    def test_worked_example(self):
+        tiles = (1, 3, 2)
+        assert sum(tiles) == 6
+        assert tuple(accumulate(tiles)) == (1, 4, 6)
+        # for k = 2 the tile 3 is the one oversized tile, and it ends at 4
+        members = oversized_members(2, 6)
+        assert _marks_mask(tiles) in members[1 << 4]
+        assert all(_marks_mask(tiles) not in ms for ends, ms in members.items() if ends != 1 << 4)
+
+    @pytest.mark.parametrize("k", [True, 1.0, "1"])
+    def test_non_int_oversize_bound_raises_type_error(self, k):
+        assert _marks_mask((2, 1)) in oversized_members(1, 3)[1 << 2]
+        with pytest.raises(TypeError, match="k must be an int"):
+            oversized_members(k, 3)
+
+
 class TestExpandMarks:
     def test_reduced_ruler_illustration(self):
         # n=11, k=3, two dashed marks at 2 and 4 plus a normal mark at 3
@@ -230,6 +252,12 @@ class TestExpandMarks:
         assert expand_marks(2, 4, (), {1, 3}) == ((1, 2), ())
         assert expand_marks(1, 3, (), [3, 1]) == ((1, 2), ())
         assert expand_marks(1, 0, ()) == ((), ())
+
+    @pytest.mark.parametrize("marks", [[1.5, 3], [True, 3], [1, 3.0]])
+    def test_non_int_marks_raise_type_error(self, marks):
+        assert expand_marks(1, 3, (), [1, 3]) == ((1, 2), ())
+        with pytest.raises(TypeError, match="mark position must be an int"):
+            expand_marks(1, 3, (), marks)
 
     # k = 2 throughout, so n - i*k = 3 in every case with an int n but the last
     @pytest.mark.parametrize(
