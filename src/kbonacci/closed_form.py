@@ -45,11 +45,9 @@ summed over the signed, 2-power-weighted row, gives
     S(n+1) = 2 S(n) - S(n-k),   n >= 0,
 
 the recurrence of P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), and f follows
-it from n = 1 on.  So a range holds its last k+1 values and steps them,
-whatever its length.  The text generators, which the CLI prints, convert
-those k+1 values to Decimal once the first record is out and step there
-under `render.exact()`: each later record is a Decimal subtraction and
-str(), not a binary to decimal conversion.
+it from n = 1 on.  So the fold and the block are only a range's head, its
+first k+1 indices at most, and `sequence._continued`, the one tail of every
+engine's range, steps the rest, in Decimal for the text generators.
 `term_breakdown` lists the summands of the rows.  The extended form is
 the base fold plus the raised-limit binomials, each checked to be 0.
 
@@ -59,14 +57,13 @@ Powers of two are produced by shifting; no floating point anywhere.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import sub
 from typing import Iterator
 
-from .render import _decimals, _texts
-from .sequence import _check_int, _check_k, _check_n, _count
+from .render import _texts
+from .sequence import _check_int, _check_k, _check_n, _continued, _count
 
 SUM_FORMULA = "sum-formula"
 TERM_FORMULA = "term-formula"
@@ -184,45 +181,24 @@ def _doubled(k: int, n: int) -> Iterator[int]:
         yield c + (c * j // m if m else 1)
 
 
-def _later(window: deque) -> Iterator:
-    """Yield the terms after window of t(n+1) = 2 t(n) - t(n-k), where
-    window holds the last k+1 = window.maxlen terms.  Both S from n = 0
-    and f from n = 1 follow it: summing Pascal's rule over the signed row
-    of n gives the recurrence of P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x).
-    The terms are ints or Decimals, as window's are: additions serve both."""
-    while True:
-        last = window[-1]
-        window.append(last + last - window[0])
-        yield window[-1]
-
-
-def _closed_range(k: int, start: int, stop: int, term: bool, text: bool = False) -> Iterator:
-    """S(n) (term=False) or f(n) (term=True) for n = start..stop-1.
+def _closed_head(k: int, start: int, count: int, term: bool) -> Iterator[int]:
+    """S(n) (term=False) or f(n) (term=True) for the first min(count, k+1)
+    indices n of the range from start, the head that `sequence._continued`
+    goes on from.
 
     The first index folds its row as the row is made, in O(n) bits; a
     value halves its doubled fold.  The next k indices at most fold their
     sums as one block, in O(k n) bits, and a block of values differences
-    the sums of the block and of the index before it.  Every later index
-    is one step of _later over the last k+1.  With text, a range that
-    steps converts those k+1 to Decimals once its first is out, so each
-    stepped index is a Decimal; run it under exact().
+    the sums of the block and of the index before it.
     """
-    count = _count(k, start, stop)
     if not count:
         return
     row = _doubled(k, start) if term else _row(k, start)
-    first = (_fold_row(row, k) << start % (k + 1)) >> term
-    yield first
+    yield (_fold_row(row, k) << start % (k + 1)) >> term
     head = range(start + 1, start + min(count, k + 1))
-    sums = _block_folds(k, range(head.start - term, head.stop)) if head else []
-    window = [first, *(map(sub, sums[1:], sums) if term else sums)]
-    del sums  # not held while the range steps
-    steps = count - k - 1
-    if text and steps > 0:
-        window = _decimals(window)
-    yield from window[1:]
-    if steps > 0:
-        yield from islice(_later(deque(window, maxlen=k + 1)), steps)
+    if head:
+        sums = _block_folds(k, range(head.start - term, head.stop))
+        yield from map(sub, sums[1:], sums) if term else sums
 
 
 def dunkel_sums_from(k: int, start: int, stop: int) -> Iterator[int]:
@@ -231,7 +207,8 @@ def dunkel_sums_from(k: int, start: int, stop: int) -> Iterator[int]:
     The summand of j carries 2^(n - j(k+1)), and the last j carries
     2^(n mod (k+1)).
     """
-    return _closed_range(k, start, stop, False)
+    count = _count(k, start, stop)
+    yield from _continued(_closed_head(k, start, count, False), k, count)
 
 
 def closed_values_from(k: int, start: int, stop: int) -> Iterator[int]:
@@ -241,18 +218,20 @@ def closed_values_from(k: int, start: int, stop: int) -> Iterator[int]:
     The doubled entry (see _doubled) is 2 C(j, j) = 2 where e = 0, and the
     base case n = 0 is the lone term 2 * 2^-1 = 1.
     """
-    return _closed_range(k, start, stop, True)
+    count = _count(k, start, stop)
+    yield from _continued(_closed_head(k, start, count, True), k, count)
 
 
 def dunkel_sum_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
-    """dunkel_sums_from as exact decimal strings, stepped in Decimal past
-    the range's first k+1 indices (see _closed_range)."""
-    return _texts(_closed_range(k, start, stop, False, True))
+    """dunkel_sums_from as exact decimal strings, continued in Decimal."""
+    count = _count(k, start, stop)
+    yield from _texts(_continued(_closed_head(k, start, count, False), k, count, True))
 
 
 def closed_value_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
-    """closed_values_from as exact decimal strings, stepped alike."""
-    return _texts(_closed_range(k, start, stop, True, True))
+    """closed_values_from as exact decimal strings, continued alike."""
+    count = _count(k, start, stop)
+    yield from _texts(_continued(_closed_head(k, start, count, True), k, count, True))
 
 
 def _check_limit(k: int, n: int, m: int) -> None:

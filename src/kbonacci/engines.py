@@ -6,27 +6,27 @@ S(n) = f(0) + ... + f(n), keyed by the names the CLI accepts; the first
 entry of each table is its default.  Each value is the engine module's own
 range generator, called as stream(k, start, stop) for the indices
 start..stop-1, stop exclusive as in range(): `compute_*` and `bench` pass
-n+1, `eval` and `sum` the end of their --n range.  It reaches its first
-index by its own method, then goes on:
+n+1, `eval` and `sum` the end of their --n range.  It computes the
+range's first k+1 indices at most by its own method:
 
-* recurrence and direct: one more window sum (plus a running total) per
-  index;
-* matrix: per index, the residue x^n mod x^k - x^(k-1) - ... - 1 times
-  x, a shift of its k coefficients and one reduction by
-  x^k = 1 + x + ... + x^(k-1), which adds the leaving coefficient at all
-  k places (at k = 1 the values are 1 and the sums n + 1, and below k
-  they are powers of two).  A range of one index powers only to
-  x^(n // 2) and finishes with one k-term inner product over the next
-  steps;
-* dunkel and dunkel-term: the sums of the next k indices at most as one
-  block, evaluated column by column, C(n-jk, j) for every n of the block,
-  one exact division per entry (see `closed_form`); dunkel-term takes its
-  values as the differences f(n) = S(n) - S(n-1) of consecutive sums.
-  Every later index is one shift and one subtraction,
-  t(n+1) = 2 t(n) - t(n-k), over the last k+1 values.
+* recurrence and direct: the window sums (plus a running total) of the
+  recurrence, walked from index 0;
+* matrix: one powering to the residue x^n mod x^k - x^(k-1) - ... - 1 of
+  the first index, then per index the residue times x, a shift of its k
+  coefficients and one reduction by x^k = 1 + x + ... + x^(k-1) (at k = 1
+  the values are 1 and the sums n + 1, and below k they are powers of
+  two).  A range of one index powers only to x^(n // 2) and finishes with
+  one k-term inner product over the next steps;
+* dunkel and dunkel-term: the first index's row, folded as it is made,
+  then the sums of the next k indices at most as one block, evaluated
+  column by column (see `closed_form`); dunkel-term takes its values as
+  the differences f(n) = S(n) - S(n-1) of consecutive sums.
 
-The window and matrix engines cut their endless internals at stop; the
-closed forms need stop to size their block.
+Every later index, whatever the engine, is one shift and one
+subtraction, t(n+1) = 2 t(n) - t(n-k), over the last k+1 values: the one
+tail of every range, `sequence._continued`.  The window and matrix
+engines cut their endless heads at k+1 indices; the closed forms need
+the count to size their block.
 
 Each generator carries its cost model as stream.cost(k, n): the number
 of big-integer operations one index n takes, which `bench` reports as
@@ -37,17 +37,16 @@ of the powering to x^(n // 2), whose squaring count also bounds that
 loop, plus k for the inner product, and none where x^n needs no
 squaring.  Every model is arithmetic on (k, n) and runs nothing.
 
-Each generator also carries its text range generator as stream.text: a
-range converts the engine's state (the window of k values or sums, the
-residue, or a closed form's last k+1 values) to Decimal once its first
-record is out and steps the rest there, and matrix also finishes large
-residues in Decimal (see `sequence`, `matrix_power` and `closed_form`).
-A closed-form range of at most k+1 indices never steps, and converts
-nothing.  Every text generator prints through one renderer,
-`render._texts`, which prints a Decimal with str() and an int by the
-subquadratic split; a stream without .text (a stand-in put in a table)
-has its ints passed through it.  The int generators and `compute_*` never
-convert to Decimal.
+Each generator also carries its text range generator as stream.text:
+the same head and the same tail, which converts the k+1 head values to
+Decimal once the range's first record is out, if the range steps past
+them, and steps the rest there (see `sequence._continued`); matrix also
+finishes large residues in Decimal (see `matrix_power`).  A range of at
+most k+1 indices converts nothing.  Every text generator prints through
+one renderer, `render._texts`, which prints a Decimal with str() and an
+int by the subquadratic split; a stream without .text (a stand-in put in
+a table) has its ints passed through it.  The int generators and
+`compute_*` never convert to Decimal.
 
 Every reader goes through this module: `eval`, `sum` and `bench` take
 their engine names from the tables, `eval` and `sum` print what

@@ -29,8 +29,9 @@ residue is built from k on at the earliest.  The residue of x^(n+1) is x
 times that of x^n: the coefficients move up by one place, and the one that
 leaves, t = r[k-1], comes back by x^k = 1 + x + ... + x^(k-1) at all k
 places.  Since Q(2) = 1, the new r(2) is 2r(2) - t, and the new r(1) is
-r(1) + (k - 1) t, so each later index costs about k additions and no
-multiplication.  No floats: exactness is the point.
+r(1) + (k - 1) t, so each of a range's first k+1 indices costs about k
+additions and no multiplication; every later one is a step of
+`sequence._continued`.  No floats: exactness is the point.
 
 A single index stops the powering one squaring short.  The numerators
 2f(n) = r(2) + r(0) and (k - 1) S(n) + 1 = (k - 1) r(2) + r(1) are linear
@@ -46,16 +47,15 @@ The int generators yield ints.  For decimal output the CLI asks for the
 text generators instead: they square in ints while the coefficients are
 narrow, convert them once past _DECIMAL_BITS, then finish the squarings,
 the reduction, the fold at 2, a single index's inner product, the exact
-division and each later index in Decimal under `render.exact()`, whose
-products are subquadratic from a few ten thousand bits on (libmpdec's
-number-theoretic transform against CPython's Karatsuba; Brent &
-Zimmermann, Modern Computer Arithmetic, sections 1.3 and 2.3), and print
-the result with str(): no binary to decimal conversion of the result at
-all.  A range that steps its residue past the first record converts it
-once that record is out, however narrow, so each later record costs a few
-Decimal additions and str() where it would cost a conversion.  One
-squaring loop, written with + rather than << 1, and one step serve both
-coefficient types, and `render._texts` prints either.
+division and the steps of the range's first k+1 indices in Decimal under
+`render.exact()`, whose products are subquadratic from a few ten thousand
+bits on (libmpdec's number-theoretic transform against CPython's
+Karatsuba; Brent & Zimmermann, Modern Computer Arithmetic, sections 1.3
+and 2.3), and print the result with str(): no binary to decimal
+conversion of the result at all.  One squaring loop, written with +
+rather than << 1, and one step serve both coefficient types, and
+`render._texts` prints either.  A range's later indices are continued in
+Decimal by `sequence._continued`, which leaves such values as they are.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from operator import mul
 from typing import Iterator
 
 from .render import _decimals, _texts
-from .sequence import _check_k, _check_n, _count
+from .sequence import _check_k, _check_n, _continued, _count
 
 # Widest coefficient, in bits, that the text path still squares in ints.
 # With a single index powered only to x^(n // 2), the five big-index
@@ -173,16 +173,11 @@ def _at_two(r) -> int | Decimal:
     return acc
 
 
-def _steps(k: int, r: list, convert: bool = False) -> Iterator[tuple]:
+def _steps(k: int, r: list) -> Iterator[tuple]:
     """Yield (r(2), r(1), r(0)) for the residue r and then for x r, x^2 r,
-    ..., each reduced modulo x^k - x^(k-1) - ... - 1.  With convert, an int
-    r is converted to Decimals once its own triple is out, and every later
-    triple is stepped in Decimal; the caller runs it under exact()."""
+    ..., each reduced modulo x^k - x^(k-1) - ... - 1."""
     at_two, at_one = _at_two(r), sum(r)
     yield at_two, at_one, r[0]
-    if convert and type(r[0]) is int:
-        r = _decimals(r)
-        at_two, at_one = _at_two(r), sum(r)
     while True:
         top = r[-1]
         r = _reduced([0, *r])
@@ -235,7 +230,7 @@ def _values(k: int, start: int, ops: OpCount | None, text: bool = False, single:
     else:
         # (r(2) + r(0)) / 2 for r = x^n, whose r(0) is 0 past n = 0
         yield from ((1 << n) + (n == 0) >> 1 for n in range(start, k))
-        for at_two, _, at_zero in _steps(k, _residue(k, max(start, k), ops, text), text):
+        for at_two, _, at_zero in _steps(k, _residue(k, max(start, k), ops, text)):
             yield _divide(at_two + at_zero, 2)
 
 
@@ -251,32 +246,32 @@ def _sums(k: int, start: int, ops: OpCount | None, text: bool = False, single: b
         yield _divide(numerator - 1, k - 1)
     else:
         yield from (1 << n for n in range(start, k))
-        for at_two, at_one, _ in _steps(k, _residue(k, max(start, k), ops, text), text):
+        for at_two, at_one, _ in _steps(k, _residue(k, max(start, k), ops, text)):
             yield at_two + _divide(at_one - 1, k - 1)
 
 
 def matrix_values_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
-    """Yield f(n) = (r(2) + r(0)) / 2, or 1 at k = 1, for n = start..stop-1."""
+    """Yield f(n) = (r(2) + r(0)) / 2, or 1 at k = 1, for n = start..stop-1,
+    the range continued past its first k+1 indices by `sequence._continued`."""
     indices = _count(k, start, stop)
-    yield from islice(_values(k, start, ops, single=indices == 1), indices)
+    yield from _continued(_values(k, start, ops, single=indices == 1), k, indices)
 
 
 def matrix_sums_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
     """Yield S(n) = r(2) + (r(1) - 1) / (k - 1), or n + 1 at k = 1, for
-    n = start..stop-1."""
+    n = start..stop-1, continued alike."""
     indices = _count(k, start, stop)
-    yield from islice(_sums(k, start, ops, single=indices == 1), indices)
+    yield from _continued(_sums(k, start, ops, single=indices == 1), k, indices)
 
 
 def matrix_value_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_values_from as decimal strings, finished in Decimal once the
-    coefficients pass _DECIMAL_BITS, and a range stepped in Decimal after
-    the first record of its residue."""
+    coefficients pass _DECIMAL_BITS, and continued in Decimal."""
     indices = _count(k, start, stop)
-    yield from islice(_texts(_values(k, start, ops, text=True, single=indices == 1)), indices)
+    yield from _texts(_continued(_values(k, start, ops, text=True, single=indices == 1), k, indices, True))
 
 
 def matrix_sum_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
     """matrix_sums_from as decimal strings, finished alike."""
     indices = _count(k, start, stop)
-    yield from islice(_texts(_sums(k, start, ops, text=True, single=indices == 1)), indices)
+    yield from _texts(_continued(_sums(k, start, ops, text=True, single=indices == 1), k, indices, True))

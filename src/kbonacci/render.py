@@ -8,10 +8,11 @@ exponent, with Inexact trapped, so integer arithmetic on Decimals is exact
 or raises instead of printing a wrong digit.
 
 `_texts` is the one renderer of every engine's text range: it prints a
-Decimal with str() and an int through the splitter.  An engine whose range
-goes on by additions converts its state once through the same splitter
-(`_decimals`) and steps it in Decimal under `exact()`, so its later records
-need no binary to decimal conversion at all.
+Decimal with str() and an int through the splitter.  A range that steps
+past its first k+1 indices converts them once through the same splitter
+(`_decimals`, in `sequence._continued`) and steps in Decimal under
+`exact()`, so its later records need no binary to decimal conversion at
+all.
 """
 
 from __future__ import annotations

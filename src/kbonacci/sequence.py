@@ -11,12 +11,10 @@ the sibling modules are validated against it.  Like theirs, its range
 generators take non-negative indices only; `engines`, the one entry that
 computes f(n) and S(n) by engine name, reads an index n < 0 as f(n) = 0.
 
-The int generators stay on ints.  The text range generators, which the CLI
-prints, walk to the range's start in ints alike.  A range of more than
-one index then converts the last k terms to Decimal once its first record
-is out and goes on with the same window sums in Decimal, S by its own window
-rule S(n) = S(n-1) + ... + S(n-k) + 1: each later record is a few exact
-additions and str(), not a binary to decimal conversion (see `render`).
+It also holds `_continued`, the one tail of every engine's range: each
+engine computes a range's first k+1 indices by its own method, and
+`_continued` steps the rest.  `values_from` and `sums_from` stay on the
+defining recurrence, so the tail is checked against them.
 """
 
 from __future__ import annotations
@@ -74,14 +72,12 @@ def _count(k: int, start: int, stop: int) -> int:
     return max(stop - start, 0)
 
 
-def _after(window: deque, c) -> Iterator:
-    """Yield the terms after window of t(n) = t(n-1) + ... + t(n-k) + c,
-    k = window.maxlen, where window holds the last min(n, k) terms and the
-    terms before it are 0: f at c = 0 once f(0) is in the window, and S at
-    c = 1, since S(n) = S(n-1) + ... + S(n-k) + 1 from n = 0.  The terms
-    are ints or Decimals, as window's are: additions serve both."""
+def _after(window: deque) -> Iterator[int]:
+    """Yield the terms after window of f(n) = f(n-1) + ... + f(n-k),
+    k = window.maxlen, where window holds the last min(n, k) terms, f(0)
+    among them, and the terms before it are 0."""
     k = window.maxlen
-    total = sum(window) + c  # the next term
+    total = sum(window)  # the next term
     while True:
         value = total
         if len(window) == k:
@@ -89,6 +85,43 @@ def _after(window: deque, c) -> Iterator:
         total += value
         window.append(value)
         yield value
+
+
+def _later(window: deque) -> Iterator:
+    """Yield the terms after window of t(n+1) = 2 t(n) - t(n-k), where
+    window holds the last k+1 = window.maxlen terms: the recurrence of
+    P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), which S follows from n = 0
+    and f from n = 1.  The terms are ints or Decimals, as window's are."""
+    while True:
+        last = window[-1]
+        window.append(last + last - window[0])
+        yield window[-1]
+
+
+def _continued(head: Iterator, k: int, count: int, text: bool = False) -> Iterator:
+    """The count terms of S, or of f, from an index start >= 0: the first
+    min(count, k+1) from the engine's own head, which is pulled no further,
+    and every later one by one step of _later over the last k+1.
+
+    With text, a range that steps converts its k+1 head terms to Decimals
+    once the first is out, so each later record is a Decimal subtraction
+    and str(), not a binary to decimal conversion; run it under exact(), as
+    `render._texts` does.  A head is all ints, or all Decimals where a
+    matrix residue was finished in Decimal, which stay as they are.  A
+    range of at most k+1 indices converts nothing.
+    """
+    head = islice(head, min(count, k + 1))
+    if count <= k + 1:
+        yield from head
+        return
+    first = next(head)
+    yield first
+    window = [first, *head]
+    del head  # the engine's own state is not held while the range steps
+    if text and type(first) is int:
+        window = _decimals(window)
+    yield from window[1:]
+    yield from islice(_later(deque(window, maxlen=k + 1)), count - k - 1)
 
 
 def values(k: int) -> Iterator[int]:
@@ -99,7 +132,7 @@ def values(k: int) -> Iterator[int]:
     """
     _check_k(k)
     yield 1
-    yield from _after(deque([1], maxlen=k), 0)
+    yield from _after(deque([1], maxlen=k))
 
 
 def values_from(k: int, start: int, stop: int) -> Iterator[int]:
@@ -115,26 +148,17 @@ def sums_from(k: int, start: int, stop: int) -> Iterator[int]:
     yield from islice(accumulate(values(k)), start, start + _count(k, start, stop))
 
 
-def _stepped(terms: Iterator[int], k: int, start: int, c: int) -> Iterator:
-    """The terms from start on: the int walk of terms to start, then _after
-    its last k terms, converted to Decimals once the first is out, so every
-    later term is a Decimal, a few exact additions.  Run it under exact();
-    a caller that asks for one term converts nothing."""
-    window = deque(islice(terms, max(start - k + 1, 0), start + 1), maxlen=k)
-    yield window[-1]
-    yield from _after(deque(_decimals(window), maxlen=k), c)
-
-
 def value_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
-    """values_from as exact decimal strings, stepped as _stepped says."""
-    indices = _count(k, start, stop)
-    yield from islice(_texts(_stepped(values(k), k, start, 0)), indices)
+    """values_from as exact decimal strings: the int walk to start, and
+    _continued from there."""
+    count = _count(k, start, stop)
+    yield from _texts(_continued(islice(values(k), start, None), k, count, True))
 
 
 def sum_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
-    """sums_from as exact decimal strings, stepped as _stepped says."""
-    indices = _count(k, start, stop)
-    yield from islice(_texts(_stepped(accumulate(values(k)), k, start, 1)), indices)
+    """sums_from as exact decimal strings, continued alike."""
+    count = _count(k, start, stop)
+    yield from _texts(_continued(islice(accumulate(values(k)), start, None), k, count, True))
 
 
 def kbonacci_prefix(k: int, n: int) -> list[int]:

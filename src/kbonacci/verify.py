@@ -58,15 +58,14 @@ class SuiteResult:
 def suite_engines(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
     """Every registered engine agrees with the recurrence, read from the
     sequence module and not through the registry: per k, one pass of
-    values_from and sums_from over the grid's indices n >= 0 (the grid is a
-    range of step 1, as the CLI parses it).  The value baseline at n < 0 is
-    0, and there every sum engine raises."""
+    values_from and sums_from over the grid's indices.  The grid is a range
+    of step 1 of indices n >= 0, as the CLI parses it and `run_suites`
+    checks it; like every range generator, values_from rejects a negative
+    start."""
     result = SuiteResult("engines")
-    first = max(ns.start, 0)
     for k in ks:
-        baseline = zip(values_from(k, first, ns.stop), sums_from(k, first, ns.stop))
-        for n in ns:
-            value, total = next(baseline) if n >= 0 else (0, None)
+        baseline = zip(values_from(k, ns.start, ns.stop), sums_from(k, ns.start, ns.stop))
+        for n, (value, total) in zip(ns, baseline):
             for engine in VALUE_NAMES:
                 result.expect(
                     compute_value(k, n, engine) == value, f"value {engine} mismatch at k={k} n={n}"

@@ -303,6 +303,14 @@ def test_every_reader_takes_its_engines_from_the_registry(capsys, monkeypatch):
     ]
 
 
+def test_the_engines_suite_takes_indices_n_at_least_0():
+    # run_suites rejects n < 0 before any suite; called directly, the suite
+    # rejects it as its baseline does
+    assert verify.suite_engines(range(2, 3), range(0, 4)).failures == []
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+        verify.suite_engines(range(2, 3), range(-1, 2))
+
+
 class TestRanges:
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize(

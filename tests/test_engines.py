@@ -20,7 +20,7 @@ from kbonacci import (
     oversized_members,
     partial_sum_dunkel_extended,
 )
-from kbonacci import closed_form, matrix_power, sequence
+from kbonacci import matrix_power, sequence
 from kbonacci.cli import main
 from kbonacci.closed_form import (
     closed_value_texts_from,
@@ -219,6 +219,10 @@ QUANTITIES = [
 @example(k_count=(5, 6), start=40)
 @example(k_count=(5, 6), start=1)
 @example(k_count=(12, 38), start=-3)
+# across the k+1 boundary where matrix's powers of two meet its residue
+@example(k_count=(5, 7), start=1)
+@example(k_count=(5, 11), start=1)
+@example(k_count=(30, 2), start=20000)
 @given(
     k_count=st.integers(1, 12).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 3 * k + 2))),
     start=st.integers(-20, 300),
@@ -247,7 +251,8 @@ def _converted_after(monkeypatch, run):
         calls.append(len(texts))
         return real(ints)
 
-    for module in (matrix_power, sequence, closed_form):
+    # the residue's switch in matrix_power, the range's in sequence._continued
+    for module in (matrix_power, sequence):
         monkeypatch.setattr(module, "_decimals", spy)
     run(texts)
     return calls
@@ -260,18 +265,8 @@ def test_a_range_converts_once_after_its_first_text(monkeypatch, k, start):
         for engine in names:
             for count in (1, 2, k, k + 1, k + 2, 3 * k + 2):
                 calls = _converted_after(monkeypatch, lambda out: out.extend(texts(k, start, start + count, engine)))
-                # the window engines convert the window at start; matrix its
-                # residue, the state of the indices from k on (those below
-                # k are powers of two, and at k = 1 no index powers); the
-                # closed forms their last k+1 values, once the range steps
-                # past its first k+1 indices
-                below = max(k - start, 0) if engine == "matrix" else 0
-                steps = engine in ("recurrence", "direct") or (engine == "matrix" and k > 1)
-                if engine in ("dunkel", "dunkel-term"):
-                    expected = [1] if count > k + 1 else []
-                else:
-                    expected = [below + 1] if steps and count - below > 1 else []
-                assert calls == expected, (engine, k, start, count)
+                # every engine's first k+1 values, once the range steps past them
+                assert calls == ([1] if count > k + 1 else []), (engine, k, start, count)
 
 
 def test_a_residue_already_in_decimal_is_not_converted_again(monkeypatch):

@@ -1,11 +1,14 @@
+from decimal import Decimal
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbonacci import compute_sum, compute_value, kbonacci_prefix, values
+from kbonacci import compute_sum, compute_value, kbonacci_prefix, sequence, values
+from kbonacci.render import exact
+from kbonacci.sequence import _continued
 
 from oracles import naive_partial_sum, naive_prefix, naive_value
 
@@ -111,3 +114,88 @@ def test_window_identity_holds(k, n):
 @given(k=st.integers(1, 6), n=st.integers(0, 60))
 def test_random_cells_match_naive(k, n):
     assert recurrence(k, n) == naive_value(k, n)
+
+
+class _Head:
+    """An engine's head that counts the terms pulled from it."""
+
+    def __init__(self, terms):
+        self.terms = iter(terms)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        term = next(self.terms)
+        self.pulled += 1
+        return term
+
+
+def _oracle(k, total, sums):
+    terms = naive_prefix(k, total)
+    return list(accumulate(terms)) if sums else terms
+
+
+@pytest.mark.parametrize("text", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_continued_pulls_at_most_k_plus_1_head_terms(k, text):
+    for count in range(3 * k + 3):
+        head = _Head(naive_prefix(k, 4 * k + 4))
+        with exact():
+            assert len(list(_continued(head, k, count, text))) == count
+        assert head.pulled == min(count, k + 1), (k, count)
+
+
+def test_continued_pulls_nothing_for_no_terms():
+    head = _Head([1, 1, 2])
+    assert list(_continued(head, 2, 0, True)) == []
+    assert head.pulled == 0
+
+
+def _conversions(monkeypatch, head, k, count):
+    """How many terms had been taken at each conversion to Decimal, and
+    the terms of a text _continued."""
+    out, calls = [], []
+    real = sequence._decimals
+
+    def spy(ints):
+        calls.append(len(out))
+        return real(ints)
+
+    monkeypatch.setattr(sequence, "_decimals", spy)
+    with exact():
+        out.extend(_continued(iter(head), k, count, True))
+    return calls, out
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_continued_converts_once_when_the_range_steps(monkeypatch, k):
+    for count in range(1, 3 * k + 3):
+        calls, out = _conversions(monkeypatch, naive_prefix(k, 4 * k), k, count)
+        assert calls == ([1] if count > k + 1 else []), (k, count)
+        # the head's int terms past the first are printed from Decimal too
+        assert [type(t) for t in out] == [int] + [Decimal if count > k + 1 else int] * (count - 1)
+        assert out == naive_prefix(k, count - 1)
+
+
+def test_continued_leaves_a_decimal_head_as_it_is(monkeypatch):
+    k, count = 3, 12
+    calls, out = _conversions(monkeypatch, map(Decimal, naive_prefix(k, k)), k, count)
+    assert calls == []
+    assert all(type(t) is Decimal for t in out)
+    assert out == naive_prefix(k, count - 1)
+
+
+@pytest.mark.parametrize("sums", [False, True])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_continued_matches_the_oracle(k, sums):
+    # S steps from n = 0 and f from n = 1, so every start >= 0 holds
+    for start in (0, 1, k - 1, k, k + 1, 2 * k + 3):
+        for count in range(3 * k + 3):
+            expected = _oracle(k, start + count - 1, sums)[start:]
+            head = iter(_oracle(k, start + k, sums)[start:])
+            assert list(_continued(head, k, count)) == expected, (k, start, count)
+            head = iter(_oracle(k, start + k, sums)[start:])
+            with exact():
+                assert list(_continued(head, k, count, True)) == expected, (k, start, count)
