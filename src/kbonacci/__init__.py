@@ -7,6 +7,12 @@ indices.  `engines` registers each one once, by the name the CLI takes.
 A tiling laboratory re-derives the closed forms by exhaustive enumeration
 at desk scale: ruler tilings, the 2^n hash-mark count, the mark-expansion
 bijection and inclusion-exclusion.
+
+Importing the package imports the engine modules only.  The laboratory's
+exports (`exact_tiles`, `identity_report` and the rest of `tilings`)
+resolve on first use, through the module `__getattr__`, so a command that
+never enumerates never imports it: of the CLI's subcommands, only
+`tilings` and `verify` do (see `cli`).
 """
 
 from .closed_form import (
@@ -19,19 +25,7 @@ from .closed_form import (
 )
 from .engines import compute_sum, compute_value
 from .matrix_power import OpCount
-from .sequence import kbonacci_prefix, values
-from .tilings import (
-    DEFAULT_CAP,
-    CapExceededError,
-    IntersectionIdentityReport,
-    bounded_tiles,
-    count_by_rightmost_tile,
-    exact_tiles,
-    expand_marks,
-    identity_report,
-    oversized_members,
-    unrestricted_tiles,
-)
+from .sequence import DEFAULT_CAP, kbonacci_prefix, values
 
 __version__ = "0.1.0"
 
@@ -59,3 +53,18 @@ __all__ = [
     "values",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Called only for a name not bound above: of __all__, the tiling
+    # laboratory's exports, which are bound here on first use.
+    if name in __all__:
+        from . import tilings
+
+        globals()[name] = getattr(tilings, name)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__all__))

@@ -33,25 +33,40 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parameter error, or an input too large
 for memory (the error line names the function that ran out, and records
 already written stay written).
+
+A command imports only what it runs, as start-up is most of a small
+command's time.  This module imports `argparse` and the engine modules,
+`engines` (which imports `closed_form`, `matrix_power`, `render` and
+`sequence`), which is all that `eval`, `sum`, `terms` and `bench` run.
+`tilings` imports `kbonacci.tilings`, and `verify` imports
+`kbonacci.verify` (and through it `tilings`), inside their commands.  The
+json and csv modules are imported by the first command of their format.
+The help texts read `DEFAULT_CAP` from `sequence` and the suite names
+from `engines`, so `--help` imports neither laboratory module, and the
+out-of-memory handler reads the frame that ran out from the traceback
+object, importing nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
-import traceback
 from itertools import chain, islice, starmap
 from operator import add, itemgetter
 
 from .closed_form import SUM_FORMULA, TERM_FORMULA, term_breakdown
-from .engines import SUM_NAMES, VALUE_NAMES, bench_plan, stream_sum_texts, stream_value_texts
+from .engines import (
+    SUITE_NAMES,
+    SUM_NAMES,
+    VALUE_NAMES,
+    bench_plan,
+    stream_sum_texts,
+    stream_value_texts,
+)
 from .render import _decimal_str
-from .tilings import DEFAULT_CAP, subtrees
-from .verify import SUITES, run_suites
+from .sequence import DEFAULT_CAP
 
 FORMATS = ("plain", "json", "csv")
 VALUE_FIELDS = ["k", "n", "engine", "value"]
@@ -88,6 +103,8 @@ def _jdump(obj) -> str:
 
 
 def _csv_writer():
+    import csv
+
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
@@ -95,11 +112,18 @@ def _emit(records, fmt: str, fields: list[str], plain) -> None:
     """Write each record as it arrives.  plain: the record's text, one
     line or more.  json: one compact object with sorted keys per line.
     csv: a header row of fields, then the fields of each record in that
-    order, a list field (verify's failures) as its length."""
+    order, a list field (verify's failures) as its length.
+
+    The json and csv modules are imported by the first command of their
+    format; json is bound at module level, where _jdump reads it for
+    each record."""
+    global json
     if fmt == "plain":
         for rec in records:
             print(plain(rec))
     elif fmt == "json":
+        import json
+
         for rec in records:
             print(_jdump(rec))
     else:
@@ -145,6 +169,8 @@ _ROWS_PER_WRITE = 1024
 
 
 def cmd_tilings(args) -> int:
+    from .tilings import subtrees
+
     n = args.n
     tables, walk = subtrees(args.k, n, args.bounded, args.cap)
     if args.count:
@@ -208,13 +234,15 @@ def _suite_lines(rec) -> str:
 
 def cmd_verify(args) -> int:
     names = []
-    for chunk in args.suite or [",".join(SUITES)]:
+    for chunk in args.suite or [",".join(SUITE_NAMES)]:
         names.extend(s for s in chunk.split(",") if s)
     if not names:
-        raise ValueError(f"no suite named; choose from {sorted(SUITES)}")
-    unknown = [s for s in names if s not in SUITES]
+        raise ValueError(f"no suite named; choose from {sorted(SUITE_NAMES)}")
+    unknown = [s for s in names if s not in SUITE_NAMES]
     if unknown:
-        raise ValueError(f"unknown suite(s) {unknown}; choose from {sorted(SUITES)}")
+        raise ValueError(f"unknown suite(s) {unknown}; choose from {sorted(SUITE_NAMES)}")
+    from .verify import run_suites
+
     records = [
         {
             "suite": res.name,
@@ -294,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         action="append",
         metavar="NAME[,NAME...]",
-        help=f"suites to run (default all): {', '.join(SUITES)}",
+        help=f"suites to run (default all): {', '.join(SUITE_NAMES)}",
     )
     p.add_argument("--k", type=parse_range, default=range(1, 5), help="k range (default 1..4)")
     p.add_argument("--n", type=parse_range, default=range(0, 13), help="n range (default 0..12)")
@@ -337,9 +365,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError as exc:
         # name where it ran out, so that one from a bug (libmpdec raises it
-        # for a Decimal quotient that does not terminate) is not lost
-        where = traceback.extract_tb(exc.__traceback__, -1)[0]
-        origin = f"{where.name} ({os.path.basename(where.filename)}:{where.lineno})"
+        # for a Decimal quotient that does not terminate) is not lost: the
+        # last frame of the traceback, read without importing anything
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        origin = f"{code.co_name} ({os.path.basename(code.co_filename)}:{tb.tb_lineno})"
         print(f"error: the input is too large: out of memory in {origin}", file=sys.stderr)
         return 2
 

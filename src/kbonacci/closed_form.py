@@ -57,10 +57,10 @@ Powers of two are produced by shifting; no floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import chain, islice, repeat
 from operator import sub
-from typing import Iterator
 
 from .render import _texts
 from .sequence import _check_int, _check_k, _check_n, _continued, _count
@@ -69,13 +69,10 @@ SUM_FORMULA = "sum-formula"
 TERM_FORMULA = "term-formula"
 
 
-@dataclass(frozen=True)
-class SignedTerm:
+class SignedTerm(namedtuple("SignedTerm", "j sign magnitude")):
     """One summand of an alternating sum: sign is (-1)^j, magnitude >= 0."""
 
-    j: int
-    sign: int
-    magnitude: int
+    __slots__ = ()
 
     @property
     def value(self) -> int:

@@ -67,9 +67,9 @@ caller asked for, so the largest index is sys.maxsize - 1.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator
 
 from .closed_form import (
     closed_value_texts_from,
@@ -132,6 +132,10 @@ _SUM_DISPATCH = {
 
 VALUE_NAMES = tuple(_VALUE_DISPATCH)
 SUM_NAMES = tuple(_SUM_DISPATCH)
+# The suites of `verify`, in the order it runs them by default.  They are
+# named here, with the engines, so that the CLI's help reads them without
+# importing `verify`.
+SUITE_NAMES = ("engines", "closed-form", "tilings", "hash-marks", "inclusion-exclusion", "bijection")
 
 
 def _lookup(table: dict, engine: str):

@@ -60,11 +60,10 @@ Decimal by `sequence._continued`, which leaves such values as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from decimal import Decimal, Inexact
 from itertools import count, islice, repeat, starmap
 from operator import mul
-from typing import Iterator
 
 from .render import _decimals, _texts
 from .sequence import _check_k, _check_n, _continued, _count
@@ -81,7 +80,6 @@ from .sequence import _check_k, _check_n, _continued, _count
 _DECIMAL_BITS = 16_384
 
 
-@dataclass
 class OpCount:
     """Tally of big-integer multiplications performed, for benchmarking.
 
@@ -91,10 +89,21 @@ class OpCount:
     them, k(k+1)/2 per squaring, and the k of the inner product that
     finishes a single index one squaring short (_by_halves).  Shifts,
     additions and the small multiples of a step are not counted.
+
+    Two tallies are equal when both counts are.
     """
 
-    matrix_products: int = 0
-    scalar_mults: int = 0
+    def __init__(self, matrix_products: int = 0, scalar_mults: int = 0) -> None:
+        self.matrix_products = matrix_products
+        self.scalar_mults = scalar_mults
+
+    def __eq__(self, other):  # which also leaves the mutable tally unhashable
+        if type(other) is not OpCount:
+            return NotImplemented
+        return (self.matrix_products, self.scalar_mults) == (other.matrix_products, other.scalar_mults)
+
+    def __repr__(self) -> str:
+        return f"OpCount(matrix_products={self.matrix_products}, scalar_mults={self.scalar_mults})"
 
 
 def _reduced(r: list) -> list:

@@ -18,8 +18,8 @@ all.
 from __future__ import annotations
 
 import decimal
+from collections.abc import Iterator
 from contextlib import AbstractContextManager
-from typing import Iterator
 
 # Widest piece converted by Decimal(int) directly.  Render times of 3,000
 # to 694,000-bit values were flat for leaves of 2,048 to 8,192 bits

@@ -21,10 +21,15 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, islice
-from typing import Iterable, Iterator
 
 from .render import _decimals, _texts
+
+# Largest n that the tiling laboratory enumerates unless a call raises its
+# cap (`tilings._check_enumerable`).  It is kept with the input bounds, so
+# that the CLI's help reads it without importing the laboratory.
+DEFAULT_CAP = 24
 
 
 def _check_int(name: str, value: int) -> None:

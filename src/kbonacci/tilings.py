@@ -53,15 +53,13 @@ calls at desk scale and is overridable per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import chain, combinations
 from operator import sub
-from typing import Iterable, Iterator
 
 from .closed_form import binomial
-from .sequence import _check_int, _check_ints, _check_k, _check_n
-
-DEFAULT_CAP = 24
+from .sequence import DEFAULT_CAP, _check_int, _check_ints, _check_k, _check_n
 
 Tiles = tuple[int, ...]
 
@@ -272,18 +270,17 @@ def expand_marks(
     return tuple(map(sub, marks, (0, *marks))), _positions(ends)
 
 
-@dataclass(frozen=True)
-class IntersectionIdentityReport:
-    """Outcome of one brute-force check of the intersection-count identity."""
+class IntersectionIdentityReport(
+    namedtuple("IntersectionIdentityReport", "k n i lhs rhs configurations injective image_matches")
+):
+    """Outcome of one brute-force check of the intersection-count identity.
 
-    k: int
-    n: int
-    i: int
-    lhs: int  # sum of |U_{j_1} ∩ ... ∩ U_{j_i}| over all end tuples
-    rhs: int  # C(n-ik, i) * 2^(n-i(k+1))
-    configurations: int  # number of mark configurations expanded
-    injective: bool
-    image_matches: bool
+    lhs is the sum of |U_{j_1} ∩ ... ∩ U_{j_i}| over all end tuples, rhs
+    is C(n-ik, i) * 2^(n-i(k+1)), and configurations is the number of mark
+    configurations expanded.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -13,7 +13,6 @@ suite of the call that reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, combinations
 from operator import sub
 
@@ -25,10 +24,17 @@ from .closed_form import (
     partial_sum_dunkel_extended,
     term_breakdown,
 )
-from .engines import SUM_NAMES, VALUE_NAMES, compute_sum, compute_value
-from .sequence import _check_index, _check_k, _check_n, kbonacci_prefix, sums_from, values_from
-from .tilings import (
+from .engines import SUITE_NAMES, SUM_NAMES, VALUE_NAMES, compute_sum, compute_value
+from .sequence import (
     DEFAULT_CAP,
+    _check_index,
+    _check_k,
+    _check_n,
+    kbonacci_prefix,
+    sums_from,
+    values_from,
+)
+from .tilings import (
     _check_enumerable,
     bounded_tiles,
     count_by_rightmost_tile,
@@ -39,11 +45,13 @@ from .tilings import (
 )
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """A suite's name, the number of checks it ran, and a line per failure."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.checks = 0
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -231,14 +239,20 @@ def suite_bijection(
     return result
 
 
-SUITES = {
-    "engines": suite_engines,
-    "closed-form": suite_closed_form,
-    "tilings": suite_tilings,
-    "hash-marks": suite_hash_marks,
-    "inclusion-exclusion": suite_inclusion_exclusion,
-    "bijection": suite_bijection,
-}
+SUITES = dict(
+    zip(
+        SUITE_NAMES,
+        (
+            suite_engines,
+            suite_closed_form,
+            suite_tilings,
+            suite_hash_marks,
+            suite_inclusion_exclusion,
+            suite_bijection,
+        ),
+        strict=True,
+    )
+)
 
 
 # Suites that enumerate, so run_suites checks their whole n grid against the

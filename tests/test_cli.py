@@ -468,14 +468,48 @@ def test_k_is_checked_before_the_range(capsys, sub, engine):
     assert run(capsys, *argv) == (2, "", "error: k must be a positive integer, got 0\n")
 
 
-def test_python_dash_m_runs_the_cli():
+def _with_src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_dash_m_runs_the_cli():
     result = subprocess.run(
         [sys.executable, "-m", "kbonacci", "eval", "--k", "2", "--n", "4"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_with_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert (result.returncode, result.stdout) == (0, "5\n")
+
+
+# Modules that `eval` never runs, so a fresh process that runs it must not
+# import them: each costs start-up time on every command.
+_NOT_FOR_EVAL = (
+    "dataclasses",
+    "inspect",
+    "typing",
+    "json",
+    "csv",
+    "traceback",
+    "kbonacci.tilings",
+    "kbonacci.verify",
+)
+
+
+@pytest.mark.parametrize("fmt, loaded", [("plain", []), ("json", ["json"])])
+def test_a_fresh_eval_imports_only_what_it_runs(fmt, loaded):
+    # -S: without site, whose hooks may import any of these on their own
+    code = (
+        "import sys\n"
+        "from kbonacci.cli import main\n"
+        f"code = main(['eval', '--k', '2', '--n', '4', '--format', {fmt!r}])\n"
+        f"print(code, [m for m in {_NOT_FOR_EVAL!r} if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=_with_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.stderr == ""
+    # the last line: the exit code, then the modules of the list that were imported
+    assert result.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 class TestTerms:

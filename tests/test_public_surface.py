@@ -4,8 +4,11 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import kbonacci
 from kbonacci.cli import main
+from kbonacci.verify import SuiteResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # a comment that opens with the value of its line: "# 96" or "# 96, why"
@@ -15,6 +18,56 @@ _EXPECTED = re.compile(r"#\s*(-?\d+|True)(,|$)")
 def test_every_public_name_resolves():
     for name in kbonacci.__all__:
         assert hasattr(kbonacci, name), name
+
+
+def test_every_public_name_is_listed_and_star_imported():
+    # the tiling laboratory's names resolve on first use, through the
+    # package's __getattr__, and dir() and import * must still see them
+    namespace: dict = {}
+    exec("from kbonacci import *", namespace)
+    for name in kbonacci.__all__:
+        assert name in dir(kbonacci), name
+        assert namespace[name] is getattr(kbonacci, name), name
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'kbonacci' has no attribute 'no_such_name'"):
+        kbonacci.no_such_name
+
+
+def test_signed_term_is_an_immutable_hashable_named_tuple():
+    term = kbonacci.SignedTerm(1, -1, 32)
+    assert repr(term) == "SignedTerm(j=1, sign=-1, magnitude=32)"
+    assert (term.j, term.sign, term.magnitude, term.value) == (1, -1, 32, -32)
+    assert term == (1, -1, 32) and hash(term) == hash((1, -1, 32))
+    with pytest.raises(AttributeError):
+        term.sign = 1
+
+
+def test_op_count_compares_by_its_counts():
+    ops = kbonacci.OpCount(scalar_mults=5, matrix_products=1)
+    assert repr(ops) == "OpCount(matrix_products=1, scalar_mults=5)"
+    assert ops == kbonacci.OpCount(1, 5) and ops != kbonacci.OpCount(1, 6)
+    assert ops != (1, 5)
+    ops.matrix_products += 1
+    assert ops == kbonacci.OpCount(2, 5)
+    assert kbonacci.OpCount() == kbonacci.OpCount(0, 0)
+
+
+def test_suite_results_never_share_a_failures_list():
+    first, second = SuiteResult("engines"), SuiteResult("tilings")
+    first.expect(False, "forced mismatch")
+    assert (first.failures, first.passed) == (["forced mismatch"], False)
+    assert (second.failures, second.passed, second.checks) == ([], True, 0)
+
+
+def test_identity_report_is_a_named_tuple_that_passes_when_both_sides_agree():
+    report = kbonacci.identity_report(2, 5, 1, kbonacci.oversized_members(2, 5))
+    assert report == kbonacci.IntersectionIdentityReport(
+        k=2, n=5, i=1, lhs=12, rhs=12, configurations=12, injective=True, image_matches=True
+    )
+    assert report.passed
+    assert not report._replace(injective=False).passed
 
 
 def _quick_start() -> list[str]:
