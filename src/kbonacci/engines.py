@@ -32,10 +32,11 @@ Each generator carries its cost model as stream.cost(k, n): the number
 of big-integer operations one index n takes, which `bench` reports as
 `ops`.  It is the count of additions for the window engines, the summand
 count scaled for the closed forms, and for matrix the multiplications
-that one index takes, `matrix_power.matrix_cost`: k(k+1)/2 per squaring
-of the powering to x^(n // 2), whose squaring count also bounds that
-loop, plus k for the inner product, and none where x^n needs no
-squaring.  Every model is arithmetic on (k, n) and runs nothing.
+that one index takes, `matrix_power.matrix_cost`: per squaring of the
+powering to x^(n // 2), whose squaring count also bounds that loop,
+k(k+1)/2 below the Toom-Cook switch and 2k - 1 past it, plus k for the
+inner product, and none where x^n needs no squaring.  Every model is
+arithmetic on (k, n) and runs nothing.
 
 Each generator also carries its text range generator as stream.text:
 the same head and the same tail, which converts the k+1 head values to

@@ -17,8 +17,14 @@ where Q = x - 1 leaves r = 1 for every n, so f(n) = 1 there and neither
 quantity powers.
 
 The residue is reached by binary powering: O(log n) squarings of k
-big-integer coefficients, each k(k+1)/2 multiplications.  The square is
-reduced by the sparse rule x^e = 2x^(e-1) - x^(e-k-1) of
+big-integer coefficients.  The squaring of x^e's residue takes k(k+1)/2
+multiplications while e < _TOOM_EXPONENT, and from there on 2k - 1
+squarings by evaluation and interpolation (Toom-Cook; Brent & Zimmermann,
+Modern Computer Arithmetic, section 1.3.3; Knuth, TAOCP vol. 2, section
+4.3.3): the square's values at x = 0, 1, ..., 2k - 2, each the square of
+r(x), and their forward differences give its Newton form, multiplied out
+by small multiples; a squaring also costs about 0.7 of a product.  The
+square is reduced by the sparse rule x^e = 2x^(e-1) - x^(e-k-1) of
 P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), valid modulo its factor Q, down
 to degree k, and then once by x^k = 1 + x + ... + x^(k-1): shifts and
 additions only.
@@ -52,10 +58,11 @@ division and the steps of the range's first k+1 indices in Decimal under
 bits on (libmpdec's number-theoretic transform against CPython's
 Karatsuba; Brent & Zimmermann, Modern Computer Arithmetic, sections 1.3
 and 2.3), and print the result with str(): no binary to decimal
-conversion of the result at all.  One squaring loop, written with +
-rather than << 1, and one step serve both coefficient types, and
-`render._texts` prints either.  A range's later indices are continued in
-Decimal by `sequence._continued`, which leaves such values as they are.
+conversion of the result at all.  Both squarings, written with + rather
+than << 1 and with _divide for exact division, and one step serve both
+coefficient types, and `render._texts` prints either.  A range's later
+indices are continued in Decimal by `sequence._continued`, which leaves
+such values as they are.
 """
 
 from __future__ import annotations
@@ -69,15 +76,28 @@ from .render import _decimals, _texts
 from .sequence import _check_k, _check_n, _continued, _count
 
 # Widest coefficient, in bits, that the text path still squares in ints.
-# With a single index powered only to x^(n // 2), the five big-index
-# commands of each of two seeds, powering plus str(), took 155-156 ms in all
-# switching at 8k bits, 155-158 ms at 16k and 171-174 ms at 32k (CPython
-# 3.11.7, libmpdec 2.5.1, 2-vCPU VM, best of 9 interleaved runs each).
-# Each command then converts its coefficients at 17k-28k bits.  One int
-# product is still the faster there (0.19 against 0.26 ms at 20k bits), but
-# converting three coefficients takes 1.8 ms at 20k bits against 4.9 ms at
-# 40k.  The wide-window and range-sweep residues stay below 10k bits.
-_DECIMAL_BITS = 16_384
+# With _toom_square past _TOOM_EXPONENT, the five big-index commands of each
+# of seeds 1-2, in-process and best of 5 per command, took 138.4-138.8 ms
+# in all switching at 8k bits, 140.2-140.3 ms at 16k and 155.3-155.5 ms at
+# 32k (three interleaved rounds; 138.2 ms at 4k, 140.0 ms at 12k), and those
+# of seeds 3-5 207.7-207.9 ms at 8k against 209.7-210.1 ms at 16k (CPython
+# 3.11.7, libmpdec 2.5.1, 2-vCPU VM).  Each command then converts its
+# coefficients at 8.7k-13.7k bits.  wide-window and range-sweep read the
+# same at 8k and 16k.
+_DECIMAL_BITS = 8192
+
+# Smallest exponent e whose residue _residue squares by _toom_square rather
+# than _square.  The residue of x^e is about e log2(phi) bits wide, phi the
+# root of Q: 0.69e at k = 2 and nearly e from k = 8 on.  Near 2,000 bits one
+# Toom square costs about what the loop does at every k from 2 to 30 (0.009
+# against 0.008 ms at k = 2, 1.18 against 1.30 ms at k = 30), so one
+# exponent serves every k.  In-process, best of 5 per command, seeds 1-2:
+# big-index took 140.2-140.4 ms switching at 2048, 4096 or 8192, 140.7 ms
+# at 16384 and 153.2 ms on the loop alone; wide-window 31.6-31.8 ms at
+# 2048, 32.5-32.7 ms at 1024 and 4096, and 33.0-33.1 ms at 8192, which its
+# residues never reach; range-sweep 100.8-101.3 ms at 2048 and 8192 alike
+# (CPython 3.11.7, 2-vCPU VM, with _DECIMAL_BITS at 16384).
+_TOOM_EXPONENT = 2048
 
 
 class OpCount:
@@ -86,9 +106,11 @@ class OpCount:
     matrix_products counts squarings of the residue modulo
     x^k - x^(k-1) - ... - 1 (the field keeps its name for the code that
     reads it); scalar_mults counts the coefficient multiplications inside
-    them, k(k+1)/2 per squaring, and the k of the inner product that
-    finishes a single index one squaring short (_by_halves).  Shifts,
-    additions and the small multiples of a step are not counted.
+    them: k(k+1)/2 per squaring by _square, 2k - 1 per squaring by
+    _toom_square, and the k of the inner product that finishes a single
+    index one squaring short (_by_halves).  Shifts, additions, exact
+    divisions by small ints and the small multiples of a step or of
+    _toom_square's evaluation and interpolation are not counted.
 
     Two tallies are equal when both counts are.
     """
@@ -126,20 +148,77 @@ def _squarings(k: int, n: int) -> int:
 def matrix_cost(k: int, n: int) -> int:
     """The multiplications f(n) or S(n) alone takes: none at k = 1, where
     the values and sums do not power, nor where the powering to x^n does
-    not square; otherwise k(k+1)/2 per squaring of the powering to
-    x^(n // 2), and k for the inner product of _by_halves."""
+    not square; otherwise, over the powering to x^m, m = n // 2, k(k+1)/2
+    per squaring by _square and 2k - 1 per squaring by _toom_square, and k
+    for the inner product of _by_halves.  The j-th last squaring of that
+    powering squares the residue of x^(m >> j)."""
     if k == 1 or not _squarings(k, n):
         return 0
-    return _squarings(k, n >> 1) * (k * (k + 1) // 2) + k
+    m = n >> 1
+    squarings = _squarings(k, m)
+    toom = sum(m >> j >= _TOOM_EXPONENT for j in range(1, squarings + 1))
+    return (squarings - toom) * (k * (k + 1) // 2) + toom * (2 * k - 1) + k
+
+
+def _square(r: list) -> list:
+    """The 2k - 1 coefficients of r^2, by k(k+1)/2 products: each cross
+    product once, doubled, and each square."""
+    k = len(r)
+    rev = r[::-1]
+    square = []
+    for m in range(2 * k - 1):
+        lo, half = max(m - k + 1, 0), (m + 1) // 2
+        # r[i] * r[m-i] over i < m-i, counted twice; rev[k-1-m+i] = r[m-i]
+        c = sum(map(mul, r[lo:half], rev[k - 1 - m + lo : k - 1 - m + half]))
+        c += c
+        if not m & 1:
+            c += r[m >> 1] * r[m >> 1]
+        square.append(c)
+    return square
+
+
+def _toom_square(r: list) -> list:
+    """The 2k - 1 coefficients of r^2, by 2k - 1 squarings (Toom-Cook).
+
+    r^2 has degree 2k - 2, so its values at x = 0, 1, ..., 2k - 2 fix it:
+    each is r(x), taken by Horner's rule with the small multiplier x, then
+    squared.  The j-th forward difference of those squares at 0, divided
+    exactly by j!, is the coefficient of x(x - 1)...(x - j + 1) in r^2's
+    Newton form, which is multiplied out from the top, one small multiple
+    and one subtraction per coefficient.  Only +, -, * and _divide, so it
+    serves ints and Decimals alike.
+    """
+    points = 2 * len(r) - 1
+    d = []
+    for x in range(points):
+        v = 0
+        for c in reversed(r):
+            v = v * x + c
+        d.append(v * v)
+    for j in range(1, points):
+        for i in range(points - 1, j - 1, -1):
+            d[i] -= d[i - 1]
+    factorial = 1
+    for j in range(2, points):
+        factorial *= j
+        d[j] = _divide(d[j], factorial)
+    # Horner's rule in the Newton basis: p <- p (x - j) + d[j]
+    p = [d[-1]]
+    for j in range(points - 2, -1, -1):
+        p = [d[j] - j * p[0], *(lo - j * hi for lo, hi in zip(p, p[1:])), p[-1]]
+    return p
 
 
 def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
     """Coefficients r[0..k-1] of x^n mod x^k - x^(k-1) - ... - 1, as ints.
 
-    With text, they are converted to Decimals once before the first squaring
+    The square of the residue of x^e is taken by _square while
+    e < _TOOM_EXPONENT and by _toom_square from there on.  With text, the
+    coefficients are converted to Decimals once before the first squaring
     of coefficients wider than _DECIMAL_BITS, which then runs, like every
-    later one, in Decimal; the caller runs it under exact().  The loop uses
-    only +, - and *, so it serves both types.
+    later one, in Decimal; the caller runs it under exact().  Both squarings
+    and the reduction use only +, -, * and exact division, so they serve
+    both types.
     """
     _check_k(k)
     _check_n(n)
@@ -150,16 +229,8 @@ def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
     for bit in range(shift - 1, -1, -1):
         if text and max(c.bit_length() for c in r) > _DECIMAL_BITS:
             r, text = _decimals(r), False
-        rev = r[::-1]
-        square = []
-        for m in range(2 * k - 1):
-            lo, half = max(m - k + 1, 0), (m + 1) // 2
-            # r[i] * r[m-i] over i < m-i, counted twice; rev[k-1-m+i] = r[m-i]
-            c = sum(map(mul, r[lo:half], rev[k - 1 - m + lo : k - 1 - m + half]))
-            c += c
-            if not m & 1:
-                c += r[m >> 1] * r[m >> 1]
-            square.append(c)
+        toom = n >> (bit + 1) >= _TOOM_EXPONENT
+        square = _toom_square(r) if toom else _square(r)
         # times x or not, 2k coefficients: one of degree >= k even at k = 1
         square = [0, *square] if n >> bit & 1 else [*square, 0]
         # P's rule, valid modulo its factor Q, down to degree k
@@ -170,7 +241,7 @@ def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
         r = _reduced(square[: k + 1])
         if ops is not None:
             ops.matrix_products += 1
-            ops.scalar_mults += k * (k + 1) // 2
+            ops.scalar_mults += 2 * k - 1 if toom else k * (k + 1) // 2
     return r
 
 
@@ -212,10 +283,12 @@ def _by_halves(k: int, n: int, ops: OpCount | None, text: bool, numerator) -> in
 
 
 def _divide(x: int | Decimal, d: int) -> int | Decimal:
-    """x / d for a small d > 0 that divides x.
+    """x / d for an int d > 0 that divides x and is narrow beside it: 2,
+    k - 1, or j! <= (2k - 2)! in _toom_square.
 
     An int is shifted (d = 2) or floor-divided.  A Decimal is divided under
-    exact() and raises decimal.Inexact if d does not divide it.  Plain x / d would not do: it is exact at unbounded
+    exact() and raises decimal.Inexact if d does not divide it.  Plain x / d
+    would not do: it is exact at unbounded
     precision, so an odd x / 2 ends in .5, and a quotient that does not
     terminate, such as 10 / 3, makes libmpdec raise MemoryError.
     """

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import decimal
 from collections.abc import Iterator
-from contextlib import AbstractContextManager
 
 # Widest piece converted by Decimal(int) directly.  Render times of 3,000
 # to 694,000-bit values were flat for leaves of 2,048 to 8,192 bits
@@ -30,7 +29,9 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
 _EXACT.traps[decimal.Inexact] = True
 
 
-def exact() -> AbstractContextManager[decimal.Context]:
+# The annotation is never evaluated (postponed annotations), so it names
+# contextlib without importing it at every command's start.
+def exact() -> contextlib.AbstractContextManager[decimal.Context]:
     """A with-block under which Decimal arithmetic on integers is exact or
     raises decimal.Inexact."""
     return decimal.localcontext(_EXACT)

@@ -484,6 +484,7 @@ def test_python_dash_m_runs_the_cli():
 # Modules that `eval` never runs, so a fresh process that runs it must not
 # import them: each costs start-up time on every command.
 _NOT_FOR_EVAL = (
+    "contextlib",
     "dataclasses",
     "inspect",
     "typing",

@@ -1,4 +1,5 @@
 import decimal
+import random
 import sys
 from decimal import Decimal
 from functools import partial
@@ -13,13 +14,15 @@ from kbonacci import engines, matrix_power
 from kbonacci.matrix_power import (
     _divide,
     _residue,
+    _square,
+    _toom_square,
     matrix_cost,
     matrix_sum_texts_from,
     matrix_sums_from,
     matrix_value_texts_from,
     matrix_values_from,
 )
-from kbonacci.render import _decimal_str, exact
+from kbonacci.render import _decimal_str, _decimals, exact
 
 matrix_value = partial(compute_value, engine="matrix")
 matrix_sum = partial(compute_sum, engine="matrix")
@@ -79,7 +82,8 @@ def test_op_counting_is_logarithmic():
     next(matrix_values_from(2, 100_000, 100_001, ops))
     assert ops.matrix_products > 0
     # ~log2(n) squarings of the 2-coefficient residue, 3 multiplications
-    # each, nowhere near the 2n additions the linear engine spends
+    # each, by the loop or, past the switch, by Toom's 2k - 1 = 3 squarings:
+    # nowhere near the 2n additions the linear engine spends
     assert ops.scalar_mults < 1000
 
 
@@ -119,13 +123,35 @@ def test_range_counts_only_the_jump(stream):
     assert values == [single(2, n) for n in range(10, 51)]
 
 
+def test_op_count_of_a_cell_past_a_lowered_switch(monkeypatch):
+    # k=3, n=20 = 2*10, with the switch at x^5: a single index powers only
+    # to x^10, 0b1010.  Its leading bits 0b10 = 2 <= k give the start x^2,
+    # its own residue, for free.  Bit 1 squares x^2, below the switch, by
+    # the loop: 3 squares + 3 cross products = 6 multiplications, and
+    # multiplies by x: x^5.  Bit 0 squares x^5, at the switch, by Toom: the
+    # residue's values at x = 0..4, each squared, 2k - 1 = 5 multiplications
+    # and not 6: x^10.  With s its residue, f(20) = s[0] f(10) + s[1] f(11)
+    # + s[2] f(12) by 3 more: 6 + 5 + 3 = 14 in all.
+    monkeypatch.setattr(matrix_power, "_TOOM_EXPONENT", 5)
+    ops = OpCount()
+    assert next(matrix_values_from(3, 20, 21, ops)) == 121415
+    assert ops == OpCount(matrix_products=2, scalar_mults=14)
+    assert matrix_cost(3, 20) == 14
+
+
 @pytest.mark.parametrize("k", range(1, 13))
-def test_a_squaring_costs_k_k_plus_1_over_2_multiplications(k):
-    for n in (k + 1, 100, 1000, 12345):
+def test_a_squaring_costs_k_k_plus_1_over_2_then_2k_minus_1_multiplications(k):
+    # the squaring of x^e's residue is the loop's k(k+1)/2 products while
+    # e < _TOOM_EXPONENT and Toom's 2k - 1 squarings from there on (the
+    # same count at k <= 2).  The j-th last squaring of the powering to x^n
+    # squares x^(n >> j), so 2t - 1 squares below t = _TOOM_EXPONENT, 2t
+    # squares x^t last, and 4t + 3 squares x^t and then x^(2t + 1).
+    t = matrix_power._TOOM_EXPONENT
+    for n, past in [(k + 1, 0), (100, 0), (1000, 0), (2 * t - 1, 0), (2 * t, 1), (4 * t + 3, 2)]:
         ops = OpCount()
         _residue(k, n, ops)  # the values and sums at k = 1 do not power
-        assert ops.matrix_products > 0
-        assert ops.scalar_mults == ops.matrix_products * k * (k + 1) // 2
+        assert ops.matrix_products > past
+        assert ops.scalar_mults == (ops.matrix_products - past) * k * (k + 1) // 2 + past * (2 * k - 1), n
 
 
 def test_cost_model_is_the_measured_count():
@@ -139,6 +165,15 @@ def test_cost_model_is_the_measured_count():
             assert ops.scalar_mults == matrix_cost(k, n), (k, n)
     for k in range(1, 7):
         for n in (1000, 4097, 12345, 65535, 65536, 100000):
+            for stream in (matrix_values_from, matrix_sums_from):
+                ops = OpCount()
+                next(stream(k, n, n + 1, ops))
+                assert ops.scalar_mults == matrix_cost(k, n), (k, n)
+    # past the switch, where 2k - 1 < k(k+1)/2: a single index n powers to
+    # x^m, m = n // 2, and squares x^(m >> j) for j >= 1, so at the switch
+    # of 2048 these cells take 0, 1, 2 and 3 squarings by Toom
+    for k in range(3, 13):
+        for n in (8191, 8192, 16387, 40000):
             for stream in (matrix_values_from, matrix_sums_from):
                 ops = OpCount()
                 next(stream(k, n, n + 1, ops))
@@ -201,6 +236,34 @@ def test_sums_at_k_1_count_the_indices():
                 next(gen(True, 0, 3))
 
 
+def _toom_cases(k: int, rng: random.Random):
+    """Coefficient lists of length k to square: random widths, all ones,
+    all zeros but one, and 1 bit beside 50k bits."""
+    yield [rng.getrandbits(rng.randrange(1, 3000)) for _ in range(k)]
+    yield [1] * k
+    for i in range(k):
+        yield [rng.getrandbits(200) | 1 if j == i else 0 for j in range(k)]
+    yield [1 if j % 2 else rng.getrandbits(50_000) | 1 << 49_999 for j in range(k)]
+
+
+@pytest.mark.parametrize("k", [*range(2, 13), 30])
+def test_toom_square_is_the_loop(k):
+    # the same 2k - 1 coefficients, as ints and as Decimals under exact(),
+    # whose texts are those of the ints: no -0, no exponent
+    for r in _toom_cases(k, random.Random(k)):
+        square = _square(r)
+        assert _toom_square(r) == square
+        with exact():
+            toom = _toom_square(_decimals(r))
+            assert {type(c) for c in toom} == {Decimal}
+            assert list(map(str, toom)) == list(map(_decimal_str, square))
+            assert _square(_decimals(r)) == toom
+
+
+# The Toom switch at the first squaring, and where the module puts it
+TOOM_SWITCHES = [0, matrix_power._TOOM_EXPONENT]
+
+
 # (int generator, text generator) of each quantity
 TEXT_PATHS = [
     (matrix_values_from, matrix_value_texts_from),
@@ -208,11 +271,14 @@ TEXT_PATHS = [
 ]
 
 
+@pytest.mark.parametrize("toom", TOOM_SWITCHES)
 @pytest.mark.parametrize("switch", [0, 8, 40])
 @pytest.mark.parametrize("ints, texts", TEXT_PATHS)
-def test_text_path_matches_int_path(monkeypatch, switch, ints, texts):
-    # a lowered switch sends small indices through Decimal squarings
+def test_text_path_matches_int_path(monkeypatch, switch, toom, ints, texts):
+    # a lowered switch sends small indices through Decimal squarings, and
+    # a Toom switch at 0 sends every squaring through _toom_square
     monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", switch)
+    monkeypatch.setattr(matrix_power, "_TOOM_EXPONENT", toom)
     for k in range(1, 9):
         for n in range(201):
             int_ops, text_ops = OpCount(), OpCount()
@@ -239,10 +305,11 @@ def test_text_range_stepped_after_the_switch_matches_int_path(monkeypatch, ints,
 
 
 # Indices whose residue is finished in Decimal: its coefficients are
-# converted at 26,033 bits at k=2, 24,175 at k=3 and 21,299 at k=4, past
-# the switch's 16,384, and the last two squarings run in Decimal.  A single
-# index 2n or 2n + 1 powers only to x^n, so that same residue is the half
-# that its inner product finishes from, at both parities.
+# converted at 13,016 bits at k=2, 12,086 at k=3 and 10,648 at k=4, past
+# the switch's 8,192, and the last three squarings run in Decimal, by
+# _toom_square.  A single index 2n or 2n + 1 powers only to x^n, so that
+# same residue is the half that its inner product finishes from, at both
+# parities.
 @pytest.mark.parametrize("k, n", [(2, 150_000), (3, 110_000), (4, 90_000)])
 @pytest.mark.parametrize("ints, texts", TEXT_PATHS)
 def test_text_range_past_the_real_switch(ints, texts, k, n):
@@ -254,13 +321,17 @@ def test_text_range_past_the_real_switch(ints, texts, k, n):
         assert next(texts(k, single, single + 1)) == _decimal_str(next(ints(k, single, single + 1)))
 
 
+@pytest.mark.parametrize("toom", TOOM_SWITCHES)
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(2, 40), n=st.integers(1, 3000), switch=st.sampled_from([0, 8, 64, 16_384]))
-def test_single_index_matches_the_range_path(k, n, switch):
+def test_single_index_matches_the_range_path(toom, k, n, switch):
     # a single index is one squaring short of x^n and finishes with an
     # inner product; the second index of a range steps the residue of
-    # x^(n-1) once.  A lowered switch sends both through Decimal.
-    with mock.patch.object(matrix_power, "_DECIMAL_BITS", switch):
+    # x^(n-1) once.  A lowered switch sends both through Decimal, and a
+    # Toom switch at 0 squares every residue by _toom_square.
+    with mock.patch.object(matrix_power, "_DECIMAL_BITS", switch), mock.patch.object(
+        matrix_power, "_TOOM_EXPONENT", toom
+    ):
         for stream in (matrix_values_from, matrix_sums_from, matrix_value_texts_from, matrix_sum_texts_from):
             assert next(stream(k, n, n + 1)) == list(stream(k, n - 1, n + 1))[1], stream.__name__
 
