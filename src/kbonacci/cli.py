@@ -10,13 +10,13 @@ one renderer, `render._texts`, makes: a Decimal by str(), and an int by
 divide and conquer through the `decimal` module, subquadratic in the digit
 count, where `int.__str__` is quadratic on CPython before 3.12, and
 independent of the interpreter's int/str digit limit.  The matrix engine
-finishes large results in Decimal, and the recurrence, direct and matrix
-engines step a range in Decimal after its first record, so its later
+finishes large results in Decimal, and every engine steps a range past
+its first k+1 indices in Decimal after its first record, so its later
 records need no conversion.  `terms` renders its ints through
 `render._decimal_str`.  `eval` and `sum` check their whole --n range
 before writing anything, then write each record as soon as it is
 rendered, so a range holds one record at a time.  `bench`
-times the first record of that same text range generator, started at n,
+times the first record of that same text range, started at n,
 so its elapsed_ns is the compute and render that `eval` or `sum` print.
 
 Every subcommand builds records, dicts of its fields, and hands them to one

@@ -46,10 +46,12 @@ summed over the signed, 2-power-weighted row, gives
 
 the recurrence of P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), and f follows
 it from n = 1 on.  So the fold and the block are only a range's head, its
-first k+1 indices at most, and `sequence._continued`, the one tail of every
-engine's range, steps the rest, in Decimal for the text generators.
-`term_breakdown` lists the summands of the rows.  The extended form is
-the base fold plus the raised-limit binomials, each checked to be 0.
+first k+1 indices at most, `_closed_head`, from which the registry's
+`dunkel` and `dunkel-term` streams (see `engines`) go on by
+`sequence._continued`, the one tail of every engine's range, in Decimal
+for text.  `term_breakdown` lists the summands of the rows.  The
+extended form is the base fold plus the raised-limit binomials, each
+checked to be 0.
 
 Powers of two are produced by shifting; no floating point anywhere.
 """
@@ -62,8 +64,7 @@ from collections.abc import Iterator
 from itertools import chain, islice, repeat
 from operator import sub
 
-from .render import _texts
-from .sequence import _check_int, _check_k, _check_n, _continued, _count
+from .sequence import _check_int, _check_k, _check_n
 
 SUM_FORMULA = "sum-formula"
 TERM_FORMULA = "term-formula"
@@ -183,10 +184,13 @@ def _closed_head(k: int, start: int, count: int, term: bool) -> Iterator[int]:
     indices n of the range from start, the head that `sequence._continued`
     goes on from.
 
-    The first index folds its row as the row is made, in O(n) bits; a
-    value halves its doubled fold.  The next k indices at most fold their
-    sums as one block, in O(k n) bits, and a block of values differences
-    the sums of the block and of the index before it.
+    The first index folds its row as the row is made, in O(n) bits, and
+    shifts the fold by n mod (k+1), the power of two of the last summand.
+    A value halves its doubled fold, since a doubled entry carries
+    2^(e-1), e = n - j(k+1); at n = 0 the lone term is 2 * 2^-1 = 1.  The
+    next k indices at most fold their sums as one block, in O(k n) bits,
+    and a block of values differences the sums of the block and of the
+    index before it.
     """
     if not count:
         return
@@ -196,39 +200,6 @@ def _closed_head(k: int, start: int, count: int, term: bool) -> Iterator[int]:
     if head:
         sums = _block_folds(k, range(head.start - term, head.stop))
         yield from map(sub, sums[1:], sums) if term else sums
-
-
-def dunkel_sums_from(k: int, start: int, stop: int) -> Iterator[int]:
-    """Yield f(0) + ... + f(n) via the alternating closed form, n = start..stop-1.
-
-    The summand of j carries 2^(n - j(k+1)), and the last j carries
-    2^(n mod (k+1)).
-    """
-    count = _count(k, start, stop)
-    yield from _continued(_closed_head(k, start, count, False), k, count)
-
-
-def closed_values_from(k: int, start: int, stop: int) -> Iterator[int]:
-    """Yield f(n) via the per-term closed form, n = start..stop-1.
-
-    term_j = (-1)^j (2 C(n-jk, j) - C(n-jk-1, j)) 2^(e-1), e = n - j(k+1).
-    The doubled entry (see _doubled) is 2 C(j, j) = 2 where e = 0, and the
-    base case n = 0 is the lone term 2 * 2^-1 = 1.
-    """
-    count = _count(k, start, stop)
-    yield from _continued(_closed_head(k, start, count, True), k, count)
-
-
-def dunkel_sum_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
-    """dunkel_sums_from as exact decimal strings, continued in Decimal."""
-    count = _count(k, start, stop)
-    yield from _texts(_continued(_closed_head(k, start, count, False), k, count, True))
-
-
-def closed_value_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
-    """closed_values_from as exact decimal strings, continued alike."""
-    count = _count(k, start, stop)
-    yield from _texts(_continued(_closed_head(k, start, count, True), k, count, True))
 
 
 def _check_limit(k: int, n: int, m: int) -> None:
@@ -246,23 +217,24 @@ def partial_sum_dunkel_extended(k: int, n: int, m: int) -> int:
 
     Any m with floor(n/(k+1)) <= m <= floor(n/k) gives the same value: the
     extra summands have n-jk < j, so their binomials are 0.  Those are
-    checked to be 0, and the base row is folded as dunkel_sums_from folds
-    the single index n.
+    checked to be 0, and the base row is folded as the `dunkel` engine
+    folds the single index n.
     """
     _check_limit(k, n, m)
     for j in range(n // (k + 1) + 1, m + 1):
         if binomial(n - j * k, j):
             # As in _nonnegative: no input can reach this, so it is a defect.
             raise ArithmeticError(f"raised-limit summand j={j} is nonzero at k={k}, n={n}")
-    return next(dunkel_sums_from(k, n, n + 1))
+    return next(_closed_head(k, n, 1, False))
 
 
 def term_breakdown(k: int, n: int, which: str = SUM_FORMULA) -> list[SignedTerm]:
     """Return the individual summands of the selected formula, by increasing j.
 
-    Folding the list with signed addition reproduces S(n) as
-    dunkel_sums_from folds it (sum-formula) or f(n) as closed_values_from
-    folds it (term-formula), at the single index n.
+    Folding the list with signed addition reproduces S(n) as the `dunkel`
+    engine folds it (sum-formula) or f(n) as the `dunkel-term` engine folds
+    it (term-formula), at the single index n: the row of _closed_head, or
+    its doubled row.
     """
     _check_k(k)
     _check_n(n)

@@ -49,15 +49,18 @@ k(k+1)/2, about two thirds of the powering under Karatsuba.  A range keeps
 the full powering, since it would need the k multiplications at each of
 its indices.
 
-The int generators yield ints.  For decimal output the CLI asks for the
-text generators instead: they square in ints while the coefficients are
+`_values` and `_sums` are the heads of the registry's two `matrix`
+streams (see `engines`), which start them at a range's first index and
+pull its first k+1 indices at most; an `OpCount` passed to them tallies
+the multiplications.  Without text they yield ints.  With text, for the
+CLI's decimal output, they square in ints while the coefficients are
 narrow, convert them once past _DECIMAL_BITS, then finish the squarings,
 the reduction, the fold at 2, a single index's inner product, the exact
 division and the steps of the range's first k+1 indices in Decimal under
 `render.exact()`, whose products are subquadratic from a few ten thousand
 bits on (libmpdec's number-theoretic transform against CPython's
 Karatsuba; Brent & Zimmermann, Modern Computer Arithmetic, sections 1.3
-and 2.3), and print the result with str(): no binary to decimal
+and 2.3), and the result is printed with str(): no binary to decimal
 conversion of the result at all.  Both squarings, written with + rather
 than << 1 and with _divide for exact division, and one step serve both
 coefficient types, and `render._texts` prints either.  A range's later
@@ -72,8 +75,8 @@ from decimal import Decimal, Inexact
 from itertools import count, islice, repeat, starmap
 from operator import mul
 
-from .render import _decimals, _texts
-from .sequence import _check_k, _check_n, _continued, _count
+from .render import _decimals
+from .sequence import _check_k, _check_n
 
 # Widest coefficient, in bits, that the text path still squares in ints.
 # With _toom_square past _TOOM_EXPONENT, the five big-index commands of each
@@ -330,30 +333,3 @@ def _sums(k: int, start: int, ops: OpCount | None, text: bool = False, single: b
         yield from (1 << n for n in range(start, k))
         for at_two, at_one, _ in _steps(k, _residue(k, max(start, k), ops, text)):
             yield at_two + _divide(at_one - 1, k - 1)
-
-
-def matrix_values_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
-    """Yield f(n) = (r(2) + r(0)) / 2, or 1 at k = 1, for n = start..stop-1,
-    the range continued past its first k+1 indices by `sequence._continued`."""
-    indices = _count(k, start, stop)
-    yield from _continued(_values(k, start, ops, single=indices == 1), k, indices)
-
-
-def matrix_sums_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[int]:
-    """Yield S(n) = r(2) + (r(1) - 1) / (k - 1), or n + 1 at k = 1, for
-    n = start..stop-1, continued alike."""
-    indices = _count(k, start, stop)
-    yield from _continued(_sums(k, start, ops, single=indices == 1), k, indices)
-
-
-def matrix_value_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
-    """matrix_values_from as decimal strings, finished in Decimal once the
-    coefficients pass _DECIMAL_BITS, and continued in Decimal."""
-    indices = _count(k, start, stop)
-    yield from _texts(_continued(_values(k, start, ops, text=True, single=indices == 1), k, indices, True))
-
-
-def matrix_sum_texts_from(k: int, start: int, stop: int, ops: OpCount | None = None) -> Iterator[str]:
-    """matrix_sums_from as decimal strings, finished alike."""
-    indices = _count(k, start, stop)
-    yield from _texts(_continued(_sums(k, start, ops, text=True, single=indices == 1), k, indices, True))

@@ -6,15 +6,17 @@ Fibonacci numbers with the index shifted by one.  Everything here is exact
 integer arithmetic; values grow roughly like 2^n, so Python's native big
 integers carry them without overflow at any index.
 
-This module is the baseline engine: the closed-form and matrix engines in
-the sibling modules are validated against it.  Like theirs, its range
-generators take non-negative indices only; `engines`, the one entry that
-computes f(n) and S(n) by engine name, reads an index n < 0 as f(n) = 0.
+This module is the baseline: the engines are validated against it.
+`values_from` and `sums_from` walk the defining recurrence and take
+non-negative indices only; `engines`, the one entry that computes f(n)
+and S(n) by engine name, reads an index n < 0 as f(n) = 0.  The window
+engines of its registry, recurrence and direct, take their heads from
+`values`.
 
 It also holds `_continued`, the one tail of every engine's range: each
 engine computes a range's first k+1 indices by its own method, and
-`_continued` steps the rest.  `values_from` and `sums_from` stay on the
-defining recurrence, so the tail is checked against them.
+`_continued` steps the rest.  `values_from` and `sums_from` never step
+by it, so the tail is checked against them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, islice
 
-from .render import _decimals, _texts
+from .render import _decimals
 
 # Largest n that the tiling laboratory enumerates unless a call raises its
 # cap (`tilings._check_enumerable`).  It is kept with the input bounds, so
@@ -151,19 +153,6 @@ def values_from(k: int, start: int, stop: int) -> Iterator[int]:
 def sums_from(k: int, start: int, stop: int) -> Iterator[int]:
     """Yield S(n) for n = start..stop-1, S(n) = f(0) + ... + f(n)."""
     yield from islice(accumulate(values(k)), start, start + _count(k, start, stop))
-
-
-def value_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
-    """values_from as exact decimal strings: the int walk to start, and
-    _continued from there."""
-    count = _count(k, start, stop)
-    yield from _texts(_continued(islice(values(k), start, None), k, count, True))
-
-
-def sum_texts_from(k: int, start: int, stop: int) -> Iterator[str]:
-    """sums_from as exact decimal strings, continued alike."""
-    count = _count(k, start, stop)
-    yield from _texts(_continued(islice(accumulate(values(k)), start, None), k, count, True))
 
 
 def kbonacci_prefix(k: int, n: int) -> list[int]:

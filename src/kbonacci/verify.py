@@ -13,18 +13,22 @@ suite of the call that reads it.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from itertools import chain, combinations
 from operator import sub
 
-from .closed_form import (
-    SUM_FORMULA,
-    TERM_FORMULA,
-    closed_values_from,
-    dunkel_sums_from,
-    partial_sum_dunkel_extended,
-    term_breakdown,
+from .closed_form import SUM_FORMULA, TERM_FORMULA, partial_sum_dunkel_extended, term_breakdown
+from .engines import (
+    SUITE_NAMES,
+    SUM_NAMES,
+    VALUE_NAMES,
+    compute_sum,
+    compute_value,
+    stream_sum_texts,
+    stream_sums,
+    stream_value_texts,
+    stream_values,
 )
-from .engines import SUITE_NAMES, SUM_NAMES, VALUE_NAMES, compute_sum, compute_value
 from .sequence import (
     DEFAULT_CAP,
     _check_index,
@@ -66,14 +70,19 @@ class SuiteResult:
 def suite_engines(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
     """Every registered engine agrees with the recurrence, read from the
     sequence module and not through the registry: per k, one pass of
-    values_from and sums_from over the grid's indices.  The grid is a range
-    of step 1 of indices n >= 0, as the CLI parses it and `run_suites`
-    checks it; like every range generator, values_from rejects a negative
+    values_from and sums_from over the grid's indices, which step by no
+    engine's tail.  Each engine is checked at each index alone, and over
+    the whole grid as one int range and one text range, whose texts are
+    read back by Decimal, not by the renderer.  The grid is a range of
+    step 1 of indices n >= 0, as the CLI parses it and `run_suites` checks
+    it; like every range generator, values_from rejects a negative
     start."""
     result = SuiteResult("engines")
+    cell = f"n={ns.start}..{ns.stop - 1}"
     for k in ks:
-        baseline = zip(values_from(k, ns.start, ns.stop), sums_from(k, ns.start, ns.stop))
-        for n, (value, total) in zip(ns, baseline):
+        values = list(values_from(k, ns.start, ns.stop))
+        sums = list(sums_from(k, ns.start, ns.stop))
+        for n, value, total in zip(ns, values, sums):
             for engine in VALUE_NAMES:
                 result.expect(
                     compute_value(k, n, engine) == value, f"value {engine} mismatch at k={k} n={n}"
@@ -82,7 +91,26 @@ def suite_engines(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
                 result.expect(
                     compute_sum(k, n, engine) == total, f"sum {engine} mismatch at k={k} n={n}"
                 )
+        for quantity, names, ints, texts, expected in (
+            ("value", VALUE_NAMES, stream_values, stream_value_texts, values),
+            ("sum", SUM_NAMES, stream_sums, stream_sum_texts, sums),
+        ):
+            for engine in names:
+                result.expect(
+                    list(ints(k, ns.start, ns.stop, engine)) == expected,
+                    f"{quantity} {engine} range mismatch at k={k} {cell}",
+                )
+                result.expect(
+                    list(map(_read_back, texts(k, ns.start, ns.stop, engine))) == expected,
+                    f"{quantity} {engine} text mismatch at k={k} {cell}",
+                )
     return result
+
+
+def _read_back(text: str) -> Decimal | None:
+    """The exact value of a decimal integer's text, or None if the text is
+    not digits alone."""
+    return Decimal(text) if text.isascii() and text.isdecimal() else None
 
 
 def suite_closed_form(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
@@ -91,7 +119,7 @@ def suite_closed_form(ks: range, ns: range, cap: int | None = None) -> SuiteResu
     result = SuiteResult("closed-form")
     for k in ks:
         for n in ns:
-            base = next(dunkel_sums_from(k, n, n + 1))
+            base = compute_sum(k, n, "dunkel")
             if n <= k:
                 result.expect(base == 1 << n, f"base case 2^n fails at k={k} n={n}")
             for m in range(n // (k + 1), n // k + 1):
@@ -99,10 +127,10 @@ def suite_closed_form(ks: range, ns: range, cap: int | None = None) -> SuiteResu
                     partial_sum_dunkel_extended(k, n, m) == base,
                     f"extended limit m={m} changes the sum at k={k} n={n}",
                 )
-            value = next(closed_values_from(k, n, n + 1))
+            value = compute_value(k, n, "dunkel-term")
             if n >= 1:
                 result.expect(
-                    value == base - next(dunkel_sums_from(k, n - 1, n)),
+                    value == base - compute_sum(k, n - 1, "dunkel"),
                     f"difference identity fails at k={k} n={n}",
                 )
             for which, total in ((SUM_FORMULA, base), (TERM_FORMULA, value)):

@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from functools import partial
+from functools import partial, wraps
 from itertools import accumulate
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from kbonacci import (
     kbonacci_prefix,
     term_breakdown,
 )
-from kbonacci import cli, engines, matrix_power, tilings, verify
+from kbonacci import cli, engines, matrix_power, sequence, tilings, verify
 from kbonacci.cli import FORMATS, build_parser, main, parse_range
 from kbonacci.render import _LEAF_BITS, _decimal_str, _decimals, exact
 
@@ -291,15 +291,18 @@ def test_every_reader_takes_its_engines_from_the_registry(capsys, monkeypatch):
         assert (code, out.count("\n")) == (0, 1), engine
     assert run(capsys, "bench", "--k", "2", "--n", "5", "--engines", "warp")[0] == 2
 
-    def wrong(k, start, stop):
-        yield -1
+    def wrong(k, start, stop, text=False):
+        yield "-1" if text else -1
 
     for table in (engines._VALUE_DISPATCH, engines._SUM_DISPATCH):
         for engine in table:
             monkeypatch.setitem(table, engine, wrong)
     failures = verify.suite_engines(range(2, 3), range(5, 6)).failures
-    assert failures == [f"value {e} mismatch at k=2 n=5" for e in values] + [
-        f"sum {e} mismatch at k=2 n=5" for e in sums
+    assert failures == [
+        *(f"value {e} mismatch at k=2 n=5" for e in values),
+        *(f"sum {e} mismatch at k=2 n=5" for e in sums),
+        *(f"value {e} {path} mismatch at k=2 n=5..5" for e in values for path in ("range", "text")),
+        *(f"sum {e} {path} mismatch at k=2 n=5..5" for e in sums for path in ("range", "text")),
     ]
 
 
@@ -309,6 +312,72 @@ def test_the_engines_suite_takes_indices_n_at_least_0():
     assert verify.suite_engines(range(2, 3), range(0, 4)).failures == []
     with pytest.raises(ValueError, match="n must be non-negative, got -1"):
         verify.suite_engines(range(2, 3), range(-1, 2))
+
+
+def _engines_failures(capsys):
+    """The failure lines of `verify --n 0..12`, which must fail in the
+    engines suite alone."""
+    code, out, _ = run(capsys, "verify", "--n", "0..12")
+    lines = out.splitlines()
+    assert (code, lines[0].split()[:2]) == (1, ["FAIL", "engines"])
+    assert [line.split()[0] for line in lines if not line.startswith("  - ")] == ["FAIL"] + ["PASS"] * 5
+    return lines[1:]
+
+
+def test_the_engines_suite_checks_the_step_of_every_range(capsys, monkeypatch):
+    # past its first k+1 indices every engine's range steps by _later,
+    # which no single index reaches
+    real = sequence._later
+
+    def off_by_one(window):
+        for term in real(window):
+            yield term + 1
+
+    monkeypatch.setattr(sequence, "_later", off_by_one)
+    failures = _engines_failures(capsys)
+    assert "  - value recurrence range mismatch at k=1 n=0..12" in failures
+    assert "  - sum matrix text mismatch at k=1 n=0..12" in failures
+
+
+def test_the_engines_suite_checks_the_text_of_every_range(capsys, monkeypatch):
+    # a range that steps converts its first k+1 values to Decimal; a wrong
+    # conversion shows in the text alone
+    real = sequence._decimals
+    monkeypatch.setattr(sequence, "_decimals", lambda ints: real([n + 1 for n in ints]))
+    failures = _engines_failures(capsys)
+    assert "  - value dunkel-term text mismatch at k=1 n=0..12" in failures
+    assert not [line for line in failures if "range mismatch" in line]
+
+
+@pytest.mark.parametrize(
+    "sub, table, engine",
+    [
+        *(("eval", engines._VALUE_DISPATCH, e) for e in engines.VALUE_NAMES),
+        *(("sum", engines._SUM_DISPATCH, e) for e in engines.SUM_NAMES),
+    ],
+    ids=lambda v: v if type(v) is str else "",
+)
+def test_a_wrapped_table_entry_sees_every_command(capsys, monkeypatch, sub, table, engine):
+    # a wrapper put around a table entry, as the benchmark's tracer puts
+    # one, sees the text that eval, sum and bench print, not only ints
+    real, calls = table[engine], []
+
+    @wraps(real)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setitem(table, engine, counted)
+    # bench runs the sum table once a name is a sum engine alone
+    benched = engine if sub == "eval" else f"direct,{engine}"
+    for argv in (
+        (sub, "--k", "2", "--n", "5", "--engine", engine),
+        (sub, "--k", "2", "--n", "5..12", "--engine", engine),
+        ("bench", "--k", "2", "--n", "5", "--engines", benched, "--reps", "1"),
+    ):
+        before = len(calls)
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == before + 1, argv
 
 
 class TestRanges:
@@ -352,10 +421,10 @@ class TestRanges:
         out = io.StringIO()
         lines_seen = []
 
-        def watched(k, start, stop):
+        def watched(k, start, stop, text=False):
             for n in range(start, stop):
                 lines_seen.append(out.getvalue().count("\n"))
-                yield n
+                yield str(n) if text else n
 
         default = next(iter(getattr(engines, table)))  # recurrence for eval, direct for sum
         monkeypatch.setitem(getattr(engines, table), default, watched)
@@ -426,7 +495,7 @@ _MAX = str(sys.maxsize)
         (("sum", "--k", _MAX, "--n", "5", "--engine", "matrix"), "32\n"),
         (
             ("verify", "--k", _MAX),
-            "PASS engines checks=78\nPASS closed-form checks=90\n"
+            "PASS engines checks=90\nPASS closed-form checks=90\n"
             "PASS tilings checks=77\nPASS hash-marks checks=39\n"
             "PASS inclusion-exclusion checks=13\nPASS bijection checks=0\n",
         ),
@@ -855,8 +924,9 @@ class TestVerify:
 
     def test_cap_ignored_by_suites_that_do_not_enumerate(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "engines", "--n", "20..25")
-        # 4 k by 6 n cells, one check per registered engine in each: 3 + 3
-        assert (code, out) == (0, "PASS engines checks=144\n")
+        # 4 k by 6 n cells, one check per registered engine in each, 3 + 3,
+        # and per k an int range and a text range of each engine: 144 + 48
+        assert (code, out) == (0, "PASS engines checks=192\n")
 
     def test_identity_suites_share_each_cell(self, monkeypatch):
         ks, ns = range(1, 4), range(0, 9)
@@ -951,13 +1021,10 @@ class TestBench:
 
     @pytest.mark.parametrize("table", ["_VALUE_DISPATCH", "_SUM_DISPATCH"])
     def test_value_is_the_text_eval_and_sum_print(self, capsys, monkeypatch, table):
-        def stand_in(k, start, stop):
-            yield 7
+        def stand_in(k, start, stop, text=False):
+            yield "marker" if text else 7
 
-        def marker(k, start, stop):
-            yield "marker"
-
-        stand_in.cost, stand_in.text = (lambda k, n: 5), marker
+        stand_in.cost = lambda k, n: 5
         monkeypatch.setitem(getattr(engines, table), "stand-in", stand_in)
         code, out, _ = run(capsys, "bench", "--k", "2", "--n", "9", "--engines", "stand-in", "--format", "json")
         record = json.loads(out)

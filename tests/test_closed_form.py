@@ -16,8 +16,7 @@ from kbonacci import (
     term_breakdown,
 )
 from kbonacci import closed_form
-from kbonacci.closed_form import closed_values_from, dunkel_sums_from
-from kbonacci.engines import stream_sum_texts, stream_value_texts, stream_values
+from kbonacci.engines import _VALUE_DISPATCH, stream_sum_texts, stream_sums, stream_value_texts, stream_values
 from kbonacci.sequence import sums_from, values_from
 
 from oracles import pascal_rows
@@ -153,9 +152,9 @@ class TestDunkelTerm:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             dunkel_term(0, 3)
-        # the module's generator rejects n < 0; only the registry reads it as 0
+        # the engine's stream rejects n < 0; only stream_values reads it as 0
         with pytest.raises(ValueError, match="n must be non-negative"):
-            next(closed_values_from(3, -1, 0))
+            next(_VALUE_DISPATCH["dunkel-term"](3, -1, 0))
 
 
 class TestTermBreakdown:
@@ -263,8 +262,8 @@ def test_single_index_streams_its_row(fn):
 @example(k=1, start=0, length=120)
 def test_ranges_match_the_recurrence(k, start, length):
     stop = start + length
-    assert list(dunkel_sums_from(k, start, stop)) == list(sums_from(k, start, stop))
-    assert list(closed_values_from(k, start, stop)) == list(values_from(k, start, stop))
+    assert list(stream_sums(k, start, stop, "dunkel")) == list(sums_from(k, start, stop))
+    assert list(stream_values(k, start, stop, "dunkel-term")) == list(values_from(k, start, stop))
 
 
 def test_short_range_holds_no_row():

@@ -22,12 +22,6 @@ from kbonacci import (
 )
 from kbonacci import matrix_power, sequence
 from kbonacci.cli import main
-from kbonacci.closed_form import (
-    closed_value_texts_from,
-    closed_values_from,
-    dunkel_sum_texts_from,
-    dunkel_sums_from,
-)
 from kbonacci.engines import (
     _SUM_DISPATCH,
     _VALUE_DISPATCH,
@@ -38,14 +32,8 @@ from kbonacci.engines import (
     stream_value_texts,
     stream_values,
 )
-from kbonacci.matrix_power import (
-    matrix_sum_texts_from,
-    matrix_sums_from,
-    matrix_value_texts_from,
-    matrix_values_from,
-)
 from kbonacci.render import _decimal_str
-from kbonacci.sequence import sum_texts_from, sums_from, value_texts_from, values_from
+from kbonacci.sequence import sums_from, values_from
 
 
 def test_value_engines_agree():
@@ -80,6 +68,7 @@ def test_value_only_engine_rejected_for_sums():
 def test_every_engine_is_a_range_with_a_cost(stream):
     # the one contract the registry's readers rely on
     inspect.signature(stream).bind(2, 5, 9)
+    inspect.signature(stream).bind(2, 5, 9, text=True)
     inspect.signature(stream.cost).bind(2, 5)
     # a model is arithmetic on (k, n): it answers at the far end of the domain too
     for k, n in [(1, 0), (1, 40), (2, 0), (2, 10), (5, 300), (12, 7), (sys.maxsize, sys.maxsize)]:
@@ -169,20 +158,16 @@ def test_non_int_arguments_raise_type_error(fn, k, n):
         fn(k, n)
 
 
-# every range generator of the engine modules
+# the baseline walks, and every registered stream as ints and as text
 RANGE_GENERATORS = [
     values_from,
     sums_from,
-    closed_values_from,
-    dunkel_sums_from,
-    matrix_values_from,
-    matrix_sums_from,
-    matrix_value_texts_from,
-    matrix_sum_texts_from,
-    value_texts_from,
-    sum_texts_from,
-    closed_value_texts_from,
-    dunkel_sum_texts_from,
+    *(
+        pytest.param(partial(stream, text=text), id=f"{quantity}-{engine}{'-text' * text}")
+        for quantity, table in (("value", _VALUE_DISPATCH), ("sum", _SUM_DISPATCH))
+        for engine, stream in table.items()
+        for text in (False, True)
+    ),
 ]
 
 

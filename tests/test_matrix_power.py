@@ -3,6 +3,7 @@ import random
 import sys
 from decimal import Decimal
 from functools import partial
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -11,21 +12,15 @@ from hypothesis import strategies as st
 
 from kbonacci import OpCount, compute_sum, compute_value, kbonacci_prefix
 from kbonacci import engines, matrix_power
-from kbonacci.matrix_power import (
-    _divide,
-    _residue,
-    _square,
-    _toom_square,
-    matrix_cost,
-    matrix_sum_texts_from,
-    matrix_sums_from,
-    matrix_value_texts_from,
-    matrix_values_from,
-)
-from kbonacci.render import _decimal_str, _decimals, exact
+from kbonacci.matrix_power import _divide, _residue, _square, _sums, _toom_square, _values, matrix_cost
+from kbonacci.render import _decimal_str, _decimals, _texts, exact
 
 matrix_value = partial(compute_value, engine="matrix")
 matrix_sum = partial(compute_sum, engine="matrix")
+# the registry's matrix streams, of f and of S; an OpCount goes to their
+# heads, _values and _sums
+matrix_values, matrix_sums = engines._VALUE_DISPATCH["matrix"], engines._SUM_DISPATCH["matrix"]
+MATRIX_STREAMS = [pytest.param(matrix_values, id="values"), pytest.param(matrix_sums, id="sums")]
 
 
 @pytest.mark.parametrize("k, n, expected", [(2, 4, 5), (3, 0, 1), (5, 2, 2)])
@@ -70,16 +65,16 @@ def test_wide_windows_match_linear_engines(k, n):
 def test_domain_errors():
     with pytest.raises(ValueError):
         matrix_value(0, 4)
-    # the module's generator rejects n < 0; only the registry reads it as 0
+    # the engine's stream rejects n < 0; only stream_values reads it as 0
     with pytest.raises(ValueError, match="n must be non-negative"):
-        next(matrix_values_from(2, -1, 0))
+        next(matrix_values(2, -1, 0))
     with pytest.raises(ValueError):
         matrix_sum(2, -1)
 
 
 def test_op_counting_is_logarithmic():
     ops = OpCount()
-    next(matrix_values_from(2, 100_000, 100_001, ops))
+    next(_values(2, 100_000, ops, single=True))
     assert ops.matrix_products > 0
     # ~log2(n) squarings of the 2-coefficient residue, 3 multiplications
     # each, by the loop or, past the switch, by Toom's 2k - 1 = 3 squarings:
@@ -91,10 +86,10 @@ def test_delegates_below_k_without_matrix_work():
     # n = k = 6 starts from x^6's residue 1 + x + ... + x^5, still unsquared
     for n, value in [(3, 4), (6, 32)]:
         ops = OpCount()
-        assert next(matrix_values_from(6, n, n + 1, ops)) == value
+        assert next(_values(6, n, ops, single=True)) == value
         assert ops.matrix_products == 0
         ops = OpCount()
-        assert next(matrix_sums_from(6, n, n + 1, ops)) == compute_sum(6, n, "direct")
+        assert next(_sums(6, n, ops, single=True)) == compute_sum(6, n, "direct")
         assert ops.matrix_products == 0
 
 
@@ -106,20 +101,20 @@ def test_op_count_of_a_small_cell():
     # 3 multiplications, and multiplies by x: x^5.  With s its residue,
     # f(10) = s[0] f(5) + s[1] f(6) by 2 more multiplications: 5 in all.
     ops = OpCount()
-    assert next(matrix_values_from(2, 10, 11, ops)) == 89
+    assert next(_values(2, 10, ops, single=True)) == 89
     assert ops == OpCount(matrix_products=1, scalar_mults=5)
 
 
-@pytest.mark.parametrize("stream", [matrix_values_from, matrix_sums_from])
-def test_range_counts_only_the_jump(stream):
+@pytest.mark.parametrize("head", [_values, _sums])
+def test_range_counts_only_the_jump(head):
     # a range powers to its first index in full: n=10 = 0b1010 starts at
     # x^2 for free, and its two remaining bits cost one squaring of 3
     # multiplications each, 6 in all; the 40 steps past n=10 shift the
     # residue without multiplying
     ops = OpCount()
-    values = list(stream(2, 10, 51, ops))
+    values = list(islice(head(2, 10, ops), 41))
     assert ops == OpCount(matrix_products=2, scalar_mults=6)
-    single = matrix_value if stream is matrix_values_from else matrix_sum
+    single = matrix_value if head is _values else matrix_sum
     assert values == [single(2, n) for n in range(10, 51)]
 
 
@@ -134,7 +129,7 @@ def test_op_count_of_a_cell_past_a_lowered_switch(monkeypatch):
     # + s[2] f(12) by 3 more: 6 + 5 + 3 = 14 in all.
     monkeypatch.setattr(matrix_power, "_TOOM_EXPONENT", 5)
     ops = OpCount()
-    assert next(matrix_values_from(3, 20, 21, ops)) == 121415
+    assert next(_values(3, 20, ops, single=True)) == 121415
     assert ops == OpCount(matrix_products=2, scalar_mults=14)
     assert matrix_cost(3, 20) == 14
 
@@ -157,26 +152,26 @@ def test_a_squaring_costs_k_k_plus_1_over_2_then_2k_minus_1_multiplications(k):
 def test_cost_model_is_the_measured_count():
     # the model bench reports equals the multiplications the powering makes:
     # every k to 40 at every n below 300, each n through one of the two
-    # generators, and larger n at the k where a powering is cheap
+    # heads, and larger n at the k where a powering is cheap
     for k in range(1, 41):
         for n in range(300):
             ops = OpCount()
-            next((matrix_values_from, matrix_sums_from)[n & 1](k, n, n + 1, ops))
+            next((_values, _sums)[n & 1](k, n, ops, single=True))
             assert ops.scalar_mults == matrix_cost(k, n), (k, n)
     for k in range(1, 7):
         for n in (1000, 4097, 12345, 65535, 65536, 100000):
-            for stream in (matrix_values_from, matrix_sums_from):
+            for head in (_values, _sums):
                 ops = OpCount()
-                next(stream(k, n, n + 1, ops))
+                next(head(k, n, ops, single=True))
                 assert ops.scalar_mults == matrix_cost(k, n), (k, n)
     # past the switch, where 2k - 1 < k(k+1)/2: a single index n powers to
     # x^m, m = n // 2, and squares x^(m >> j) for j >= 1, so at the switch
     # of 2048 these cells take 0, 1, 2 and 3 squarings by Toom
     for k in range(3, 13):
         for n in (8191, 8192, 16387, 40000):
-            for stream in (matrix_values_from, matrix_sums_from):
+            for head in (_values, _sums):
                 ops = OpCount()
-                next(stream(k, n, n + 1, ops))
+                next(head(k, n, ops, single=True))
                 assert ops.scalar_mults == matrix_cost(k, n), (k, n)
 
 
@@ -185,13 +180,10 @@ def test_indices_below_k_build_no_residue():
     # The residue of x^k has k coefficients, which k = sys.maxsize cannot hold.
     k = sys.maxsize
     values, sums = [1, 1, 2, 4, 8, 16, 32], [1, 2, 4, 8, 16, 32, 64]
-    for stream, texts, expected in [
-        (matrix_values_from, matrix_value_texts_from, values),
-        (matrix_sums_from, matrix_sum_texts_from, sums),
-    ]:
+    for head, expected in [(_values, values), (_sums, sums)]:
         ops = OpCount()
-        assert list(stream(k, 0, 7, ops)) == expected
-        assert list(texts(k, 2, 7, ops)) == [str(x) for x in expected[2:]]
+        assert list(islice(head(k, 0, ops), 7)) == expected
+        assert list(_texts(islice(head(k, 2, ops, text=True), 5))) == [str(x) for x in expected[2:]]
         assert ops == OpCount()
     assert matrix_value(k, 40) == 1 << 39
     assert matrix_sum(k, 40) == 1 << 40
@@ -209,25 +201,27 @@ def test_ranges_match_the_window_engines():
         for start in (0, 1, k - 1, k, k + 1, 97, 298):
             values = kbonacci_prefix(k, start + 39)[start:]
             sums = [compute_sum(k, n, "direct") for n in range(start, start + 40)]
-            assert list(matrix_values_from(k, start, start + 40)) == values, (k, start)
-            assert list(matrix_sums_from(k, start, start + 40)) == sums, (k, start)
+            assert list(matrix_values(k, start, start + 40)) == values, (k, start)
+            assert list(matrix_sums(k, start, start + 40)) == sums, (k, start)
 
 
 def test_sums_at_k_1_count_the_indices():
     # Q = x - 1 leaves r = 1, so f(n) = 1 and S(n) = n + 1 without a
     # powering, on both paths
-    for stream, texts, at in [
-        (matrix_values_from, matrix_value_texts_from, lambda n: 1),
-        (matrix_sums_from, matrix_sum_texts_from, lambda n: n + 1),
+    for head, stream, at in [
+        (_values, matrix_values, lambda n: 1),
+        (_sums, matrix_sums, lambda n: n + 1),
     ]:
         for start in (0, 1, 7, 10**6):
             expected = [at(n) for n in range(start, start + 5)]
             ops = OpCount()
-            assert list(stream(1, start, start + 5, ops)) == expected
-            assert list(texts(1, start, start + 5, ops)) == [str(x) for x in expected]
-            assert next(stream(1, start, start + 1, ops)) == at(start)
+            assert list(islice(head(1, start, ops), 5)) == expected
+            assert list(_texts(islice(head(1, start, ops, text=True), 5))) == [str(x) for x in expected]
+            assert next(head(1, start, ops, single=True)) == at(start)
             assert ops == OpCount()
-        for gen in (stream, texts):
+            assert list(stream(1, start, start + 5)) == expected
+            assert list(stream(1, start, start + 5, text=True)) == [str(x) for x in expected]
+        for gen in (stream, partial(stream, text=True)):
             with pytest.raises(ValueError):
                 next(gen(1, -1, 3))
             with pytest.raises(ValueError):
@@ -264,17 +258,10 @@ def test_toom_square_is_the_loop(k):
 TOOM_SWITCHES = [0, matrix_power._TOOM_EXPONENT]
 
 
-# (int generator, text generator) of each quantity
-TEXT_PATHS = [
-    (matrix_values_from, matrix_value_texts_from),
-    (matrix_sums_from, matrix_sum_texts_from),
-]
-
-
 @pytest.mark.parametrize("toom", TOOM_SWITCHES)
 @pytest.mark.parametrize("switch", [0, 8, 40])
-@pytest.mark.parametrize("ints, texts", TEXT_PATHS)
-def test_text_path_matches_int_path(monkeypatch, switch, toom, ints, texts):
+@pytest.mark.parametrize("head", [_values, _sums])
+def test_text_path_matches_int_path(monkeypatch, switch, toom, head):
     # a lowered switch sends small indices through Decimal squarings, and
     # a Toom switch at 0 sends every squaring through _toom_square
     monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", switch)
@@ -282,7 +269,8 @@ def test_text_path_matches_int_path(monkeypatch, switch, toom, ints, texts):
     for k in range(1, 9):
         for n in range(201):
             int_ops, text_ops = OpCount(), OpCount()
-            assert next(texts(k, n, n + 1, text_ops)) == str(next(ints(k, n, n + 1, int_ops))), (k, n)
+            text = next(_texts(head(k, n, text_ops, text=True, single=True)))
+            assert text == str(next(head(k, n, int_ops, single=True))), (k, n)
             assert text_ops == int_ops
 
 
@@ -294,14 +282,14 @@ def test_lowered_switch_is_crossed(monkeypatch):
     assert {type(c) for c in _residue(3, 200, None)} == {int}
 
 
-@pytest.mark.parametrize("ints, texts", TEXT_PATHS)
-def test_text_range_stepped_after_the_switch_matches_int_path(monkeypatch, ints, texts):
+@pytest.mark.parametrize("stream", MATRIX_STREAMS)
+def test_text_range_stepped_after_the_switch_matches_int_path(monkeypatch, stream):
     monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 8)
     for k in range(1, 9):
         for start in (100, 171):
-            assert list(texts(k, start, start + 30)) == [str(v) for v in ints(k, start, start + 30)]
+            assert list(stream(k, start, start + 30, text=True)) == [str(v) for v in stream(k, start, start + 30)]
             # and a single index, whose half residue and steps are in Decimal
-            assert next(texts(k, start, start + 1)) == str(next(ints(k, start, start + 1)))
+            assert next(stream(k, start, start + 1, text=True)) == str(next(stream(k, start, start + 1)))
 
 
 # Indices whose residue is finished in Decimal: its coefficients are
@@ -311,14 +299,14 @@ def test_text_range_stepped_after_the_switch_matches_int_path(monkeypatch, ints,
 # same residue is the half that its inner product finishes from, at both
 # parities.
 @pytest.mark.parametrize("k, n", [(2, 150_000), (3, 110_000), (4, 90_000)])
-@pytest.mark.parametrize("ints, texts", TEXT_PATHS)
-def test_text_range_past_the_real_switch(ints, texts, k, n):
+@pytest.mark.parametrize("stream", MATRIX_STREAMS)
+def test_text_range_past_the_real_switch(stream, k, n):
     with exact():
         assert {type(c) for c in _residue(k, n, None, text=True)} == {Decimal}
-    expected = list(map(_decimal_str, ints(k, n, n + 30)))
-    assert list(texts(k, n, n + 30)) == expected
+    expected = list(map(_decimal_str, stream(k, n, n + 30)))
+    assert list(stream(k, n, n + 30, text=True)) == expected
     for single in (2 * n, 2 * n + 1):
-        assert next(texts(k, single, single + 1)) == _decimal_str(next(ints(k, single, single + 1)))
+        assert next(stream(k, single, single + 1, text=True)) == _decimal_str(next(stream(k, single, single + 1)))
 
 
 @pytest.mark.parametrize("toom", TOOM_SWITCHES)
@@ -332,8 +320,9 @@ def test_single_index_matches_the_range_path(toom, k, n, switch):
     with mock.patch.object(matrix_power, "_DECIMAL_BITS", switch), mock.patch.object(
         matrix_power, "_TOOM_EXPONENT", toom
     ):
-        for stream in (matrix_values_from, matrix_sums_from, matrix_value_texts_from, matrix_sum_texts_from):
-            assert next(stream(k, n, n + 1)) == list(stream(k, n - 1, n + 1))[1], stream.__name__
+        for stream in (matrix_values, matrix_sums):
+            for text in (False, True):
+                assert next(stream(k, n, n + 1, text)) == list(stream(k, n - 1, n + 1, text))[1], (stream, text)
 
 
 def test_halving_an_odd_decimal_raises_inexact():
