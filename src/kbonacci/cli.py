@@ -4,20 +4,14 @@
 choices, defaults and bench's --engines come from the registry in
 `engines`, which also applies the input domain.
 
-Values are always written as exact decimal strings, whatever their size.
-`eval`, `sum` and `bench` ask `engines` for their values as text, which
-one renderer, `render._texts`, makes: a Decimal by str(), and an int by
-divide and conquer through the `decimal` module, subquadratic in the digit
-count, where `int.__str__` is quadratic on CPython before 3.12, and
-independent of the interpreter's int/str digit limit.  The matrix engine
-finishes large results in Decimal, and every engine steps a range past
-its first k+1 indices in Decimal after its first record, so its later
-records need no conversion.  `terms` renders its ints through
-`render._decimal_str`.  `eval` and `sum` check their whole --n range
-before writing anything, then write each record as soon as it is
-rendered, so a range holds one record at a time.  `bench`
-times the first record of that same text range, started at n,
-so its elapsed_ns is the compute and render that `eval` or `sum` print.
+Values are always written as exact decimal strings, whatever their size,
+by the one conversion rule of `render`.  `eval`, `sum` and `bench` ask
+`engines` for their values as text; `terms` converts its magnitudes by
+`render._decimals` and prints them by `render._texts`.  `eval` and `sum`
+check their whole --n range before writing anything, then write each
+record as soon as it is rendered, so a range holds one record at a time.
+`bench` times the first record of that same text range, started at n, so
+its elapsed_ns is the compute and render that `eval` or `sum` print.
 
 Every subcommand builds records, dicts of its fields, and hands them to one
 writer, `_emit`, which owns the three formats (plain, json, csv).  The one
@@ -65,7 +59,7 @@ from .engines import (
     stream_sum_texts,
     stream_value_texts,
 )
-from .render import _decimal_str
+from .render import _decimals, _texts
 from .sequence import DEFAULT_CAP
 
 FORMATS = ("plain", "json", "csv")
@@ -156,10 +150,9 @@ def _term_line(rec) -> str:
 
 
 def cmd_terms(args) -> int:
-    records = (
-        {"j": t.j, "sign": t.sign, "magnitude": _decimal_str(t.magnitude)}
-        for t in term_breakdown(args.k, args.n, args.which)
-    )
+    terms = term_breakdown(args.k, args.n, args.which)
+    magnitudes = _texts(_decimals(t.magnitude for t in terms))
+    records = ({"j": t.j, "sign": t.sign, "magnitude": m} for t, m in zip(terms, magnitudes))
     _emit(records, args.format, ["j", "sign", "magnitude"], _term_line)
     return 0
 

@@ -11,30 +11,12 @@ exclusive as in range(): `compute_*` and `bench` pass n+1, `eval` and
 
 An engine's head, head(k, start, count, text), yields the values from
 start on, of which the stream pulls the range's first k+1 at most, each
-by the engine's own method:
-
-* recurrence and direct: the window sums (plus a running total) of the
-  recurrence, walked from index 0;
-* matrix: one powering to the residue x^n mod x^k - x^(k-1) - ... - 1 of
-  the first index, then per index the residue times x, a shift of its k
-  coefficients and one reduction by x^k = 1 + x + ... + x^(k-1) (at k = 1
-  the values are 1 and the sums n + 1, and below k they are powers of
-  two).  A range of one index powers only to x^(n // 2) and finishes with
-  one k-term inner product over the next steps; with text, the residue
-  is finished in Decimal once it is wide (see `matrix_power`);
-* dunkel and dunkel-term: the first index's row, folded as it is made,
-  then the sums of the next k indices at most as one block, evaluated
-  column by column (see `closed_form`); dunkel-term takes its values as
-  the differences f(n) = S(n) - S(n-1) of consecutive sums.
-
-Every later index, whatever the engine, is one shift and one
-subtraction, t(n+1) = 2 t(n) - t(n-k), over the last k+1 values: the one
-tail of every range, `sequence._continued`.  With text, the stream
-prints through one renderer, `render._texts`, which prints a Decimal
-with str() and an int by the subquadratic split, and a range that steps
-past its first k+1 indices converts them to Decimal once its first
-record is out and steps the rest there; a range of at most k+1 indices
-converts nothing.  The int ranges and `compute_*` never convert to
+by the engine's own method: `sequence.values` for recurrence and direct
+(the latter accumulated), `closed_form._closed_head` for dunkel and
+dunkel-term, and `matrix_power._head` for matrix.  Every later index,
+whatever the engine, is one step of the one tail of every range,
+`sequence._continued`.  With text, the stream converts and prints by the
+one rule of `render`; the int ranges and `compute_*` never convert to
 Decimal.  Text is an argument, not a second generator, so a wrapper put
 around a table entry sees every call, of either kind.
 
@@ -72,7 +54,7 @@ from functools import partial
 from itertools import accumulate, chain, islice, repeat
 
 from .closed_form import _closed_head
-from .matrix_power import _sums, _values, matrix_cost
+from .matrix_power import _head, matrix_cost
 from .render import _texts
 from .sequence import _check_index, _check_int, _check_k, _continued, _count, values
 
@@ -103,7 +85,7 @@ _VALUE_DISPATCH = {
     "dunkel-term": _engine(
         lambda k, start, count, text: _closed_head(k, start, count, True), lambda k, n: 4 * _terms(k, n)
     ),
-    "matrix": _engine(lambda k, start, count, text: _values(k, start, None, text, count == 1), matrix_cost),
+    "matrix": _engine(partial(_head, sums=False), matrix_cost),
 }
 
 _SUM_DISPATCH = {
@@ -113,7 +95,7 @@ _SUM_DISPATCH = {
     "dunkel": _engine(
         lambda k, start, count, text: _closed_head(k, start, count, False), lambda k, n: 2 * _terms(k, n)
     ),
-    "matrix": _engine(lambda k, start, count, text: _sums(k, start, None, text, count == 1), matrix_cost),
+    "matrix": _engine(partial(_head, sums=True), matrix_cost),
 }
 
 VALUE_NAMES = tuple(_VALUE_DISPATCH)

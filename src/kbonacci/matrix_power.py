@@ -49,30 +49,28 @@ k(k+1)/2, about two thirds of the powering under Karatsuba.  A range keeps
 the full powering, since it would need the k multiplications at each of
 its indices.
 
-`_values` and `_sums` are the heads of the registry's two `matrix`
-streams (see `engines`), which start them at a range's first index and
-pull its first k+1 indices at most; an `OpCount` passed to them tallies
-the multiplications.  Without text they yield ints.  With text, for the
-CLI's decimal output, they square in ints while the coefficients are
-narrow, convert them once past _DECIMAL_BITS, then finish the squarings,
-the reduction, the fold at 2, a single index's inner product, the exact
+`_head` is the head of the registry's two `matrix` streams (see
+`engines`), which start it at a range's first index and pull its first
+k+1 indices at most; an `OpCount` passed to it tallies the
+multiplications.  Without text it yields ints.  With text, for the CLI's
+decimal output, it squares in ints while the coefficients are narrow,
+converts them once past _DECIMAL_BITS, then finishes the squarings, the
+reduction, the fold at 2, a single index's inner product, the exact
 division and the steps of the range's first k+1 indices in Decimal under
 `render.exact()`, whose products are subquadratic from a few ten thousand
 bits on (libmpdec's number-theoretic transform against CPython's
 Karatsuba; Brent & Zimmermann, Modern Computer Arithmetic, sections 1.3
-and 2.3), and the result is printed with str(): no binary to decimal
-conversion of the result at all.  Both squarings, written with + rather
-than << 1 and with _divide for exact division, and one step serve both
-coefficient types, and `render._texts` prints either.  A range's later
-indices are continued in Decimal by `sequence._continued`, which leaves
-such values as they are.
+and 2.3), so the result needs no binary to decimal conversion at all
+(see `render`).  Both squarings, written with + rather than << 1 and
+with _divide for exact division, and one step serve both coefficient
+types.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from decimal import Decimal, Inexact
-from itertools import count, islice, repeat, starmap
+from itertools import islice, repeat, starmap
 from operator import mul
 
 from .render import _decimals
@@ -231,7 +229,7 @@ def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
     r = _reduced(r)
     for bit in range(shift - 1, -1, -1):
         if text and max(c.bit_length() for c in r) > _DECIMAL_BITS:
-            r, text = _decimals(r), False
+            r, text = list(_decimals(r)), False
         toom = n >> (bit + 1) >= _TOOM_EXPONENT
         square = _toom_square(r) if toom else _square(r)
         # times x or not, 2k coefficients: one of degree >= k even at k = 1
@@ -303,33 +301,27 @@ def _divide(x: int | Decimal, d: int) -> int | Decimal:
     return quotient
 
 
-def _values(k: int, start: int, ops: OpCount | None, text: bool = False, single: bool = False) -> Iterator:
-    """f(n) = (r(2) + r(0)) / 2 for n = start, start+1, ...: 2^(n-1), or 1
-    at n = 0, below k, where r = x^n, so the residue is built from k on at
-    the earliest; at k = 1, where Q = x - 1, f(n) = 1.  With single, only
-    f(start) is asked for, and taken _by_halves if its powering squares."""
+def _head(k: int, start: int, count: int, text: bool, sums: bool, ops: OpCount | None = None) -> Iterator:
+    """f(n) (sums=False) or S(n) (sums=True) for n = start, start+1, ...,
+    each as the numerator N(r) of the residue r of x^n, less an offset c,
+    divided by d: N(r) = r(2) + r(0), c = 0 and d = 2 for f, and
+    N(r) = (k - 1) r(2) + r(1), c = 1 and d = k - 1 for S.  Below k,
+    r = x^n, so r(2) = 2^n, r(1) = 1 and r(0) = 1 at n = 0 alone, and the
+    residue is built from k on at the earliest; at k = 1, where Q = x - 1,
+    f(n) = 1 and S(n) = n + 1.  A range of one index whose powering
+    squares is taken _by_halves.  text is _residue's.
+    """
     if k == 1:
-        yield from repeat(1)
-    elif single and _squarings(k, start):
-        yield _divide(_by_halves(k, start, ops, text, lambda at_two, _, at_zero: at_two + at_zero), 2)
+        yield from range(start + 1, start + count + 1) if sums else repeat(1, count)
+        return
+    if sums:
+        numerator, offset, divisor = (lambda at_two, at_one, _: (k - 1) * at_two + at_one), 1, k - 1
     else:
-        # (r(2) + r(0)) / 2 for r = x^n, whose r(0) is 0 past n = 0
-        yield from ((1 << n) + (n == 0) >> 1 for n in range(start, k))
-        for at_two, _, at_zero in _steps(k, _residue(k, max(start, k), ops, text)):
-            yield _divide(at_two + at_zero, 2)
-
-
-def _sums(k: int, start: int, ops: OpCount | None, text: bool = False, single: bool = False) -> Iterator:
-    """S(n) = r(2) + (r(1) - 1) / (k - 1) for n = start, start+1, ...: 2^n
-    below k, as for _values; at k = 1, where Q = x - 1, S(n) = n + 1.  With
-    single as for _values, by the numerator (k - 1) r(2) + r(1) =
-    (k - 1) S(n) + 1."""
-    if k == 1:
-        yield from count(start + 1)
-    elif single and _squarings(k, start):
-        numerator = _by_halves(k, start, ops, text, lambda at_two, at_one, _: (k - 1) * at_two + at_one)
-        yield _divide(numerator - 1, k - 1)
-    else:
-        yield from (1 << n for n in range(start, k))
-        for at_two, at_one, _ in _steps(k, _residue(k, max(start, k), ops, text)):
-            yield at_two + _divide(at_one - 1, k - 1)
+        numerator, offset, divisor = (lambda at_two, _, at_zero: at_two + at_zero), 0, 2
+    if count == 1 and _squarings(k, start):
+        yield _divide(_by_halves(k, start, ops, text, numerator) - offset, divisor)
+        return
+    for n in range(start, k):
+        yield _divide(numerator(1 << n, 1, n == 0) - offset, divisor)
+    for values in _steps(k, _residue(k, max(start, k), ops, text)):
+        yield _divide(numerator(*values) - offset, divisor)

@@ -1,24 +1,25 @@
 """Exact decimal text of big integers, shared by the CLI and the engines.
 
-`_decimal_str` renders an int by divide and conquer through `decimal`:
-subquadratic in the digit count, where `int.__str__` is quadratic on CPython
-before 3.12, and independent of the interpreter's int/str digit limit.
-`exact()` is the context all of it runs under: unbounded precision and
-exponent, with Inexact trapped, so integer arithmetic on Decimals is exact
-or raises instead of printing a wrong digit.
+An int becomes decimal text in one place and by one rule: `_decimals`
+converts it to a Decimal by divide and conquer (`_to_decimal`),
+subquadratic in the digit count, where `int.__str__` is quadratic on
+CPython before 3.12, and independent of the interpreter's int/str digit
+limit; a Decimal, such as a matrix residue finished in Decimal, passes
+through as it is.  `_texts` prints Decimals with str() and converts
+nothing.  `exact()` is the context all of it runs under: unbounded
+precision and exponent, with Inexact trapped, so integer arithmetic on
+Decimals is exact or raises instead of printing a wrong digit.
 
-`_texts` is the one renderer of every engine's text range: it prints a
-Decimal with str() and an int through the splitter.  A range that steps
-past its first k+1 indices converts them once through the same splitter
-(`_decimals`, in `sequence._continued`) and steps in Decimal under
-`exact()`, so its later records need no binary to decimal conversion at
-all.
+Every engine's text range converts each value its head yields once, in
+`sequence._continued`, and steps its later indices in Decimal, so they
+need no binary to decimal conversion at all; `terms` converts its
+magnitudes alike, and `matrix_power` its residue once it is wide.
 """
 
 from __future__ import annotations
 
 import decimal
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 # Widest piece converted by Decimal(int) directly.  Render times of 3,000
 # to 694,000-bit values were flat for leaves of 2,048 to 8,192 bits
@@ -37,44 +38,37 @@ def exact() -> contextlib.AbstractContextManager[decimal.Context]:
     return decimal.localcontext(_EXACT)
 
 
-def _decimal_str(n: int) -> str:
-    """The exact decimal string of n.
-
-    n = lo + hi * 2^half splits the bits in half; each half is converted
-    alike and the two are combined with Decimal arithmetic, whose large
-    multiplications are subquadratic (Brent & Zimmermann, Modern Computer
-    Arithmetic, section 1.7; CPython 3.12's _pylong does the same).  A value
-    of at most _LEAF_BITS bits is a single leaf.
-    """
-    with exact():
-        return str(_to_decimal(n, n.bit_length(), {}))
-
-
-def _texts(numbers: Iterator) -> Iterator[str]:
-    """numbers, ints or Decimals, as exact decimal strings, each made under
-    exact(): str() of a Decimal, the splitter's Decimal of an int.  The
-    next number is computed under exact() too, so an engine steps its
-    Decimal state there."""
+def _texts(numbers: Iterator[decimal.Decimal]) -> Iterator[str]:
+    """Decimals as exact decimal strings, by str().  Each next number is
+    computed under exact(), so an engine steps its Decimal state, and
+    `_decimals` converts, there."""
     while True:
         with exact():
             x = next(numbers, None)
-            if x is None:
-                return
-            text = str(x if type(x) is decimal.Decimal else _to_decimal(x, x.bit_length(), {}))
-        yield text
+        if x is None:
+            return
+        yield str(x)
 
 
-def _decimals(ints: list[int]) -> list[decimal.Decimal]:
-    """ints as Decimals, sharing one cache of powers of two; call under exact()."""
+def _decimals(numbers: Iterable) -> Iterator[decimal.Decimal]:
+    """numbers, ints or Decimals, as Decimals: an int by `_to_decimal`, all
+    of them sharing one cache of powers of two, and a Decimal as it is.
+    Pull it under exact()."""
     powers: dict = {}
-    return [_to_decimal(n, n.bit_length(), powers) for n in ints]
+    for n in numbers:
+        yield n if type(n) is decimal.Decimal else _to_decimal(n, n.bit_length(), powers)
 
 
 def _to_decimal(n: int, width: int, powers: dict) -> decimal.Decimal:
     """n, which fits in width bits, as a Decimal; powers caches 2^w by w.
 
-    A negative n splits alike: hi = n >> half is floored, so lo stays in
-    [0, 2^half) and n = lo + hi * 2^half still holds.
+    n = lo + hi * 2^half splits the bits in half; each half is converted
+    alike and the two are combined with Decimal arithmetic, whose large
+    multiplications are subquadratic (Brent & Zimmermann, Modern Computer
+    Arithmetic, section 1.7; CPython 3.12's _pylong does the same).  A value
+    of at most _LEAF_BITS bits is a single leaf.  A negative n splits
+    alike: hi = n >> half is floored, so lo stays in [0, 2^half) and
+    n = lo + hi * 2^half still holds.
     """
     if width <= _LEAF_BITS:
         return decimal.Decimal(n)

@@ -15,7 +15,8 @@ engines of its registry, recurrence and direct, take their heads from
 
 It also holds `_continued`, the one tail of every engine's range: each
 engine computes a range's first k+1 indices by its own method, and
-`_continued` steps the rest.  `values_from` and `sums_from` never step
+`_continued` steps the rest, and with text converts the first k+1 once
+(see `render`).  `values_from` and `sums_from` never step
 by it, so the tail is checked against them.
 """
 
@@ -110,25 +111,21 @@ def _continued(head: Iterator, k: int, count: int, text: bool = False) -> Iterat
     min(count, k+1) from the engine's own head, which is pulled no further,
     and every later one by one step of _later over the last k+1.
 
-    With text, a range that steps converts its k+1 head terms to Decimals
-    once the first is out, so each later record is a Decimal subtraction
-    and str(), not a binary to decimal conversion; run it under exact(), as
-    `render._texts` does.  A head is all ints, or all Decimals where a
-    matrix residue was finished in Decimal, which stay as they are.  A
-    range of at most k+1 indices converts nothing.
+    With text, each head term passes through `render._decimals` as it is
+    yielded, the one conversion of an engine's values (see `render`), so
+    the steps run in Decimal; run it under exact(), as `render._texts`
+    does.
     """
     head = islice(head, min(count, k + 1))
-    if count <= k + 1:
-        yield from head
-        return
-    first = next(head)
-    yield first
-    window = [first, *head]
+    if text:
+        head = _decimals(head)
+    window = []
+    for term in head:
+        window.append(term)
+        yield term
     del head  # the engine's own state is not held while the range steps
-    if text and type(first) is int:
-        window = _decimals(window)
-    yield from window[1:]
-    yield from islice(_later(deque(window, maxlen=k + 1)), count - k - 1)
+    if count > k + 1:
+        yield from islice(_later(deque(window, maxlen=k + 1)), count - k - 1)
 
 
 def values(k: int) -> Iterator[int]:

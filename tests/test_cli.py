@@ -27,7 +27,7 @@ from kbonacci import (
 )
 from kbonacci import cli, engines, matrix_power, sequence, tilings, verify
 from kbonacci.cli import FORMATS, build_parser, main, parse_range
-from kbonacci.render import _LEAF_BITS, _decimal_str, _decimals, exact
+from kbonacci.render import _LEAF_BITS, _decimals, _texts, exact
 
 from oracles import subset_tilings
 
@@ -91,7 +91,7 @@ def _with_examples(values):
 @given(_wide_ints)
 def test_decimal_str_matches_int_str(n):
     with digit_limit(0):
-        assert _decimal_str(n) == str(n)
+        assert list(_texts(_decimals([n]))) == [str(n)]
 
 
 def _switch_edge_values():
@@ -106,7 +106,7 @@ def _switch_edge_values():
 @given(_wide_ints.map(operator.neg))
 def test_decimal_str_converts_negative_ints_exactly(n):
     with digit_limit(0):
-        assert _decimal_str(n) == str(n)
+        assert list(_texts(_decimals([n]))) == [str(n)]
 
 
 @needs_digit_limit
@@ -116,7 +116,7 @@ def test_decimal_str_converts_negative_ints_exactly(n):
 def test_residue_conversion_is_exact(ints):
     # residue coefficients are signed and share one cache of powers of two
     with exact():
-        decimals = _decimals(ints)
+        decimals = list(_decimals(ints))
     with digit_limit(0):
         assert [str(d) for d in decimals] == [str(n) for n in ints]
 
@@ -340,10 +340,10 @@ def test_the_engines_suite_checks_the_step_of_every_range(capsys, monkeypatch):
 
 
 def test_the_engines_suite_checks_the_text_of_every_range(capsys, monkeypatch):
-    # a range that steps converts its first k+1 values to Decimal; a wrong
+    # a text range converts its first k+1 values to Decimal; a wrong
     # conversion shows in the text alone
     real = sequence._decimals
-    monkeypatch.setattr(sequence, "_decimals", lambda ints: real([n + 1 for n in ints]))
+    monkeypatch.setattr(sequence, "_decimals", lambda ints: real(n + 1 for n in ints))
     failures = _engines_failures(capsys)
     assert "  - value dunkel-term text mismatch at k=1 n=0..12" in failures
     assert not [line for line in failures if "range mismatch" in line]

@@ -32,7 +32,7 @@ from kbonacci.engines import (
     stream_value_texts,
     stream_values,
 )
-from kbonacci.render import _decimal_str
+from kbonacci.render import _decimals, _texts
 from kbonacci.sequence import sums_from, values_from
 
 
@@ -222,43 +222,48 @@ def test_text_ranges_print_the_int_ranges(switch, k_count, start):
             # only value engines read n < 0, as f(n) = 0
             first = start if ints is stream_values else max(start, 0)
             for engine in names:
-                expected = list(map(_decimal_str, ints(k, first, first + count, engine)))
+                expected = list(_texts(_decimals(ints(k, first, first + count, engine))))
                 assert list(texts(k, first, first + count, engine)) == expected, (engine, k, first, count)
-
-
-def _converted_after(monkeypatch, run):
-    """How many texts run had consumed at each conversion of an engine's
-    state to Decimal: run takes the list that it appends its texts to."""
-    texts, calls = [], []
-    real = matrix_power._decimals
-
-    def spy(ints):
-        calls.append(len(texts))
-        return real(ints)
-
-    # the residue's switch in matrix_power, the range's in sequence._continued
-    for module in (matrix_power, sequence):
-        monkeypatch.setattr(module, "_decimals", spy)
-    run(texts)
-    return calls
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
 @pytest.mark.parametrize("start", [0, 1, 40, 300])
-def test_a_range_converts_once_after_its_first_text(monkeypatch, k, start):
-    for texts, _, names in QUANTITIES:
+def test_a_text_range_converts_each_head_value_once(conversions, k, start):
+    for texts, ints, names in QUANTITIES:
         for engine in names:
             for count in (1, 2, k, k + 1, k + 2, 3 * k + 2):
-                calls = _converted_after(monkeypatch, lambda out: out.extend(texts(k, start, start + count, engine)))
-                # every engine's first k+1 values, once the range steps past them
-                assert calls == ([1] if count > k + 1 else []), (engine, k, start, count)
+                conversions.clear()
+                expected = list(ints(k, start, start + count, engine))
+                assert conversions == [], (engine, k, start, count)
+                # the first min(count, k+1) values, once each, whether or
+                # not the range steps past them, and in Decimal from there
+                assert list(texts(k, start, start + count, engine)) == list(map(str, expected))
+                assert conversions == expected[: k + 1], (engine, k, start, count)
 
 
-def test_a_residue_already_in_decimal_is_not_converted_again(monkeypatch):
-    # past the switch the residue is converted once, before the first text
+@pytest.mark.parametrize(
+    "texts, k, start, count, engine",
+    [
+        (stream_sum_texts, 3, 6000, 56, "dunkel"),
+        (stream_sum_texts, 5, 6000, 48, "matrix"),
+        (stream_value_texts, 2, 5000, 40, "recurrence"),
+    ],
+)
+def test_a_stepping_range_converts_k_plus_1_values(conversions, texts, k, start, count, engine):
+    # its first value once, not a second time when the range steps
+    list(texts(k, start, start + count, engine))
+    assert len(conversions) == k + 1
+
+
+def test_a_head_value_already_in_decimal_is_not_converted(conversions, monkeypatch):
+    # past the switch the residue's k coefficients are converted once, and
+    # the head's values, finished in Decimal, not at all
     monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 8)
-    for texts, _, _ in QUANTITIES:
-        assert _converted_after(monkeypatch, lambda out: out.extend(texts(3, 300, 340, "matrix"))) == [0]
+    for texts, ints, _ in QUANTITIES:
+        conversions.clear()
+        assert list(texts(3, 300, 340, "matrix")) == list(map(str, ints(3, 300, 340, "matrix")))
+        assert len(conversions) == 3
+        assert not set(conversions) & set(ints(3, 300, 304, "matrix"))
 
 
 @pytest.mark.parametrize(
@@ -272,10 +277,10 @@ def test_a_residue_already_in_decimal_is_not_converted_again(monkeypatch):
         ("bench", "--k", "5", "--n", "6000", "--engines", "direct,dunkel,matrix", "--reps", "2"),
     ],
 )
-def test_a_single_index_converts_no_state(monkeypatch, argv):
-    def run(out):
-        with redirect_stdout(io.StringIO()) as stdout:
-            assert main(list(argv)) == 0
-        out.extend(stdout.getvalue().splitlines())
-
-    assert _converted_after(monkeypatch, run) == []
+def test_a_single_index_converts_its_value_once(conversions, argv):
+    # once per engine call: eval and sum make one, bench one per rep
+    with redirect_stdout(io.StringIO()) as stdout:
+        assert main(list(argv)) == 0
+    printed = [line.rpartition("value=")[2] for line in stdout.getvalue().splitlines()]
+    calls = int(argv[-1]) if argv[0] == "bench" else 1
+    assert list(map(str, conversions)) == [text for text in printed for _ in range(calls)]

@@ -12,15 +12,17 @@ from hypothesis import strategies as st
 
 from kbonacci import OpCount, compute_sum, compute_value, kbonacci_prefix
 from kbonacci import engines, matrix_power
-from kbonacci.matrix_power import _divide, _residue, _square, _sums, _toom_square, _values, matrix_cost
-from kbonacci.render import _decimal_str, _decimals, _texts, exact
+from kbonacci.matrix_power import _divide, _head, _residue, _square, _toom_square, matrix_cost
+from kbonacci.render import _decimals, _texts, exact
 
 matrix_value = partial(compute_value, engine="matrix")
 matrix_sum = partial(compute_sum, engine="matrix")
 # the registry's matrix streams, of f and of S; an OpCount goes to their
-# heads, _values and _sums
+# heads, head(k, start, count, text, ops=ops)
 matrix_values, matrix_sums = engines._VALUE_DISPATCH["matrix"], engines._SUM_DISPATCH["matrix"]
 MATRIX_STREAMS = [pytest.param(matrix_values, id="values"), pytest.param(matrix_sums, id="sums")]
+values_head, sums_head = partial(_head, sums=False), partial(_head, sums=True)
+HEADS = [pytest.param(values_head, id="values"), pytest.param(sums_head, id="sums")]
 
 
 @pytest.mark.parametrize("k, n, expected", [(2, 4, 5), (3, 0, 1), (5, 2, 2)])
@@ -74,7 +76,7 @@ def test_domain_errors():
 
 def test_op_counting_is_logarithmic():
     ops = OpCount()
-    next(_values(2, 100_000, ops, single=True))
+    next(values_head(2, 100_000, 1, False, ops=ops))
     assert ops.matrix_products > 0
     # ~log2(n) squarings of the 2-coefficient residue, 3 multiplications
     # each, by the loop or, past the switch, by Toom's 2k - 1 = 3 squarings:
@@ -86,10 +88,10 @@ def test_delegates_below_k_without_matrix_work():
     # n = k = 6 starts from x^6's residue 1 + x + ... + x^5, still unsquared
     for n, value in [(3, 4), (6, 32)]:
         ops = OpCount()
-        assert next(_values(6, n, ops, single=True)) == value
+        assert next(values_head(6, n, 1, False, ops=ops)) == value
         assert ops.matrix_products == 0
         ops = OpCount()
-        assert next(_sums(6, n, ops, single=True)) == compute_sum(6, n, "direct")
+        assert next(sums_head(6, n, 1, False, ops=ops)) == compute_sum(6, n, "direct")
         assert ops.matrix_products == 0
 
 
@@ -101,20 +103,20 @@ def test_op_count_of_a_small_cell():
     # 3 multiplications, and multiplies by x: x^5.  With s its residue,
     # f(10) = s[0] f(5) + s[1] f(6) by 2 more multiplications: 5 in all.
     ops = OpCount()
-    assert next(_values(2, 10, ops, single=True)) == 89
+    assert next(values_head(2, 10, 1, False, ops=ops)) == 89
     assert ops == OpCount(matrix_products=1, scalar_mults=5)
 
 
-@pytest.mark.parametrize("head", [_values, _sums])
+@pytest.mark.parametrize("head", HEADS)
 def test_range_counts_only_the_jump(head):
     # a range powers to its first index in full: n=10 = 0b1010 starts at
     # x^2 for free, and its two remaining bits cost one squaring of 3
     # multiplications each, 6 in all; the 40 steps past n=10 shift the
     # residue without multiplying
     ops = OpCount()
-    values = list(islice(head(2, 10, ops), 41))
+    values = list(islice(head(2, 10, 41, False, ops=ops), 41))
     assert ops == OpCount(matrix_products=2, scalar_mults=6)
-    single = matrix_value if head is _values else matrix_sum
+    single = matrix_sum if head.keywords["sums"] else matrix_value
     assert values == [single(2, n) for n in range(10, 51)]
 
 
@@ -129,7 +131,7 @@ def test_op_count_of_a_cell_past_a_lowered_switch(monkeypatch):
     # + s[2] f(12) by 3 more: 6 + 5 + 3 = 14 in all.
     monkeypatch.setattr(matrix_power, "_TOOM_EXPONENT", 5)
     ops = OpCount()
-    assert next(_values(3, 20, ops, single=True)) == 121415
+    assert next(values_head(3, 20, 1, False, ops=ops)) == 121415
     assert ops == OpCount(matrix_products=2, scalar_mults=14)
     assert matrix_cost(3, 20) == 14
 
@@ -156,22 +158,22 @@ def test_cost_model_is_the_measured_count():
     for k in range(1, 41):
         for n in range(300):
             ops = OpCount()
-            next((_values, _sums)[n & 1](k, n, ops, single=True))
+            next((values_head, sums_head)[n & 1](k, n, 1, False, ops=ops))
             assert ops.scalar_mults == matrix_cost(k, n), (k, n)
     for k in range(1, 7):
         for n in (1000, 4097, 12345, 65535, 65536, 100000):
-            for head in (_values, _sums):
+            for head in (values_head, sums_head):
                 ops = OpCount()
-                next(head(k, n, ops, single=True))
+                next(head(k, n, 1, False, ops=ops))
                 assert ops.scalar_mults == matrix_cost(k, n), (k, n)
     # past the switch, where 2k - 1 < k(k+1)/2: a single index n powers to
     # x^m, m = n // 2, and squares x^(m >> j) for j >= 1, so at the switch
     # of 2048 these cells take 0, 1, 2 and 3 squarings by Toom
     for k in range(3, 13):
         for n in (8191, 8192, 16387, 40000):
-            for head in (_values, _sums):
+            for head in (values_head, sums_head):
                 ops = OpCount()
-                next(head(k, n, ops, single=True))
+                next(head(k, n, 1, False, ops=ops))
                 assert ops.scalar_mults == matrix_cost(k, n), (k, n)
 
 
@@ -180,10 +182,10 @@ def test_indices_below_k_build_no_residue():
     # The residue of x^k has k coefficients, which k = sys.maxsize cannot hold.
     k = sys.maxsize
     values, sums = [1, 1, 2, 4, 8, 16, 32], [1, 2, 4, 8, 16, 32, 64]
-    for head, expected in [(_values, values), (_sums, sums)]:
+    for head, expected in [(values_head, values), (sums_head, sums)]:
         ops = OpCount()
-        assert list(islice(head(k, 0, ops), 7)) == expected
-        assert list(_texts(islice(head(k, 2, ops, text=True), 5))) == [str(x) for x in expected[2:]]
+        assert list(islice(head(k, 0, 7, False, ops=ops), 7)) == expected
+        assert list(_texts(_decimals(islice(head(k, 2, 5, True, ops=ops), 5)))) == [str(x) for x in expected[2:]]
         assert ops == OpCount()
     assert matrix_value(k, 40) == 1 << 39
     assert matrix_sum(k, 40) == 1 << 40
@@ -209,15 +211,15 @@ def test_sums_at_k_1_count_the_indices():
     # Q = x - 1 leaves r = 1, so f(n) = 1 and S(n) = n + 1 without a
     # powering, on both paths
     for head, stream, at in [
-        (_values, matrix_values, lambda n: 1),
-        (_sums, matrix_sums, lambda n: n + 1),
+        (values_head, matrix_values, lambda n: 1),
+        (sums_head, matrix_sums, lambda n: n + 1),
     ]:
         for start in (0, 1, 7, 10**6):
             expected = [at(n) for n in range(start, start + 5)]
             ops = OpCount()
-            assert list(islice(head(1, start, ops), 5)) == expected
-            assert list(_texts(islice(head(1, start, ops, text=True), 5))) == [str(x) for x in expected]
-            assert next(head(1, start, ops, single=True)) == at(start)
+            assert list(islice(head(1, start, 5, False, ops=ops), 5)) == expected
+            assert list(_texts(_decimals(islice(head(1, start, 5, True, ops=ops), 5)))) == [str(x) for x in expected]
+            assert next(head(1, start, 1, False, ops=ops)) == at(start)
             assert ops == OpCount()
             assert list(stream(1, start, start + 5)) == expected
             assert list(stream(1, start, start + 5, text=True)) == [str(x) for x in expected]
@@ -248,10 +250,10 @@ def test_toom_square_is_the_loop(k):
         square = _square(r)
         assert _toom_square(r) == square
         with exact():
-            toom = _toom_square(_decimals(r))
+            toom = _toom_square(list(_decimals(r)))
             assert {type(c) for c in toom} == {Decimal}
-            assert list(map(str, toom)) == list(map(_decimal_str, square))
-            assert _square(_decimals(r)) == toom
+            assert list(map(str, toom)) == list(_texts(_decimals(square)))
+            assert _square(list(_decimals(r))) == toom
 
 
 # The Toom switch at the first squaring, and where the module puts it
@@ -260,7 +262,7 @@ TOOM_SWITCHES = [0, matrix_power._TOOM_EXPONENT]
 
 @pytest.mark.parametrize("toom", TOOM_SWITCHES)
 @pytest.mark.parametrize("switch", [0, 8, 40])
-@pytest.mark.parametrize("head", [_values, _sums])
+@pytest.mark.parametrize("head", HEADS)
 def test_text_path_matches_int_path(monkeypatch, switch, toom, head):
     # a lowered switch sends small indices through Decimal squarings, and
     # a Toom switch at 0 sends every squaring through _toom_square
@@ -269,8 +271,8 @@ def test_text_path_matches_int_path(monkeypatch, switch, toom, head):
     for k in range(1, 9):
         for n in range(201):
             int_ops, text_ops = OpCount(), OpCount()
-            text = next(_texts(head(k, n, text_ops, text=True, single=True)))
-            assert text == str(next(head(k, n, int_ops, single=True))), (k, n)
+            text = next(_texts(_decimals(head(k, n, 1, True, ops=text_ops))))
+            assert text == str(next(head(k, n, 1, False, ops=int_ops))), (k, n)
             assert text_ops == int_ops
 
 
@@ -303,10 +305,10 @@ def test_text_range_stepped_after_the_switch_matches_int_path(monkeypatch, strea
 def test_text_range_past_the_real_switch(stream, k, n):
     with exact():
         assert {type(c) for c in _residue(k, n, None, text=True)} == {Decimal}
-    expected = list(map(_decimal_str, stream(k, n, n + 30)))
+    expected = list(_texts(_decimals(stream(k, n, n + 30))))
     assert list(stream(k, n, n + 30, text=True)) == expected
     for single in (2 * n, 2 * n + 1):
-        assert next(stream(k, single, single + 1, text=True)) == _decimal_str(next(stream(k, single, single + 1)))
+        assert next(stream(k, single, single + 1, text=True)) == next(_texts(_decimals(stream(k, single, single + 1))))
 
 
 @pytest.mark.parametrize("toom", TOOM_SWITCHES)

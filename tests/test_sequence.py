@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbonacci import compute_sum, compute_value, kbonacci_prefix, sequence, values
+from kbonacci import compute_sum, compute_value, kbonacci_prefix, values
 from kbonacci.render import exact
 from kbonacci.sequence import _continued
 
@@ -153,36 +153,27 @@ def test_continued_pulls_nothing_for_no_terms():
     assert head.pulled == 0
 
 
-def _conversions(monkeypatch, head, k, count):
-    """How many terms had been taken at each conversion to Decimal, and
-    the terms of a text _continued."""
-    out, calls = [], []
-    real = sequence._decimals
-
-    def spy(ints):
-        calls.append(len(out))
-        return real(ints)
-
-    monkeypatch.setattr(sequence, "_decimals", spy)
-    with exact():
-        out.extend(_continued(iter(head), k, count, True))
-    return calls, out
-
-
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_continued_converts_once_when_the_range_steps(monkeypatch, k):
+def test_continued_converts_each_head_term_once(conversions, k):
     for count in range(1, 3 * k + 3):
-        calls, out = _conversions(monkeypatch, naive_prefix(k, 4 * k), k, count)
-        assert calls == ([1] if count > k + 1 else []), (k, count)
-        # the head's int terms past the first are printed from Decimal too
-        assert [type(t) for t in out] == [int] + [Decimal if count > k + 1 else int] * (count - 1)
+        conversions.clear()
+        with exact():
+            out = list(_continued(iter(naive_prefix(k, 4 * k)), k, count, True))
+        # the head's first min(count, k+1) terms, whether or not the range
+        # steps past them, and every term printed from Decimal
+        assert conversions == naive_prefix(k, min(count, k + 1) - 1), (k, count)
+        assert all(type(t) is Decimal for t in out)
         assert out == naive_prefix(k, count - 1)
+        conversions.clear()
+        assert list(_continued(iter(naive_prefix(k, 4 * k)), k, count)) == naive_prefix(k, count - 1)
+        assert conversions == [], (k, count)
 
 
-def test_continued_leaves_a_decimal_head_as_it_is(monkeypatch):
+def test_continued_leaves_a_decimal_head_as_it_is(conversions):
     k, count = 3, 12
-    calls, out = _conversions(monkeypatch, map(Decimal, naive_prefix(k, k)), k, count)
-    assert calls == []
+    with exact():
+        out = list(_continued(map(Decimal, naive_prefix(k, k)), k, count, True))
+    assert conversions == []
     assert all(type(t) is Decimal for t in out)
     assert out == naive_prefix(k, count - 1)
 
