@@ -6,10 +6,11 @@ choices, defaults and bench's --engines come from the registry in
 
 Values are always written as exact decimal strings, whatever their size,
 by the one conversion rule of `render`.  `eval`, `sum` and `bench` ask
-`engines` for their values as text; `terms` converts its magnitudes by
-`render._decimals` and prints them by `render._texts`.  `eval` and `sum`
-check their whole --n range before writing anything, then write each
-record as soon as it is rendered, so a range holds one record at a time.
+`engines.stream_values` or `stream_sums` for their values with
+text=True; `terms` converts its magnitudes by `render._decimals` and
+prints them by `render._texts`.  `eval` and `sum` check their whole --n
+range before writing anything, then write each record as soon as it is
+rendered, so a range holds one record at a time.
 `bench` times the first record of that same text range, started at n, so
 its elapsed_ns is the compute and render that `eval` or `sum` print.
 
@@ -26,7 +27,8 @@ building a tiling.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parameter error, or an input too large
 for memory (the error line names the function that ran out, and records
-already written stay written).
+already written stay written), 141 (128 + SIGPIPE) when the reader closes
+stdout early, as `| head` does, with nothing on stderr.
 
 A command imports only what it runs, as start-up is most of a small
 command's time.  This module imports `argparse` and the engine modules,
@@ -51,14 +53,7 @@ from itertools import chain, islice, starmap
 from operator import add, itemgetter
 
 from .closed_form import SUM_FORMULA, TERM_FORMULA, term_breakdown
-from .engines import (
-    SUITE_NAMES,
-    SUM_NAMES,
-    VALUE_NAMES,
-    bench_plan,
-    stream_sum_texts,
-    stream_value_texts,
-)
+from .engines import SUITE_NAMES, SUM_NAMES, VALUE_NAMES, bench_plan, stream_sums, stream_values
 from .render import _decimals, _texts
 from .sequence import DEFAULT_CAP
 
@@ -128,14 +123,14 @@ def _emit(records, fmt: str, fields: list[str], plain) -> None:
 
 
 def cmd_values(args) -> int:
-    """eval or sum: the records of the range args.n from args.texts, the
-    engines' text range generator of its quantity.
+    """eval or sum: the records of the range args.n as text from
+    args.stream, the engines' range generator of its quantity.
 
     The first value is computed before anything is written, so a parameter
     the engine rejects raises first; each later value is computed and
     rendered only when its record is asked for.
     """
-    texts = args.texts(args.k, args.n[0], args.n.stop, args.engine)
+    texts = args.stream(args.k, args.n[0], args.n.stop, args.engine, text=True)
     texts = chain([next(texts)], texts)
     records = (
         {"k": args.k, "n": n, "engine": args.engine, "value": text}
@@ -259,13 +254,13 @@ def cmd_bench(args) -> int:
         raise ValueError("--engines must name at least one engine")
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    texts, ops = bench_plan(tokens, args.k, args.n)
+    stream, ops = bench_plan(tokens, args.k, args.n)
     records = []
     for token in sorted(ops):
         best = None
         for _ in range(args.reps):
             start = time.perf_counter_ns()
-            text = next(texts(args.k, args.n, args.n + 1, token))
+            text = next(stream(args.k, args.n, args.n + 1, token, text=True))
             elapsed = time.perf_counter_ns() - start
             best = elapsed if best is None else min(best, elapsed)
         records.append(dict(zip(BENCH_FIELDS, (args.k, args.n, token, text, best, ops[token]()))))
@@ -283,16 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="plain")
 
-    for name, names, texts, quantity in (
-        ("eval", VALUE_NAMES, stream_value_texts, "f(n)"),
-        ("sum", SUM_NAMES, stream_sum_texts, "f(0)+...+f(n)"),
+    for name, names, stream, quantity in (
+        ("eval", VALUE_NAMES, stream_values, "f(n)"),
+        ("sum", SUM_NAMES, stream_sums, "f(0)+...+f(n)"),
     ):
         p = sub.add_parser(name, help=f"compute {quantity} for one engine")
         p.add_argument("--k", type=parse_int, required=True)
         p.add_argument("--n", type=parse_range, required=True, help="index or inclusive range a..b")
         p.add_argument("--engine", choices=sorted(names), default=names[0])
         add_format(p)
-        p.set_defaults(func=cmd_values, texts=texts)
+        p.set_defaults(func=cmd_values, stream=stream)
 
     p = sub.add_parser("terms", help="list the summands of a closed form")
     p.add_argument("--k", type=parse_int, required=True)
@@ -352,7 +347,16 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(
             _attach_range_values(sys.argv[1:] if argv is None else argv)
         )
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone before the last write is seen here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

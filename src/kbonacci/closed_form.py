@@ -48,7 +48,7 @@ the recurrence of P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), and f follows
 it from n = 1 on.  So the fold and the block are only a range's head, its
 first k+1 indices at most, `_closed_head`, from which the registry's
 `dunkel` and `dunkel-term` streams (see `engines`) go on by
-`sequence._continued`, the one tail of every engine's range, in Decimal
+`engines._continued`, the one tail of every engine's range, in Decimal
 for text.  `term_breakdown` lists the summands of the rows.  The
 extended form is the base fold plus the raised-limit binomials, each
 checked to be 0.
@@ -181,7 +181,7 @@ def _doubled(k: int, n: int) -> Iterator[int]:
 
 def _closed_head(k: int, start: int, count: int, term: bool) -> Iterator[int]:
     """S(n) (term=False) or f(n) (term=True) for the first min(count, k+1)
-    indices n of the range from start, the head that `sequence._continued`
+    indices n of the range from start, the head that `engines._continued`
     goes on from.
 
     The first index folds its row as the row is made, in O(n) bits, and

@@ -1,5 +1,6 @@
 """The engine registry: every engine is named once, in the table of the
-quantity it computes, as its head and its cost model.
+quantity it computes, as its head and its cost model, and every range of
+every engine is assembled here.
 
 `_VALUE_DISPATCH` holds the engines of f(n) and `_SUM_DISPATCH` those of
 S(n) = f(0) + ... + f(n), keyed by the names the CLI accepts; the first
@@ -15,10 +16,12 @@ by the engine's own method: `sequence.values` for recurrence and direct
 (the latter accumulated), `closed_form._closed_head` for dunkel and
 dunkel-term, and `matrix_power._head` for matrix.  Every later index,
 whatever the engine, is one step of the one tail of every range,
-`sequence._continued`.  With text, the stream converts and prints by the
-one rule of `render`; the int ranges and `compute_*` never convert to
-Decimal.  Text is an argument, not a second generator, so a wrapper put
-around a table entry sees every call, of either kind.
+`_continued`, which steps ints or Decimals alike.  The stream is the one
+place a range chooses between them: with text, it converts the head's
+values by the one rule of `render` before the tail, and prints what the
+tail yields; the int ranges and `compute_*` never convert to Decimal.
+Text is an argument, not a second generator, so a wrapper put around a
+table entry sees every call, of either kind.
 
 Each stream carries its cost model as stream.cost(k, n): the number of
 big-integer operations one index n takes, which `bench` reports as
@@ -32,44 +35,77 @@ arithmetic on (k, n) and runs nothing.
 
 Every reader goes through this module: `eval`, `sum` and `bench` take
 their engine names from the tables, `eval` and `sum` print what
-`stream_value_texts`/`stream_sum_texts` yield, `bench` times the first
-text of the same call, and the `engines` suite of `verify` checks every
-registered engine, its ranges and its text.  `compute_value` and
-`compute_sum` are the one entry for a single index, `stream_*` for a
-range.  One input domain holds for every engine, and only this module
-holds it: every value engine reads n < 0 as f(n) = 0, which this module
-yields itself, while every sum engine rejects n < 0.  Every stream checks
-k, start and stop by `sequence._count`, which rejects a negative start,
-so no engine reads n < 0 as 0.  This module checks start and stop first,
-and k too for a value engine, whose stream sees no negative start; it
-reports a stop past sys.maxsize as the last index, stop - 1, that the
-caller asked for, so the largest index is sys.maxsize - 1.
+`stream_values`/`stream_sums` yield with text=True, `bench` times the
+first text of the same call, and the `engines` suite of `verify` checks
+every registered engine, its ranges and its text.  `compute_value` and
+`compute_sum` are the one entry for a single index, `stream_values` and
+`stream_sums` for a range, with the stream's `text` flag.  One input
+domain holds for every engine, and only this module holds it: every
+value engine reads n < 0 as f(n) = 0, which this module yields itself,
+while every sum engine rejects n < 0.  Every stream checks k, start and
+stop by `sequence._count`, which rejects a negative start, so no engine
+reads n < 0 as 0.  This module checks start and stop first, and k too
+for a value engine, whose stream sees no negative start; it reports a
+stop past sys.maxsize as the last index, stop - 1, that the caller asked
+for, so the largest index is sys.maxsize - 1.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
 
 from .closed_form import _closed_head
 from .matrix_power import _head, matrix_cost
-from .render import _texts
-from .sequence import _check_index, _check_int, _check_k, _continued, _count, values
+from .render import _decimals, _texts
+from .sequence import _check_index, _check_int, _check_k, _count, values
+
+
+def _later(window: deque) -> Iterator:
+    """Yield the terms after window of t(n+1) = 2 t(n) - t(n-k), where
+    window holds the last k+1 = window.maxlen terms: the recurrence of
+    P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), which S follows from n = 0
+    and f from n = 1.  The terms are ints or Decimals, as window's are."""
+    while True:
+        last = window[-1]
+        window.append(last + last - window[0])
+        yield window[-1]
+
+
+def _continued(head: Iterator, k: int, count: int) -> Iterator:
+    """The count terms of S, or of f, from an index start >= 0: the first
+    min(count, k+1) from the engine's own head, which is pulled no further,
+    and every later one by one step of _later over the last k+1, in the
+    type the head yields."""
+    head = islice(head, min(count, k + 1))
+    window = []
+    for term in head:
+        window.append(term)
+        yield term
+    del head  # the engine's own state is not held while the range steps
+    if count > k + 1:
+        yield from islice(_later(deque(window, maxlen=k + 1)), count - k - 1)
 
 
 def _engine(head: Callable[[int, int, int, bool], Iterator], cost: Callable[[int, int], int]):
     """The range generator of an engine, with cost as its cost model: the
     first k+1 indices of the range from head(k, start, count, text), the
-    rest stepped by `_continued`, and with text, all of it through
-    `_texts`.  A generator, so that it checks its input at the first
-    next(), as the registry's readers expect."""
+    rest stepped by `_continued`.  With text, the head's values become
+    Decimals by `render._decimals`, each once, before the tail, and what
+    it yields is printed by `render._texts`, under whose exact() context
+    all of it runs.  A generator, so that it checks its input at the
+    first next(), as the registry's readers expect."""
 
     def stream(k: int, start: int, stop: int, text: bool = False) -> Iterator:
         count = _count(k, start, stop)
-        terms = _continued(head(k, start, count, text), k, count, text)
-        yield from _texts(terms) if text else terms
+        # the head is passed on, not named, so that `_continued` frees it
+        if text:
+            yield from _texts(_continued(_decimals(head(k, start, count, True)), k, count))
+        else:
+            yield from _continued(head(k, start, count, False), k, count)
 
     stream.cost = cost
     return stream
@@ -134,24 +170,20 @@ def _range(table: dict, k: int, start: int, stop: int, engine: str, text: bool) 
     return stream(k, start, stop, text)
 
 
-def stream_values(k: int, start: int, stop: int, engine: str = "recurrence") -> Iterator[int]:
-    """f(n) for n = start..stop-1 through the named engine; f(n) = 0 for n < 0."""
-    return _range(_VALUE_DISPATCH, k, start, stop, engine, False)
+def stream_values(
+    k: int, start: int, stop: int, engine: str = "recurrence", text: bool = False
+) -> Iterator:
+    """f(n) for n = start..stop-1 through the named engine; f(n) = 0 for n < 0.
+    Ints, or with text exact decimal strings."""
+    return _range(_VALUE_DISPATCH, k, start, stop, engine, text)
 
 
-def stream_value_texts(k: int, start: int, stop: int, engine: str = "recurrence") -> Iterator[str]:
-    """stream_values as exact decimal strings."""
-    return _range(_VALUE_DISPATCH, k, start, stop, engine, True)
-
-
-def stream_sums(k: int, start: int, stop: int, engine: str = "direct") -> Iterator[int]:
-    """S(n) for n = start..stop-1 through the named engine, S(n) = f(0) + ... + f(n)."""
-    return _range(_SUM_DISPATCH, k, start, stop, engine, False)
-
-
-def stream_sum_texts(k: int, start: int, stop: int, engine: str = "direct") -> Iterator[str]:
-    """stream_sums as exact decimal strings."""
-    return _range(_SUM_DISPATCH, k, start, stop, engine, True)
+def stream_sums(
+    k: int, start: int, stop: int, engine: str = "direct", text: bool = False
+) -> Iterator:
+    """S(n) for n = start..stop-1 through the named engine, S(n) = f(0) + ... + f(n).
+    Ints, or with text exact decimal strings."""
+    return _range(_SUM_DISPATCH, k, start, stop, engine, text)
 
 
 def compute_value(k: int, n: int, engine: str = "recurrence") -> int:
@@ -170,10 +202,11 @@ def _ops(cost, k: int, n: int) -> int:
 
 def bench_plan(
     names: Iterable[str], k: int, n: int
-) -> tuple[Callable[..., Iterator[str]], dict[str, Callable[[], int]]]:
-    """The text range generator that `eval` or `sum` print the names'
-    quantity through, and for each engine name a call of its cost model at
-    n (0 at a value index n < 0, which no engine computes).
+) -> tuple[Callable[..., Iterator], dict[str, Callable[[], int]]]:
+    """The range generator of the names' quantity, `stream_values` or
+    `stream_sums`, through which `eval` or `sum` print it with text=True,
+    and for each engine name a call of its cost model at n (0 at a value
+    index n < 0, which no engine computes).
 
     The names must all lie in one table: values when every name is a value
     engine (so matrix alone computes f(n)), else sums.
@@ -183,9 +216,9 @@ def bench_plan(
     if unknown:
         raise ValueError(f"unknown engine(s) {sorted(unknown)}")
     if names <= _VALUE_DISPATCH.keys():
-        table, texts = _VALUE_DISPATCH, stream_value_texts
+        table, stream = _VALUE_DISPATCH, stream_values
     elif names <= _SUM_DISPATCH.keys():
-        table, texts = _SUM_DISPATCH, stream_sum_texts
+        table, stream = _SUM_DISPATCH, stream_sums
     else:
         raise ValueError("cannot mix value engines with partial-sum engines in one bench run")
-    return texts, {engine: partial(_ops, table[engine].cost, k, n) for engine in names}
+    return stream, {engine: partial(_ops, table[engine].cost, k, n) for engine in names}

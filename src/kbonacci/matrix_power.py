@@ -37,7 +37,7 @@ leaves, t = r[k-1], comes back by x^k = 1 + x + ... + x^(k-1) at all k
 places.  Since Q(2) = 1, the new r(2) is 2r(2) - t, and the new r(1) is
 r(1) + (k - 1) t, so each of a range's first k+1 indices costs about k
 additions and no multiplication; every later one is a step of
-`sequence._continued`.  No floats: exactness is the point.
+`engines._continued`.  No floats: exactness is the point.
 
 A single index stops the powering one squaring short.  The numerators
 2f(n) = r(2) + r(0) and (k - 1) S(n) + 1 = (k - 1) r(2) + r(1) are linear

@@ -6,18 +6,14 @@ Fibonacci numbers with the index shifted by one.  Everything here is exact
 integer arithmetic; values grow roughly like 2^n, so Python's native big
 integers carry them without overflow at any index.
 
-This module is the baseline: the engines are validated against it.
-`values_from` and `sums_from` walk the defining recurrence and take
-non-negative indices only; `engines`, the one entry that computes f(n)
-and S(n) by engine name, reads an index n < 0 as f(n) = 0.  The window
-engines of its registry, recurrence and direct, take their heads from
-`values`.
-
-It also holds `_continued`, the one tail of every engine's range: each
-engine computes a range's first k+1 indices by its own method, and
-`_continued` steps the rest, and with text converts the first k+1 once
-(see `render`).  `values_from` and `sums_from` never step
-by it, so the tail is checked against them.
+This module is the baseline that the engines are validated against, and
+it imports nothing from the package.  `values_from` and `sums_from` walk
+the defining recurrence and take non-negative indices only; `engines`,
+the one entry that computes f(n) and S(n) by engine name, reads an index
+n < 0 as f(n) = 0.  The window engines of its registry, recurrence and
+direct, take their heads from `values`.  Every engine's range past its
+first k+1 indices steps by the tail in `engines`, which nothing here
+calls, so the tail is checked against `values_from` and `sums_from`.
 """
 
 from __future__ import annotations
@@ -26,8 +22,6 @@ import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, islice
-
-from .render import _decimals
 
 # Largest n that the tiling laboratory enumerates unless a call raises its
 # cap (`tilings._check_enumerable`).  It is kept with the input bounds, so
@@ -93,39 +87,6 @@ def _after(window: deque) -> Iterator[int]:
         total += value
         window.append(value)
         yield value
-
-
-def _later(window: deque) -> Iterator:
-    """Yield the terms after window of t(n+1) = 2 t(n) - t(n-k), where
-    window holds the last k+1 = window.maxlen terms: the recurrence of
-    P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), which S follows from n = 0
-    and f from n = 1.  The terms are ints or Decimals, as window's are."""
-    while True:
-        last = window[-1]
-        window.append(last + last - window[0])
-        yield window[-1]
-
-
-def _continued(head: Iterator, k: int, count: int, text: bool = False) -> Iterator:
-    """The count terms of S, or of f, from an index start >= 0: the first
-    min(count, k+1) from the engine's own head, which is pulled no further,
-    and every later one by one step of _later over the last k+1.
-
-    With text, each head term passes through `render._decimals` as it is
-    yielded, the one conversion of an engine's values (see `render`), so
-    the steps run in Decimal; run it under exact(), as `render._texts`
-    does.
-    """
-    head = islice(head, min(count, k + 1))
-    if text:
-        head = _decimals(head)
-    window = []
-    for term in head:
-        window.append(term)
-        yield term
-    del head  # the engine's own state is not held while the range steps
-    if count > k + 1:
-        yield from islice(_later(deque(window, maxlen=k + 1)), count - k - 1)
 
 
 def values(k: int) -> Iterator[int]:

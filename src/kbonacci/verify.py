@@ -24,9 +24,7 @@ from .engines import (
     VALUE_NAMES,
     compute_sum,
     compute_value,
-    stream_sum_texts,
     stream_sums,
-    stream_value_texts,
     stream_values,
 )
 from .sequence import (
@@ -91,17 +89,17 @@ def suite_engines(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
                 result.expect(
                     compute_sum(k, n, engine) == total, f"sum {engine} mismatch at k={k} n={n}"
                 )
-        for quantity, names, ints, texts, expected in (
-            ("value", VALUE_NAMES, stream_values, stream_value_texts, values),
-            ("sum", SUM_NAMES, stream_sums, stream_sum_texts, sums),
+        for quantity, names, stream, expected in (
+            ("value", VALUE_NAMES, stream_values, values),
+            ("sum", SUM_NAMES, stream_sums, sums),
         ):
             for engine in names:
                 result.expect(
-                    list(ints(k, ns.start, ns.stop, engine)) == expected,
+                    list(stream(k, ns.start, ns.stop, engine)) == expected,
                     f"{quantity} {engine} range mismatch at k={k} {cell}",
                 )
                 result.expect(
-                    list(map(_read_back, texts(k, ns.start, ns.stop, engine))) == expected,
+                    list(map(_read_back, stream(k, ns.start, ns.stop, engine, text=True))) == expected,
                     f"{quantity} {engine} text mismatch at k={k} {cell}",
                 )
     return result

@@ -25,7 +25,7 @@ from kbonacci import (
     kbonacci_prefix,
     term_breakdown,
 )
-from kbonacci import cli, engines, matrix_power, sequence, tilings, verify
+from kbonacci import cli, engines, matrix_power, tilings, verify
 from kbonacci.cli import FORMATS, build_parser, main, parse_range
 from kbonacci.render import _LEAF_BITS, _decimals, _texts, exact
 
@@ -89,7 +89,7 @@ def _with_examples(values):
 @settings(max_examples=60, deadline=None)
 @_with_examples(_edge_values())
 @given(_wide_ints)
-def test_decimal_str_matches_int_str(n):
+def test_decimals_print_as_int_str(n):
     with digit_limit(0):
         assert list(_texts(_decimals([n]))) == [str(n)]
 
@@ -104,7 +104,7 @@ def _switch_edge_values():
 @settings(max_examples=60, deadline=None)
 @_with_examples([-v for v in _edge_values() + _switch_edge_values() if v])
 @given(_wide_ints.map(operator.neg))
-def test_decimal_str_converts_negative_ints_exactly(n):
+def test_decimals_convert_negative_ints_exactly(n):
     with digit_limit(0):
         assert list(_texts(_decimals([n]))) == [str(n)]
 
@@ -327,13 +327,13 @@ def _engines_failures(capsys):
 def test_the_engines_suite_checks_the_step_of_every_range(capsys, monkeypatch):
     # past its first k+1 indices every engine's range steps by _later,
     # which no single index reaches
-    real = sequence._later
+    real = engines._later
 
     def off_by_one(window):
         for term in real(window):
             yield term + 1
 
-    monkeypatch.setattr(sequence, "_later", off_by_one)
+    monkeypatch.setattr(engines, "_later", off_by_one)
     failures = _engines_failures(capsys)
     assert "  - value recurrence range mismatch at k=1 n=0..12" in failures
     assert "  - sum matrix text mismatch at k=1 n=0..12" in failures
@@ -342,8 +342,8 @@ def test_the_engines_suite_checks_the_step_of_every_range(capsys, monkeypatch):
 def test_the_engines_suite_checks_the_text_of_every_range(capsys, monkeypatch):
     # a text range converts its first k+1 values to Decimal; a wrong
     # conversion shows in the text alone
-    real = sequence._decimals
-    monkeypatch.setattr(sequence, "_decimals", lambda ints: real(n + 1 for n in ints))
+    real = engines._decimals
+    monkeypatch.setattr(engines, "_decimals", lambda ints: real(n + 1 for n in ints))
     failures = _engines_failures(capsys)
     assert "  - value dunkel-term text mismatch at k=1 n=0..12" in failures
     assert not [line for line in failures if "range mismatch" in line]
@@ -548,6 +548,38 @@ def test_python_dash_m_runs_the_cli():
         env=_with_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert (result.returncode, result.stdout) == (0, "5\n")
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("eval", "--k", "2", "--n", "0..20000"), 1),
+        (("sum", "--k", "2", "--n", "0..20000", "--format", "csv"), 1),
+        (("tilings", "--k", "2", "--n", "20"), 1),
+        # all of it still buffered when the command returns
+        (("eval", "--k", "2", "--n", "4"), 0),
+    ],
+    ids=lambda v: " ".join(v) if type(v) is tuple else f"read {v}",
+)
+def test_a_closed_stdout_exits_141_quietly(argv, lines):
+    # a reader that stops early, as `| head -n 1` does: 128 + SIGPIPE, and
+    # no traceback, where 1 would read as a failed verify suite.  stdout is
+    # block-buffered, as it is into a pipe unless PYTHONUNBUFFERED is set
+    env = _with_src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kbonacci", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        assert (code, proc.stderr.read()) == (141, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 # Modules that `eval` never runs, so a fresh process that runs it must not
@@ -1141,6 +1173,64 @@ def test_usage_error_exits_2(capsys):
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, ""), argv
         assert message in err, argv
+
+
+# Tokens of the error contract's fuzz: numbers legal and not, ranges of
+# them, and each choice with one invalid name; small legal tokens are drawn
+# half the time, so that some commands run.  No legal draw runs long: an
+# index is at most 25, and the one legal huge value, k = sys.maxsize,
+# keeps every index below k, where the values are powers of two.  --reps
+# stays small, since nothing bounds the work of a legal huge count.
+_SMALL_NUMBERS = st.sampled_from(["1", "25", "0", "-1"])
+_FUZZ_NUMBERS = _SMALL_NUMBERS | st.sampled_from(
+    ["0", "1", "-1", "25", str(10**30), str(-(10**30)), str(sys.maxsize), str(sys.maxsize + 1)]
+    + ["1.5", "True", "", "0x10", " 5", "\u0663"]
+)
+_FUZZ_RANGES = st.one_of(
+    _FUZZ_NUMBERS,
+    st.builds("{}..{}".format, _FUZZ_NUMBERS, _FUZZ_NUMBERS),
+    st.sampled_from(["..", "5..2", "0..3..4"]),
+)
+_FUZZ_NAMES = st.sampled_from([*engines.VALUE_NAMES, *engines.SUM_NAMES, "warp"])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    sub = draw(st.sampled_from(["eval", "sum", "bench"]))
+    names = st.sampled_from(engines.SUM_NAMES if sub == "sum" else engines.VALUE_NAMES) | _FUZZ_NAMES
+    options = {"--k": _FUZZ_NUMBERS, "--n": _FUZZ_RANGES, "--format": st.sampled_from([*FORMATS, "xml"])}
+    if sub == "bench":  # its --n is one index
+        options["--n"] = _FUZZ_NUMBERS
+        options["--engines"] = st.lists(names, max_size=3).map(",".join) | st.just(",")
+        options["--reps"] = st.sampled_from(["0", "1", "2", "-1", "1.5", ""])
+    else:
+        options["--engine"] = names
+    argv = [sub]
+    for option in draw(st.permutations(list(options))):
+        # the required --k and --n nearly always; Hypothesis leans to 0
+        if draw(st.integers(0, 7)) < (7 if option in ("--k", "--n") else 4):
+            argv += [option, draw(options[option])]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_fuzz_argv())
+def test_eval_sum_and_bench_exit_0_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    # any other exception, a traceback, fails the test
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert out and err == "", argv
+    else:
+        lines = err.splitlines()
+        assert (code, out) == (2, ""), argv
+        assert re.match(r"(kbonacci( \w+)?: )?error: \S", lines[-1]), (argv, err)
+        assert sum("error:" in line for line in lines) == 1, (argv, err)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")

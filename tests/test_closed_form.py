@@ -16,7 +16,7 @@ from kbonacci import (
     term_breakdown,
 )
 from kbonacci import closed_form
-from kbonacci.engines import _VALUE_DISPATCH, stream_sum_texts, stream_sums, stream_value_texts, stream_values
+from kbonacci.engines import _VALUE_DISPATCH, stream_sums, stream_values
 from kbonacci.sequence import sums_from, values_from
 
 from oracles import pascal_rows
@@ -294,8 +294,8 @@ def test_range_memory_does_not_grow_with_its_length():
     assert peak < 512 * 1024
 
 
-@pytest.mark.parametrize("texts, engine", [(stream_sum_texts, "dunkel"), (stream_value_texts, "dunkel-term")])
-def test_the_first_record_comes_before_the_block(monkeypatch, texts, engine):
+@pytest.mark.parametrize("stream, engine", [(stream_sums, "dunkel"), (stream_values, "dunkel-term")])
+def test_the_first_record_comes_before_the_block(monkeypatch, stream, engine):
     # the first index is folded alone, so a range's first record does not
     # wait for the block of the next k indices
     calls = []
@@ -306,7 +306,7 @@ def test_the_first_record_comes_before_the_block(monkeypatch, texts, engine):
         return real(k, block)
 
     monkeypatch.setattr(closed_form, "_block_folds", spy)
-    records = texts(3, 6000, 6056, engine)
+    records = stream(3, 6000, 6056, engine, text=True)
     next(records)
     assert calls == []
     next(records)

@@ -2,7 +2,9 @@ import inspect
 import io
 import sys
 from contextlib import redirect_stdout
+from decimal import Decimal
 from functools import partial
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -20,20 +22,21 @@ from kbonacci import (
     oversized_members,
     partial_sum_dunkel_extended,
 )
-from kbonacci import matrix_power, sequence
+from kbonacci import matrix_power
 from kbonacci.cli import main
 from kbonacci.engines import (
     _SUM_DISPATCH,
     _VALUE_DISPATCH,
     SUM_NAMES,
     VALUE_NAMES,
-    stream_sum_texts,
+    _continued,
     stream_sums,
-    stream_value_texts,
     stream_values,
 )
-from kbonacci.render import _decimals, _texts
+from kbonacci.render import _decimals, _texts, exact
 from kbonacci.sequence import sums_from, values_from
+
+from oracles import naive_prefix
 
 
 def test_value_engines_agree():
@@ -187,11 +190,8 @@ def test_range_generators_reject_a_negative_start(stream):
         next(stream(2, -1, 3))
 
 
-# (text range, int range, engine names) of each quantity
-QUANTITIES = [
-    (stream_value_texts, stream_values, VALUE_NAMES),
-    (stream_sum_texts, stream_sums, SUM_NAMES),
-]
+# (range, engine names) of each quantity
+QUANTITIES = [(stream_values, VALUE_NAMES), (stream_sums, SUM_NAMES)]
 
 
 # None keeps the real switch; a lower one sends the residue through Decimal
@@ -218,40 +218,42 @@ def test_text_ranges_print_the_int_ranges(switch, k_count, start):
     k, count = k_count
     bits = matrix_power._DECIMAL_BITS if switch is None else switch
     with mock.patch.object(matrix_power, "_DECIMAL_BITS", bits):
-        for texts, ints, names in QUANTITIES:
+        for stream, names in QUANTITIES:
             # only value engines read n < 0, as f(n) = 0
-            first = start if ints is stream_values else max(start, 0)
+            first = start if stream is stream_values else max(start, 0)
             for engine in names:
-                expected = list(_texts(_decimals(ints(k, first, first + count, engine))))
-                assert list(texts(k, first, first + count, engine)) == expected, (engine, k, first, count)
+                expected = list(_texts(_decimals(stream(k, first, first + count, engine))))
+                texts = stream(k, first, first + count, engine, text=True)
+                assert list(texts) == expected, (engine, k, first, count)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
 @pytest.mark.parametrize("start", [0, 1, 40, 300])
 def test_a_text_range_converts_each_head_value_once(conversions, k, start):
-    for texts, ints, names in QUANTITIES:
+    for stream, names in QUANTITIES:
         for engine in names:
             for count in (1, 2, k, k + 1, k + 2, 3 * k + 2):
                 conversions.clear()
-                expected = list(ints(k, start, start + count, engine))
+                expected = list(stream(k, start, start + count, engine))
                 assert conversions == [], (engine, k, start, count)
                 # the first min(count, k+1) values, once each, whether or
                 # not the range steps past them, and in Decimal from there
-                assert list(texts(k, start, start + count, engine)) == list(map(str, expected))
+                texts = stream(k, start, start + count, engine, text=True)
+                assert list(texts) == list(map(str, expected))
                 assert conversions == expected[: k + 1], (engine, k, start, count)
 
 
 @pytest.mark.parametrize(
-    "texts, k, start, count, engine",
+    "stream, k, start, count, engine",
     [
-        (stream_sum_texts, 3, 6000, 56, "dunkel"),
-        (stream_sum_texts, 5, 6000, 48, "matrix"),
-        (stream_value_texts, 2, 5000, 40, "recurrence"),
+        (stream_sums, 3, 6000, 56, "dunkel"),
+        (stream_sums, 5, 6000, 48, "matrix"),
+        (stream_values, 2, 5000, 40, "recurrence"),
     ],
 )
-def test_a_stepping_range_converts_k_plus_1_values(conversions, texts, k, start, count, engine):
+def test_a_stepping_range_converts_k_plus_1_values(conversions, stream, k, start, count, engine):
     # its first value once, not a second time when the range steps
-    list(texts(k, start, start + count, engine))
+    list(stream(k, start, start + count, engine, text=True))
     assert len(conversions) == k + 1
 
 
@@ -259,11 +261,11 @@ def test_a_head_value_already_in_decimal_is_not_converted(conversions, monkeypat
     # past the switch the residue's k coefficients are converted once, and
     # the head's values, finished in Decimal, not at all
     monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 8)
-    for texts, ints, _ in QUANTITIES:
+    for stream, _ in QUANTITIES:
         conversions.clear()
-        assert list(texts(3, 300, 340, "matrix")) == list(map(str, ints(3, 300, 340, "matrix")))
+        assert list(stream(3, 300, 340, "matrix", text=True)) == list(map(str, stream(3, 300, 340, "matrix")))
         assert len(conversions) == 3
-        assert not set(conversions) & set(ints(3, 300, 304, "matrix"))
+        assert not set(conversions) & set(stream(3, 300, 304, "matrix"))
 
 
 @pytest.mark.parametrize(
@@ -284,3 +286,79 @@ def test_a_single_index_converts_its_value_once(conversions, argv):
     printed = [line.rpartition("value=")[2] for line in stdout.getvalue().splitlines()]
     calls = int(argv[-1]) if argv[0] == "bench" else 1
     assert list(map(str, conversions)) == [text for text in printed for _ in range(calls)]
+
+
+class _Head:
+    """An engine's head that counts the terms pulled from it."""
+
+    def __init__(self, terms):
+        self.terms = iter(terms)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        term = next(self.terms)
+        self.pulled += 1
+        return term
+
+
+def _oracle(k, total, sums):
+    terms = naive_prefix(k, total)
+    return list(accumulate(terms)) if sums else terms
+
+
+@pytest.mark.parametrize("text", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_continued_pulls_at_most_k_plus_1_head_terms(k, text):
+    for count in range(3 * k + 3):
+        head = _Head(naive_prefix(k, 4 * k + 4))
+        with exact():
+            assert len(list(_continued(_decimals(head) if text else head, k, count))) == count
+        assert head.pulled == min(count, k + 1), (k, count)
+
+
+def test_continued_pulls_nothing_for_no_terms():
+    head = _Head([1, 1, 2])
+    assert list(_continued(_decimals(head), 2, 0)) == []
+    assert head.pulled == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_continued_converts_each_head_term_once(conversions, k):
+    for count in range(1, 3 * k + 3):
+        conversions.clear()
+        with exact():
+            out = list(_continued(_decimals(iter(naive_prefix(k, 4 * k))), k, count))
+        # the head's first min(count, k+1) terms, whether or not the range
+        # steps past them, and every term printed from Decimal
+        assert conversions == naive_prefix(k, min(count, k + 1) - 1), (k, count)
+        assert all(type(t) is Decimal for t in out)
+        assert out == naive_prefix(k, count - 1)
+        conversions.clear()
+        assert list(_continued(iter(naive_prefix(k, 4 * k)), k, count)) == naive_prefix(k, count - 1)
+        assert conversions == [], (k, count)
+
+
+def test_continued_leaves_a_decimal_head_as_it_is(conversions):
+    k, count = 3, 12
+    with exact():
+        out = list(_continued(_decimals(map(Decimal, naive_prefix(k, k))), k, count))
+    assert conversions == []
+    assert all(type(t) is Decimal for t in out)
+    assert out == naive_prefix(k, count - 1)
+
+
+@pytest.mark.parametrize("sums", [False, True])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_continued_matches_the_oracle(k, sums):
+    # S steps from n = 0 and f from n = 1, so every start >= 0 holds
+    for start in (0, 1, k - 1, k, k + 1, 2 * k + 3):
+        for count in range(3 * k + 3):
+            expected = _oracle(k, start + count - 1, sums)[start:]
+            head = iter(_oracle(k, start + k, sums)[start:])
+            assert list(_continued(head, k, count)) == expected, (k, start, count)
+            head = iter(_oracle(k, start + k, sums)[start:])
+            with exact():
+                assert list(_continued(_decimals(head), k, count)) == expected, (k, start, count)

@@ -1,14 +1,13 @@
-from decimal import Decimal
+import ast
 from functools import partial
-from itertools import accumulate, islice
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbonacci import compute_sum, compute_value, kbonacci_prefix, values
-from kbonacci.render import exact
-from kbonacci.sequence import _continued
+from kbonacci import compute_sum, compute_value, kbonacci_prefix, sequence, values
 
 from oracles import naive_partial_sum, naive_prefix, naive_value
 
@@ -116,77 +115,15 @@ def test_random_cells_match_naive(k, n):
     assert recurrence(k, n) == naive_value(k, n)
 
 
-class _Head:
-    """An engine's head that counts the terms pulled from it."""
-
-    def __init__(self, terms):
-        self.terms = iter(terms)
-        self.pulled = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        term = next(self.terms)
-        self.pulled += 1
-        return term
-
-
-def _oracle(k, total, sums):
-    terms = naive_prefix(k, total)
-    return list(accumulate(terms)) if sums else terms
-
-
-@pytest.mark.parametrize("text", [False, True])
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_continued_pulls_at_most_k_plus_1_head_terms(k, text):
-    for count in range(3 * k + 3):
-        head = _Head(naive_prefix(k, 4 * k + 4))
-        with exact():
-            assert len(list(_continued(head, k, count, text))) == count
-        assert head.pulled == min(count, k + 1), (k, count)
-
-
-def test_continued_pulls_nothing_for_no_terms():
-    head = _Head([1, 1, 2])
-    assert list(_continued(head, 2, 0, True)) == []
-    assert head.pulled == 0
-
-
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_continued_converts_each_head_term_once(conversions, k):
-    for count in range(1, 3 * k + 3):
-        conversions.clear()
-        with exact():
-            out = list(_continued(iter(naive_prefix(k, 4 * k)), k, count, True))
-        # the head's first min(count, k+1) terms, whether or not the range
-        # steps past them, and every term printed from Decimal
-        assert conversions == naive_prefix(k, min(count, k + 1) - 1), (k, count)
-        assert all(type(t) is Decimal for t in out)
-        assert out == naive_prefix(k, count - 1)
-        conversions.clear()
-        assert list(_continued(iter(naive_prefix(k, 4 * k)), k, count)) == naive_prefix(k, count - 1)
-        assert conversions == [], (k, count)
-
-
-def test_continued_leaves_a_decimal_head_as_it_is(conversions):
-    k, count = 3, 12
-    with exact():
-        out = list(_continued(map(Decimal, naive_prefix(k, k)), k, count, True))
-    assert conversions == []
-    assert all(type(t) is Decimal for t in out)
-    assert out == naive_prefix(k, count - 1)
-
-
-@pytest.mark.parametrize("sums", [False, True])
-@pytest.mark.parametrize("k", range(1, 7))
-def test_continued_matches_the_oracle(k, sums):
-    # S steps from n = 0 and f from n = 1, so every start >= 0 holds
-    for start in (0, 1, k - 1, k, k + 1, 2 * k + 3):
-        for count in range(3 * k + 3):
-            expected = _oracle(k, start + count - 1, sums)[start:]
-            head = iter(_oracle(k, start + k, sums)[start:])
-            assert list(_continued(head, k, count)) == expected, (k, start, count)
-            head = iter(_oracle(k, start + k, sums)[start:])
-            with exact():
-                assert list(_continued(head, k, count, True)) == expected, (k, start, count)
+def test_the_baseline_imports_nothing_from_the_package():
+    # the engines are checked against this module, so it must share no
+    # code with them, the range tail above all
+    tree = ast.parse(Path(sequence.__file__).read_text(encoding="utf-8"))
+    imported = [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ] + [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert imported and not [
+        name for name in imported if name.startswith(".") or name.partition(".")[0] == "kbonacci"
+    ], imported
