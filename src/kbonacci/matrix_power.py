@@ -17,17 +17,18 @@ where Q = x - 1 leaves r = 1 for every n, so f(n) = 1 there and neither
 quantity powers.
 
 The residue is reached by binary powering: O(log n) squarings of k
-big-integer coefficients.  The squaring of x^e's residue takes k(k+1)/2
-multiplications while e < _TOOM_EXPONENT, and from there on 2k - 1
-squarings by evaluation and interpolation (Toom-Cook; Brent & Zimmermann,
-Modern Computer Arithmetic, section 1.3.3; Knuth, TAOCP vol. 2, section
-4.3.3): the square's values at x = 0, 1, ..., 2k - 2, each the square of
-r(x), and their forward differences give its Newton form, multiplied out
-by small multiples; a squaring also costs about 0.7 of a product.  The
-square is reduced by the sparse rule x^e = 2x^(e-1) - x^(e-k-1) of
-P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), valid modulo its factor Q, down
-to degree k, and then once by x^k = 1 + x + ... + x^(k-1): shifts and
-additions only.
+big-integer coefficients, whose routines `_schedule` names.  The squaring
+of x^e's residue takes k(k+1)/2 multiplications while e < _TOOM_EXPONENT,
+and from there on 2k - 1 squarings by evaluation and interpolation
+(Toom-Cook; Brent & Zimmermann, Modern Computer Arithmetic, section 1.3.3;
+Knuth, TAOCP vol. 2, section 4.3.3): the square's values at x = 0, 1, ...,
+2k - 2, each the square of r(x), and their forward differences give its
+Newton form, multiplied out by small multiples; a squaring also costs
+about 0.7 of a product.  At k = 2 it is always 2 squarings, by Cassini's
+identity (`_cassini_square`).  The square is reduced by the sparse rule
+x^e = 2x^(e-1) - x^(e-k-1) of P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x),
+valid modulo its factor Q, down to degree k, and then once by
+x^k = 1 + x + ... + x^(k-1): shifts and additions only.
 
 A range of indices pays for one powering, and its indices below k none:
 there r = x^n, so f(n) = 2^(n-1), f(0) = 1 and S(n) = 2^n, and the
@@ -45,7 +46,12 @@ in the residue, so with m = n // 2, b = n % 2 and s the residue of x^m,
 x^n = s x^(m+b) gives N(n) = s[0] N(m+b) + ... + s[k-1] N(m+b+k-1) for
 either numerator N.  Those k values are read off b + k - 1 steps from s,
 as above, and k multiplications replace the last and widest squaring's
-k(k+1)/2, about two thirds of the powering under Karatsuba.  A range keeps
+k(k+1)/2, about two thirds of the powering under Karatsuba.  N(x^b s^2)
+is also a quadratic form in s, whose Gram matrix holds the numerators at
+indices below 2k (Fiduccia, SIAM J. Comput. 14, 1985): diagonalised by
+congruence, D N = c_1 (a_1 . s)^2 + ... + c_k (a_k . s)^2 with small
+ints c_t, a_t and D (`_form`), so k squarings replace the k products where
+they pay, past a gate on k and m (_FORM_K, _FORM_EXPONENT).  A range keeps
 the full powering, since it would need the k multiplications at each of
 its indices.
 
@@ -55,22 +61,24 @@ k+1 indices at most; an `OpCount` passed to it tallies the
 multiplications.  Without text it yields ints.  With text, for the CLI's
 decimal output, it squares in ints while the coefficients are narrow,
 converts them once past _DECIMAL_BITS, then finishes the squarings, the
-reduction, the fold at 2, a single index's inner product, the exact
+reduction, the fold at 2, a single index's finish, the exact
 division and the steps of the range's first k+1 indices in Decimal under
 `render.exact()`, whose products are subquadratic from a few ten thousand
 bits on (libmpdec's number-theoretic transform against CPython's
 Karatsuba; Brent & Zimmermann, Modern Computer Arithmetic, sections 1.3
 and 2.3), so the result needs no binary to decimal conversion at all
-(see `render`).  Both squarings, written with + rather than << 1 and
-with _divide for exact division, and one step serve both coefficient
-types.
+(see `render`).  Every squaring and finish, written with + rather than
+<< 1 and with _divide for exact division, and one step serve both
+coefficient types.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from decimal import Decimal, Inexact
-from itertools import islice, repeat, starmap
+from functools import partial
+from itertools import chain, islice, repeat, starmap
+from math import gcd, lcm
 from operator import mul
 
 from .render import _decimals
@@ -100,18 +108,37 @@ _DECIMAL_BITS = 8192
 # (CPython 3.11.7, 2-vCPU VM, with _DECIMAL_BITS at 16384).
 _TOOM_EXPONENT = 2048
 
+# The gate of _by_halves: a single index n is finished by the k squarings of
+# _form where k <= _FORM_K and m = n // 2 >= _FORM_EXPONENT, and by k
+# products below.  One index, form against products (Cassini's squaring at
+# k = 2 in both), in-process, best of 5-7 in interleaved rounds: on ints
+# 1.03-1.04 at m = 8192, 0.92-0.98 at 12288 and 0.76-0.90 from 24576 on.
+# On the text path 0.96-0.98 at m = 12288-16384, whose half residue is
+# still in ints, but 1.01-1.03 at 24576-32768 for k = 2..8 and to 40960 at
+# k = 2, where the finish runs in Decimal at 17k-28k bits and libmpdec's
+# square costs what its product does; 0.81-0.93 from 49152 on at every k
+# from 2 to 8.  At m = 40960-65536 the form still paid up to k = 16, but
+# the build grows as k^3 (170 us at k = 8, 283 us at 10 and 426 us at 12),
+# and k <= 8 keeps every wider window on the products (CPython 3.11.7,
+# libmpdec 2.5.1, 2-vCPU VM).
+_FORM_K = 8
+_FORM_EXPONENT = 49152
+
 
 class OpCount:
     """Tally of big-integer multiplications performed, for benchmarking.
 
     matrix_products counts squarings of the residue modulo
     x^k - x^(k-1) - ... - 1 (the field keeps its name for the code that
-    reads it); scalar_mults counts the coefficient multiplications inside
-    them: k(k+1)/2 per squaring by _square, 2k - 1 per squaring by
-    _toom_square, and the k of the inner product that finishes a single
-    index one squaring short (_by_halves).  Shifts, additions, exact
-    divisions by small ints and the small multiples of a step or of
-    _toom_square's evaluation and interpolation are not counted.
+    reads it); scalar_mults counts the big multiplications and squarings
+    inside them, as `_schedule` names them: k(k+1)/2 per squaring by
+    _square, 2k - 1 per squaring by _toom_square and 2 per squaring by
+    _cassini_square at k = 2; and the k that finish a single index one
+    squaring short (_by_halves), the products of its inner product or the
+    squarings of its quadratic form.  Shifts, additions, exact divisions by
+    small ints and the small multiples of a step, of _toom_square's
+    evaluation and interpolation, of Cassini's rule or of the form are not
+    counted.
 
     Two tallies are equal when both counts are.
     """
@@ -146,19 +173,32 @@ def _squarings(k: int, n: int) -> int:
     return shift
 
 
+def _schedule(k: int, n: int) -> Iterator[tuple]:
+    """(e, square, mults) for each squaring of the powering to x^n, in
+    order: e = n >> j at the j-th last, reached from the residue r of
+    x^(e // 2) as square(r), a polynomial congruent to r^2 modulo Q, times
+    x if e is odd, by mults multiplications.  At k = 2 that is always
+    _cassini_square's 2; otherwise _square's k(k+1)/2 while
+    e // 2 < _TOOM_EXPONENT and _toom_square's 2k - 1 from there on."""
+    for j in range(_squarings(k, n) - 1, -1, -1):
+        e = n >> j
+        if k == 2:
+            yield e, partial(_cassini_square, odd=e >> 1 & 1), 2
+        elif e >> 1 >= _TOOM_EXPONENT:
+            yield e, _toom_square, 2 * k - 1
+        else:
+            yield e, _square, k * (k + 1) // 2
+
+
 def matrix_cost(k: int, n: int) -> int:
     """The multiplications f(n) or S(n) alone takes: none at k = 1, where
     the values and sums do not power, nor where the powering to x^n does
-    not square; otherwise, over the powering to x^m, m = n // 2, k(k+1)/2
-    per squaring by _square and 2k - 1 per squaring by _toom_square, and k
-    for the inner product of _by_halves.  The j-th last squaring of that
-    powering squares the residue of x^(m >> j)."""
+    not square; otherwise those of _schedule's squarings to x^(n // 2), and
+    k for the finish of _by_halves: the k products of its inner product, or
+    past _FORM_K and _FORM_EXPONENT's gate the k squarings of _form."""
     if k == 1 or not _squarings(k, n):
         return 0
-    m = n >> 1
-    squarings = _squarings(k, m)
-    toom = sum(m >> j >= _TOOM_EXPONENT for j in range(1, squarings + 1))
-    return (squarings - toom) * (k * (k + 1) // 2) + toom * (2 * k - 1) + k
+    return sum(mults for _, _, mults in _schedule(k, n >> 1)) + k
 
 
 def _square(r: list) -> list:
@@ -210,39 +250,49 @@ def _toom_square(r: list) -> list:
     return p
 
 
+def _cassini_square(r: list, odd: bool) -> list:
+    """The residue of x^(2e) at k = 2 from that of x^e, r = a + bx, for
+    e >= 1, odd or not, by 2 squarings.  x^e = F(e-1) + F(e) x with F the
+    Fibonacci numbers, so Cassini's identity reads a^2 + ab - b^2 = (-1)^e,
+    and r^2 = a^2 + b^2 + (2ab + b^2) x modulo x^2 - x - 1 is
+    (a^2 + b^2) + (3b^2 - 2a^2 + 2(-1)^e) x: the doubling of GMP's
+    mpz_fib_ui."""
+    a, b = r
+    aa, bb = a * a, b * b
+    return [aa + bb, bb + bb + bb - aa - aa + (-2 if odd else 2)]
+
+
 def _residue(k: int, n: int, ops: OpCount | None, text: bool = False) -> list:
     """Coefficients r[0..k-1] of x^n mod x^k - x^(k-1) - ... - 1, as ints.
 
-    The square of the residue of x^e is taken by _square while
-    e < _TOOM_EXPONENT and by _toom_square from there on.  With text, the
-    coefficients are converted to Decimals once before the first squaring
-    of coefficients wider than _DECIMAL_BITS, which then runs, like every
-    later one, in Decimal; the caller runs it under exact().  Both squarings
-    and the reduction use only +, -, * and exact division, so they serve
-    both types.
+    The squarings are _schedule's.  With text, the coefficients are
+    converted to Decimals once before the first squaring of coefficients
+    wider than _DECIMAL_BITS, which then runs, like every later one, in
+    Decimal; the caller runs it under exact().  Every squaring and the
+    reduction use only +, -, * and exact division, so they serve both
+    types.
     """
     _check_k(k)
     _check_n(n)
-    shift = _squarings(k, n)
     r = [0] * (k + 1)
-    r[n >> shift] = 1
+    r[n >> _squarings(k, n)] = 1
     r = _reduced(r)
-    for bit in range(shift - 1, -1, -1):
+    for e, square, mults in _schedule(k, n):
         if text and max(c.bit_length() for c in r) > _DECIMAL_BITS:
             r, text = list(_decimals(r)), False
-        toom = n >> (bit + 1) >= _TOOM_EXPONENT
-        square = _toom_square(r) if toom else _square(r)
-        # times x or not, 2k coefficients: one of degree >= k even at k = 1
-        square = [0, *square] if n >> bit & 1 else [*square, 0]
+        r = square(r)
+        if e & 1:
+            r = [0, *r]
         # P's rule, valid modulo its factor Q, down to degree k
-        for e in range(2 * k - 1, k, -1):
-            top = square[e]
-            square[e - 1] += top + top
-            square[e - k - 1] -= top
-        r = _reduced(square[: k + 1])
+        for i in range(len(r) - 1, k, -1):
+            top = r[i]
+            r[i - 1] += top + top
+            r[i - k - 1] -= top
+        if len(r) > k:
+            r = _reduced(r[: k + 1])
         if ops is not None:
             ops.matrix_products += 1
-            ops.scalar_mults += 2 * k - 1 if toom else k * (k + 1) // 2
+            ops.scalar_mults += mults
     return r
 
 
@@ -267,25 +317,92 @@ def _steps(k: int, r: list) -> Iterator[tuple]:
         yield at_two, at_one, r[0]
 
 
-def _by_halves(k: int, n: int, ops: OpCount | None, text: bool, numerator) -> int | Decimal:
-    """numerator(r(2), r(1), r(0)) at the residue r of x^n, from the
-    residue s of x^m, m = n // 2, one squaring short of r.
+def _gram(k: int, b: int, numerator) -> list:
+    """The k x k Gram matrix G[i][j] = N(x^(b+i+j)) of the quadratic form
+    N(x^b s^2) = s^T G s in the residue s, N(r) = numerator(r(2), r(1),
+    r(0)): a Hankel matrix of the numerators at indices below 2k, read off
+    the steps from the residue 1."""
+    values = [numerator(*v) for v in islice(_steps(k, [1, *repeat(0, k - 1)]), b, b + 2 * k - 1)]
+    return [values[i : i + k] for i in range(k)]
+
+
+def _form(gram: list) -> tuple[int, list]:
+    """D > 0 and the terms (c, a) of D s^T G s = sum of c (a . s)^2 for the
+    symmetric int matrix G = gram and every vector s: G diagonalised by
+    congruence, one term per unit of its rank, in small ints.
+
+    Symmetric elimination (Lagrange) keeps G = the sum of q (a a^T) over the
+    terms so far, q = c / D, plus B / d, B an int matrix: the first nonzero
+    diagonal entry p = B[t][t], with row u = B[t], gives the term u / (dp)
+    and leaves (pB - u u^T) / (dp); if every diagonal entry is 0, an entry
+    p = B[t][j] != 0 with rows u and v gives
+    2 (u . s)(v . s) / (dp) = ((u + v) . s)^2 / (2dp) - ((u - v) . s)^2 / (2dp)
+    and leaves (pB - u v^T - v u^T) / (dp).  Each step zeroes row t (and j)
+    of B, and B and d are divided by their common factor.  In order, plain
+    LDL^T would meet a zero pivot from k = 3 on, since _gram's entries below
+    index k are powers of two, a block of rank 1; the diagonal is all 0 for
+    S at even n from k = 6 on, where the pair split runs.
+    """
+    k = len(gram)
+    d, found = 1, []  # found: (sign, den, row), each a term (sign / den) (row . s)^2
+    while any(map(any, gram)):
+        t = next((t for t in range(k) if gram[t][t]), None)
+        if t is not None:
+            p, u = gram[t][t], gram[t]
+            found.append((1, d * p, u))
+            gram = [[p * x - ui * uj for x, uj in zip(row, u)] for row, ui in zip(gram, u)]
+        else:
+            t, j = next((t, j) for t in range(k) for j in range(t + 1, k) if gram[t][j])
+            p, u, v = gram[t][j], gram[t], gram[j]
+            found.append((1, 2 * d * p, [x + y for x, y in zip(u, v)]))
+            found.append((-1, 2 * d * p, [x - y for x, y in zip(u, v)]))
+            gram = [
+                [p * x - ui * vj - vi * uj for x, uj, vj in zip(row, u, v)] for row, ui, vi in zip(gram, u, v)
+            ]
+        d *= p
+        common = gcd(d, *chain.from_iterable(gram))
+        gram, d = [[x // common for x in row] for row in gram], d // common
+    # each term's q = sign g^2 / den, with a = row / g primitive; den may be
+    # negative, and D = lcm(|den|) > 0 still gives c = q D
+    terms = []
+    for sign, den, row in found:
+        g = gcd(*row)
+        num = sign * g * g
+        common = gcd(num, den)
+        terms.append((num // common, den // common, [x // g for x in row]))
+    scale = lcm(*(den for _, den, _ in terms))
+    return scale, [(num * (scale // den), a) for num, den, a in terms]
+
+
+def _by_halves(k: int, n: int, ops: OpCount | None, text: bool, numerator) -> tuple:
+    """(T, D) with T = D numerator(r(2), r(1), r(0)) at the residue r of
+    x^n, from the residue s of x^m, m = n // 2, one squaring short of r.
 
     The numerator is linear in r, so with b = n % 2 and x^n = s x^(m+b), its
     value at x^n is the sum of s[i] times its value at x^(m+b+i), i < k, and
-    the next b + k - 1 steps from s give those.  text is _residue's.
+    the next b + k - 1 steps from s give those: k products, and D = 1.
+    Past the gate of _FORM_K and _FORM_EXPONENT it is _form's k squarings
+    instead, each of a combination of s with small multipliers.  text is
+    _residue's.
     """
     half = _residue(k, n >> 1, ops, text)
-    window = starmap(numerator, islice(_steps(k, half), n & 1, None))
-    total = sum(map(mul, half, window))
     if ops is not None:
         ops.scalar_mults += k
-    return total
+    if k <= _FORM_K and n >> 1 >= _FORM_EXPONENT:
+        scale, terms = _form(_gram(k, n & 1, numerator))
+        total = 0
+        for c, a in terms:
+            v = sum(x * y for x, y in zip(a, half) if x)
+            total += c * (v * v)
+        return total, scale
+    window = starmap(numerator, islice(_steps(k, half), n & 1, None))
+    return sum(map(mul, half, window)), 1
 
 
 def _divide(x: int | Decimal, d: int) -> int | Decimal:
     """x / d for an int d > 0 that divides x and is narrow beside it: 2,
-    k - 1, or j! <= (2k - 2)! in _toom_square.
+    k - 1, j! <= (2k - 2)! in _toom_square, or the finish's divisor times
+    the D of _form.
 
     An int is shifted (d = 2) or floor-divided.  A Decimal is divided under
     exact() and raises decimal.Inexact if d does not divide it.  Plain x / d
@@ -309,7 +426,8 @@ def _head(k: int, start: int, count: int, text: bool, sums: bool, ops: OpCount |
     r = x^n, so r(2) = 2^n, r(1) = 1 and r(0) = 1 at n = 0 alone, and the
     residue is built from k on at the earliest; at k = 1, where Q = x - 1,
     f(n) = 1 and S(n) = n + 1.  A range of one index whose powering
-    squares is taken _by_halves.  text is _residue's.
+    squares is taken _by_halves, whose total T = D N(r) is divided as
+    (T - Dc) / (Dd).  text is _residue's.
     """
     if k == 1:
         yield from range(start + 1, start + count + 1) if sums else repeat(1, count)
@@ -319,7 +437,8 @@ def _head(k: int, start: int, count: int, text: bool, sums: bool, ops: OpCount |
     else:
         numerator, offset, divisor = (lambda at_two, _, at_zero: at_two + at_zero), 0, 2
     if count == 1 and _squarings(k, start):
-        yield _divide(_by_halves(k, start, ops, text, numerator) - offset, divisor)
+        total, scale = _by_halves(k, start, ops, text, numerator)
+        yield _divide(total - offset * scale, divisor * scale)
         return
     for n in range(start, k):
         yield _divide(numerator(1 << n, 1, n == 0) - offset, divisor)

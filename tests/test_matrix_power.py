@@ -2,8 +2,10 @@ import decimal
 import random
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -12,7 +14,17 @@ from hypothesis import strategies as st
 
 from kbonacci import OpCount, compute_sum, compute_value, kbonacci_prefix
 from kbonacci import engines, matrix_power
-from kbonacci.matrix_power import _divide, _head, _residue, _square, _toom_square, matrix_cost
+from kbonacci.matrix_power import (
+    _cassini_square,
+    _divide,
+    _form,
+    _gram,
+    _head,
+    _residue,
+    _square,
+    _toom_square,
+    matrix_cost,
+)
 from kbonacci.render import _decimals, _texts, exact
 
 matrix_value = partial(compute_value, engine="matrix")
@@ -78,9 +90,9 @@ def test_op_counting_is_logarithmic():
     ops = OpCount()
     next(values_head(2, 100_000, 1, False, ops=ops))
     assert ops.matrix_products > 0
-    # ~log2(n) squarings of the 2-coefficient residue, 3 multiplications
-    # each, by the loop or, past the switch, by Toom's 2k - 1 = 3 squarings:
-    # nowhere near the 2n additions the linear engine spends
+    # ~log2(n) squarings of the 2-coefficient residue, 2 multiplications
+    # each by Cassini's identity: nowhere near the 2n additions the linear
+    # engine spends
     assert ops.scalar_mults < 1000
 
 
@@ -99,23 +111,26 @@ def test_op_count_of_a_small_cell():
     # k=2, n=10 = 2*5: a single index powers only to x^5, 0b101.  Its
     # leading bits 0b10 = 2 = k give the start x^2, whose residue modulo
     # x^2 - x - 1 is 1 + x, for free.  The one remaining bit costs one
-    # squaring of the 2-coefficient residue, 2 squares + 1 cross product =
-    # 3 multiplications, and multiplies by x: x^5.  With s its residue,
-    # f(10) = s[0] f(5) + s[1] f(6) by 2 more multiplications: 5 in all.
+    # squaring of the 2-coefficient residue a + bx: by Cassini's identity
+    # a^2 + ab - b^2 = (-1)^2, the 2 squares a^2 and b^2 give it, and it
+    # multiplies by x: x^5.  With s its residue, f(10) = s[0] f(5) +
+    # s[1] f(6) by 2 more multiplications: 4 in all (5 before Cassini's
+    # 2 replaced the loop's 2 squares + 1 cross product).
     ops = OpCount()
     assert next(values_head(2, 10, 1, False, ops=ops)) == 89
-    assert ops == OpCount(matrix_products=1, scalar_mults=5)
+    assert ops == OpCount(matrix_products=1, scalar_mults=4)
 
 
 @pytest.mark.parametrize("head", HEADS)
 def test_range_counts_only_the_jump(head):
     # a range powers to its first index in full: n=10 = 0b1010 starts at
-    # x^2 for free, and its two remaining bits cost one squaring of 3
-    # multiplications each, 6 in all; the 40 steps past n=10 shift the
-    # residue without multiplying
+    # x^2 for free, and its two remaining bits cost one squaring each, of 2
+    # squares by Cassini's identity (3 multiplications by the loop), 4 in
+    # all (6 before); the 40 steps past n=10 shift the residue without
+    # multiplying
     ops = OpCount()
     values = list(islice(head(2, 10, 41, False, ops=ops), 41))
-    assert ops == OpCount(matrix_products=2, scalar_mults=6)
+    assert ops == OpCount(matrix_products=2, scalar_mults=4)
     single = matrix_sum if head.keywords["sums"] else matrix_value
     assert values == [single(2, n) for n in range(10, 51)]
 
@@ -140,15 +155,17 @@ def test_op_count_of_a_cell_past_a_lowered_switch(monkeypatch):
 def test_a_squaring_costs_k_k_plus_1_over_2_then_2k_minus_1_multiplications(k):
     # the squaring of x^e's residue is the loop's k(k+1)/2 products while
     # e < _TOOM_EXPONENT and Toom's 2k - 1 squarings from there on (the
-    # same count at k <= 2).  The j-th last squaring of the powering to x^n
-    # squares x^(n >> j), so 2t - 1 squares below t = _TOOM_EXPONENT, 2t
-    # squares x^t last, and 4t + 3 squares x^t and then x^(2t + 1).
+    # same count at k = 1), and at k = 2 Cassini's 2 squares at every e (3
+    # by either of the others).  The j-th last squaring of the powering to
+    # x^n squares x^(n >> j), so 2t - 1 squares below t = _TOOM_EXPONENT,
+    # 2t squares x^t last, and 4t + 3 squares x^t and then x^(2t + 1).
     t = matrix_power._TOOM_EXPONENT
+    loop, toom = (2, 2) if k == 2 else (k * (k + 1) // 2, 2 * k - 1)
     for n, past in [(k + 1, 0), (100, 0), (1000, 0), (2 * t - 1, 0), (2 * t, 1), (4 * t + 3, 2)]:
         ops = OpCount()
         _residue(k, n, ops)  # the values and sums at k = 1 do not power
         assert ops.matrix_products > past
-        assert ops.scalar_mults == (ops.matrix_products - past) * k * (k + 1) // 2 + past * (2 * k - 1), n
+        assert ops.scalar_mults == (ops.matrix_products - past) * loop + past * toom, n
 
 
 def test_cost_model_is_the_measured_count():
@@ -325,6 +342,164 @@ def test_single_index_matches_the_range_path(toom, k, n, switch):
         for stream in (matrix_values, matrix_sums):
             for text in (False, True):
                 assert next(stream(k, n, n + 1, text)) == list(stream(k, n - 1, n + 1, text))[1], (stream, text)
+
+
+def _numerators(k: int) -> dict:
+    """The numerators of f and of S at k, as `_head` applies them to
+    (r(2), r(1), r(0)), each with its value at x^n: 2f(n) and
+    (k - 1) S(n) + 1."""
+    prefix = kbonacci_prefix(k, 2 * k)
+    sums = list(accumulate(prefix))
+    return {
+        "values": (lambda at_two, at_one, at_zero: at_two + at_zero, [2 * f for f in prefix]),
+        "sums": (lambda at_two, at_one, at_zero: (k - 1) * at_two + at_one, [(k - 1) * s + 1 for s in sums]),
+    }
+
+
+def _quadratic(gram: list, s: list) -> int:
+    return sum(g * x * y for row, x in zip(gram, s) for g, y in zip(row, s))
+
+
+def _diagonal(terms: list, s: list) -> int:
+    return sum(c * sum(map(mul, a, s)) ** 2 for c, a in terms)
+
+
+def _meets_a_zero_diagonal(gram: list) -> bool:
+    """Whether symmetric elimination on the first nonzero diagonal entry, in
+    Fractions, leaves a nonzero matrix whose diagonal is all 0."""
+    a = [[Fraction(x) for x in row] for row in gram]
+    while any(map(any, a)):
+        t = next((t for t in range(len(a)) if a[t][t]), None)
+        if t is None:
+            return True
+        p, u = a[t][t], a[t]
+        a = [[x - ui * uj / p for x, uj in zip(row, u)] for row, ui in zip(a, u)]
+    return False
+
+
+@pytest.mark.parametrize(
+    "gram, rank",
+    [
+        ([[5]], 1),
+        ([[0, 1], [1, 0]], 2),
+        ([[0, 0], [0, 0]], 0),
+        ([[1, 2], [2, 4]], 1),
+        ([[0, 2], [2, -7]], 2),
+        ([[0, 3, 1], [3, 0, 2], [1, 2, 0]], 3),
+    ],
+)
+def test_form_of_a_small_matrix(gram, rank):
+    # one term per unit of rank; a zero diagonal takes the pair split
+    # 2xy = ((x + y)^2 - (x - y)^2) / 2
+    scale, terms = _form(gram)
+    assert scale > 0 and len(terms) == rank
+    rng = random.Random(rank)
+    for _ in range(50):
+        s = [rng.randrange(-(10**30), 10**30) for _ in gram]
+        assert scale * _quadratic(gram, s) == _diagonal(terms, s)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_form_diagonalises_the_gram_matrix(k):
+    # G[i][j] = N(x^(b+i+j)), and D s^T G s = sum of c (a . s)^2 for every
+    # s, not only residues, in k terms: Q is irreducible, so G has rank k.
+    # For S at even n from k = 6 on, elimination meets a diagonal of zeros,
+    # which the pair split passes.
+    rng = random.Random(k)
+    for name, (numerator, at) in _numerators(k).items():
+        for b in (0, 1):
+            gram = _gram(k, b, numerator)
+            assert gram == [at[b + i : b + i + k] for i in range(k)], (name, b)
+            assert _meets_a_zero_diagonal(gram) == (name == "sums" and b == 0 and k >= 6), (name, b)
+            scale, terms = _form(gram)
+            assert scale > 0 and len(terms) == k
+            for _ in range(20):
+                s = [rng.getrandbits(rng.randrange(1, 400)) - rng.getrandbits(300) for _ in range(k)]
+                assert scale * _quadratic(gram, s) == _diagonal(terms, s)
+
+
+# The largest |a_t|, |c_t| and D of the forms at each k up to the gate's
+# bound, over f and S and both parities of n: all within 11 bits.
+FORM_SIZES = {
+    2: (5, 2, 3),
+    3: (17, 6, 5),
+    4: (49, 42, 14),
+    5: (129, 20, 9),
+    6: (321, 220, 44),
+    7: (769, 390, 130),
+    8: (1793, 420, 60),
+}
+
+
+def test_form_sizes_are_pinned():
+    assert max(FORM_SIZES) == matrix_power._FORM_K
+    for k, sizes in FORM_SIZES.items():
+        forms = [_form(_gram(k, b, numerator)) for numerator, _ in _numerators(k).values() for b in (0, 1)]
+        a = max(abs(x) for _, terms in forms for _, row in terms for x in row)
+        c = max(abs(c) for _, terms in forms for c, _ in terms)
+        assert (a, c, max(scale for scale, _ in forms)) == sizes, k
+
+
+@pytest.mark.parametrize("head", HEADS)
+@pytest.mark.parametrize("k", range(2, 9))
+def test_form_finish_is_the_products_finish(monkeypatch, head, k):
+    # the gate closed, then open at every index past k, which all finish
+    # _by_halves: the same values and counts on ints, and the same text in
+    # Decimal, converted before the first squaring, at both parities of n
+    monkeypatch.setattr(matrix_power, "_DECIMAL_BITS", 0)  # the int path ignores it
+
+    def finish(n):
+        ops = OpCount()
+        return next(head(k, n, 1, False, ops=ops)), ops, next(_texts(_decimals(head(k, n, 1, True))))
+
+    indices = range(k + 1, 160)
+    monkeypatch.setattr(matrix_power, "_FORM_K", 0)
+    products = [finish(n) for n in indices]
+    assert all(text == str(value) for value, _, text in products)
+    monkeypatch.setattr(matrix_power, "_FORM_K", k)
+    monkeypatch.setattr(matrix_power, "_FORM_EXPONENT", 0)
+    assert [finish(n) for n in indices] == products
+
+
+def _reduced_at_two(square: list) -> list:
+    """A polynomial of degree 2 reduced modulo x^2 - x - 1."""
+    return [square[0] + square[2], square[1] + square[2]]
+
+
+def test_cassini_square_is_the_loop_and_toom():
+    # every 7th e from 3 to 2999, odd and even, so (-1)^e takes both signs,
+    # and past the Toom switch at 2048; each also in Decimal.  The wrong
+    # sign is off by 4 in the coefficient of x.
+    for e in range(3, 3000, 7):
+        r = _residue(2, e, None)
+        square = _reduced_at_two(_square(r))
+        assert _reduced_at_two(_toom_square(r)) == square, e
+        assert _cassini_square(r, odd=e & 1) == square, e
+        assert _cassini_square(r, odd=not e & 1) == [square[0], square[1] + (4 if e & 1 else -4)]
+        assert _residue(2, 2 * e, None) == square
+        with exact():
+            assert _cassini_square(list(_decimals(r)), odd=e & 1) == square
+
+
+@pytest.mark.parametrize("k", [2, matrix_power._FORM_K])
+def test_values_at_the_gate_are_the_recurrences(monkeypatch, k):
+    # n = 2F - 2 and 2F - 1, F = _FORM_EXPONENT, power to x^(F - 1) and
+    # finish by products; 2F and 2F + 1 power to x^F and finish by the form,
+    # on ints and on text alike; one k past _FORM_K takes the products
+    forms = []
+    real = matrix_power._form
+    monkeypatch.setattr(matrix_power, "_form", lambda gram: forms.append(len(gram)) or real(gram))
+    start = 2 * matrix_power._FORM_EXPONENT - 2
+    for stream, oracle in [(engines.stream_values, "recurrence"), (engines.stream_sums, "direct")]:
+        forms.clear()
+        for n, value in zip(range(start, start + 4), stream(k, start, start + 4, oracle)):
+            assert next(stream(k, n, n + 1, "matrix")) == value, (oracle, n)
+            text = next(_texts(_decimals([value])))
+            assert next(stream(k, n, n + 1, "matrix", text=True)) == text, (oracle, n)
+        assert forms == [k] * 4, oracle
+        forms.clear()
+        next(stream(matrix_power._FORM_K + 1, start + 2, start + 3, "matrix"))
+        assert forms == []
 
 
 def test_halving_an_odd_decimal_raises_inexact():
