@@ -80,10 +80,10 @@ def parse_range(text: str) -> range:
     """'a..b' (inclusive both ends) or a single integer."""
     ends = text.split("..", 1)
     if not all(map(_is_int, ends)):
-        raise ValueError(f"not an integer or a range a..b: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid range value: {text!r} is not an integer or a range a..b")
     start, stop = int(ends[0]), int(ends[-1])
     if start > stop:
-        raise ValueError(f"range {text!r} is empty")
+        raise argparse.ArgumentTypeError(f"invalid range value: {text!r} is empty")
     return range(start, stop + 1)
 
 

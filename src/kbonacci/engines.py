@@ -27,12 +27,9 @@ Each stream carries its cost model as stream.cost(k, n): the number of
 big-integer operations one index n takes, which `bench` reports as
 `ops`.  It is the count of additions for the window engines, the summand
 count scaled for the closed forms, and for matrix the multiplications
-that one index takes, `matrix_power.matrix_cost`: per squaring of the
-powering to x^(n // 2), from the one schedule that the powering runs,
-k(k+1)/2 below the Toom-Cook switch and 2k - 1 past it, or 2 at k = 2
-(Cassini), plus k for the finish, products or squarings, and none where
-x^n needs no squaring.  Every model is arithmetic on (k, n) and runs
-nothing.
+that one index takes, `matrix_power.matrix_cost`, read off the one
+schedule that the powering runs (`matrix_power._schedule`).  Every model
+is arithmetic on (k, n) and runs nothing.
 
 Every reader goes through this module: `eval`, `sum` and `bench` take
 their engine names from the tables, `eval` and `sum` print what

@@ -131,14 +131,10 @@ class OpCount:
     matrix_products counts squarings of the residue modulo
     x^k - x^(k-1) - ... - 1 (the field keeps its name for the code that
     reads it); scalar_mults counts the big multiplications and squarings
-    inside them, as `_schedule` names them: k(k+1)/2 per squaring by
-    _square, 2k - 1 per squaring by _toom_square and 2 per squaring by
-    _cassini_square at k = 2; and the k that finish a single index one
-    squaring short (_by_halves), the products of its inner product or the
-    squarings of its quadratic form.  Shifts, additions, exact divisions by
-    small ints and the small multiples of a step, of _toom_square's
-    evaluation and interpolation, of Cassini's rule or of the form are not
-    counted.
+    inside them and in the finish of a single index, as `matrix_cost` and
+    `_schedule` count them.  Shifts, additions, exact divisions by small
+    ints and the small multiples of a step, of _toom_square's evaluation
+    and interpolation, of Cassini's rule or of the form are not counted.
 
     Two tallies are equal when both counts are.
     """
@@ -331,47 +327,32 @@ def _form(gram: list) -> tuple[int, list]:
     symmetric int matrix G = gram and every vector s: G diagonalised by
     congruence, one term per unit of its rank, in small ints.
 
-    Symmetric elimination (Lagrange) keeps G = the sum of q (a a^T) over the
-    terms so far, q = c / D, plus B / d, B an int matrix: the first nonzero
-    diagonal entry p = B[t][t], with row u = B[t], gives the term u / (dp)
-    and leaves (pB - u u^T) / (dp); if every diagonal entry is 0, an entry
-    p = B[t][j] != 0 with rows u and v gives
-    2 (u . s)(v . s) / (dp) = ((u + v) . s)^2 / (2dp) - ((u - v) . s)^2 / (2dp)
-    and leaves (pB - u v^T - v u^T) / (dp).  Each step zeroes row t (and j)
-    of B, and B and d are divided by their common factor.  In order, plain
-    LDL^T would meet a zero pivot from k = 3 on, since _gram's entries below
-    index k are powers of two, a block of rank 1; the diagonal is all 0 for
-    S at even n from k = 6 on, where the pair split runs.
+    Symmetric elimination (Lagrange) keeps G = the sum of (a a^T) / den over
+    the terms so far plus B / d, B an int matrix: a nonzero diagonal entry
+    p = B[t][t], with row u = B[t], gives the term u / (dp) and leaves
+    (pB - u u^T) / (dp), which zeroes row t; B and d are then divided by
+    their common factor, and D is the lcm of the dens, so c = D / den.  The
+    pivot is sought at t = 1, 2, ..., k - 1 and at 0 last.  The numerators
+    below index k, 2^n for f at 0 < n < k and (k - 1) 2^n + 1 for S, fill
+    G's top left corner with a block of rank 1 or 2, so elimination from
+    row 0 meets a zero pivot from k = 3 on, and for S at even n from k = 6
+    on a diagonal of zeros; with row 0 last no step meets one at any k up
+    to 40.  The gate of _by_halves admits 28 matrices only, k = 2.._FORM_K
+    for f and S at both parities of n, and the tests diagonalise all of
+    them.
     """
     k = len(gram)
-    d, found = 1, []  # found: (sign, den, row), each a term (sign / den) (row . s)^2
+    d, found = 1, []  # found: (den, row), each a term (row . s)^2 / den
     while any(map(any, gram)):
-        t = next((t for t in range(k) if gram[t][t]), None)
-        if t is not None:
-            p, u = gram[t][t], gram[t]
-            found.append((1, d * p, u))
-            gram = [[p * x - ui * uj for x, uj in zip(row, u)] for row, ui in zip(gram, u)]
-        else:
-            t, j = next((t, j) for t in range(k) for j in range(t + 1, k) if gram[t][j])
-            p, u, v = gram[t][j], gram[t], gram[j]
-            found.append((1, 2 * d * p, [x + y for x, y in zip(u, v)]))
-            found.append((-1, 2 * d * p, [x - y for x, y in zip(u, v)]))
-            gram = [
-                [p * x - ui * vj - vi * uj for x, uj, vj in zip(row, u, v)] for row, ui, vi in zip(gram, u, v)
-            ]
+        t = next(t for t in chain(range(1, k), [0]) if gram[t][t])
+        p, u = gram[t][t], gram[t]
+        found.append((d * p, u))
+        gram = [[p * x - ui * uj for x, uj in zip(row, u)] for row, ui in zip(gram, u)]
         d *= p
         common = gcd(d, *chain.from_iterable(gram))
         gram, d = [[x // common for x in row] for row in gram], d // common
-    # each term's q = sign g^2 / den, with a = row / g primitive; den may be
-    # negative, and D = lcm(|den|) > 0 still gives c = q D
-    terms = []
-    for sign, den, row in found:
-        g = gcd(*row)
-        num = sign * g * g
-        common = gcd(num, den)
-        terms.append((num // common, den // common, [x // g for x in row]))
-    scale = lcm(*(den for _, den, _ in terms))
-    return scale, [(num * (scale // den), a) for num, den, a in terms]
+    scale = lcm(*(den for den, _ in found))
+    return scale, [(scale // den, a) for den, a in found]
 
 
 def _by_halves(k: int, n: int, ops: OpCount | None, text: bool, numerator) -> tuple:

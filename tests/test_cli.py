@@ -132,13 +132,31 @@ class TestParseRange:
         assert list(parse_range("-2..1")) == [-2, -1, 0, 1]
 
     def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_range("5..2")
 
     @pytest.mark.parametrize("text", [" 3", "3 ", "\u0663", "1_0", "+5", "1.. 3", "-1..+3", "", "-", "1..", "..3"])
     def test_only_ascii_digits_after_an_optional_minus(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_range(text)
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["eval", "--k", "2", "--n", "5..3"], "argument --n: invalid range value: '5..3' is empty"),
+            (["eval", "--k", "2", "--n", "3.."], "argument --n: invalid range value: '3..' is not an integer"),
+            (["sum", "--k", "2", "--n", "1.5"], "argument --n: invalid range value: '1.5' is not an integer"),
+            (["verify", "--k", "3..2"], "argument --k: invalid range value: '3..2' is empty"),
+        ],
+    )
+    def test_the_reason_reaches_stderr(self, capsys, argv, reason):
+        # argparse prints an ArgumentTypeError's own message, but replaces a
+        # ValueError's with one that names the type function
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert reason in err and "parse_range" not in err
 
 
 class TestEval:
