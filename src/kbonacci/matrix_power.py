@@ -80,6 +80,7 @@ from functools import partial
 from itertools import chain, islice, repeat, starmap
 from math import gcd, lcm
 from operator import mul
+from types import SimpleNamespace
 
 from .render import _decimals
 from .sequence import _check_k, _check_n
@@ -125,7 +126,7 @@ _FORM_K = 8
 _FORM_EXPONENT = 49152
 
 
-class OpCount:
+class OpCount(SimpleNamespace):
     """Tally of big-integer multiplications performed, for benchmarking.
 
     matrix_products counts squarings of the residue modulo
@@ -136,20 +137,12 @@ class OpCount:
     ints and the small multiples of a step, of _toom_square's evaluation
     and interpolation, of Cassini's rule or of the form are not counted.
 
-    Two tallies are equal when both counts are.
+    Two tallies are equal when both counts are; a tally is mutable, so
+    unhashable.
     """
 
     def __init__(self, matrix_products: int = 0, scalar_mults: int = 0) -> None:
-        self.matrix_products = matrix_products
-        self.scalar_mults = scalar_mults
-
-    def __eq__(self, other):  # which also leaves the mutable tally unhashable
-        if type(other) is not OpCount:
-            return NotImplemented
-        return (self.matrix_products, self.scalar_mults) == (other.matrix_products, other.scalar_mults)
-
-    def __repr__(self) -> str:
-        return f"OpCount(matrix_products={self.matrix_products}, scalar_mults={self.scalar_mults})"
+        super().__init__(matrix_products=matrix_products, scalar_mults=scalar_mults)
 
 
 def _reduced(r: list) -> list:

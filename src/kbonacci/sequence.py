@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import accumulate, islice
 
 # Largest n that the tiling laboratory enumerates unless a call raises its
@@ -37,12 +37,6 @@ def _check_int(name: str, value: int) -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if not -sys.maxsize <= value <= sys.maxsize:
         raise ValueError(f"{name} must be at most sys.maxsize = {sys.maxsize} in size, got {value}")
-
-
-def _check_ints(name: str, values: Iterable[int]) -> None:
-    for value in values:
-        if type(value) is not int:  # the common case costs no call
-            _check_int(name, value)
 
 
 def _check_k(k: int) -> None:

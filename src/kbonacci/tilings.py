@@ -21,7 +21,10 @@ normal marks, tile between the marks, then lengthen each tile ending at a
 dashed mark by k units, shifting everything to its right.
 `identity_report` checks both the count identity and that the
 construction is a bijection, by brute force, from one sweep of U by
-`oversized_members` that serves every i of a (k, n) cell.
+`oversized_members` that serves every i of a (k, n) cell.  The module
+shares no code with the closed forms it checks: it takes only its input
+checks and cap from `sequence`, and the right side's binomial from
+`math.comb`.
 
 The exact, bounded and unrestricted enumerations are one depth-first walk
 of the tree of tilings of total at most n, in which a child adds one tile.
@@ -56,10 +59,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain, combinations
+from math import comb
 from operator import sub
 
-from .closed_form import binomial
-from .sequence import DEFAULT_CAP, _check_int, _check_ints, _check_k, _check_n
+from .sequence import DEFAULT_CAP, _check_int, _check_k, _check_n
 
 Tiles = tuple[int, ...]
 
@@ -256,7 +259,8 @@ def expand_marks(
     _check_n(n)
     dashed = tuple(dashed)
     normal = frozenset(normal)
-    _check_ints("mark position", (*dashed, *normal))
+    for p in (*dashed, *normal):
+        _check_int("mark position", p)
     n_reduced = n - len(dashed) * k
     for name, positions in (("dashed", dashed), ("normal", normal)):
         if any(not 1 <= p <= n_reduced for p in positions):
@@ -333,7 +337,7 @@ def identity_report(
     _check_n(n)
     _check_i(k, n, i)
     n_reduced = n - i * k
-    rhs = binomial(n_reduced, i) << (n_reduced - i)
+    rhs = comb(n_reduced, i) << (n_reduced - i)
     width = n + 1
 
     # Disjoint union counted by the left side.

@@ -3,12 +3,17 @@
 Each suite sweeps a (k, n) grid, counts the checks it ran and collects a
 line per failure.  Suites are deterministic: cells are visited in sorted
 (k, n) order and results do not depend on execution interleaving.
-`run_suites` checks the n grid against the enumeration cap before any
-enumerating suite starts, and both ends of the k and n grids against
-the input domain before any suite starts, so no suite sweeps its cheap
-cells before a k or an index it cannot take.  It computes each (k, n)
-cell of the intersection identity once, from one sweep of U, for every
-suite of the call that reads it.
+
+`run_suites` is the one entry, and the one place that checks its input,
+all of it before any suite starts: the suite names, the k and n grids as
+non-empty ranges of step 1 whose ends lie in the input domain, the cap,
+and, for the suites that enumerate, the n grid against the cap.  So no
+suite sweeps its cheap cells before a k or an index it cannot take.  It
+then calls every suite alike, as SUITES[name](SuiteResult(name), ks, ns,
+cap, cells), so a suite's name is written once, in `SUITE_NAMES`.  cells
+is one dict per call, in which each (k, n) cell of the intersection
+identity is computed once, from one sweep of U, for every suite of the
+call that reads it.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ class SuiteResult:
             self.failures.append(detail)
 
 
-def suite_engines(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
+def suite_engines(result: SuiteResult, ks: range, ns: range, cap: int | None, cells: dict) -> SuiteResult:
     """Every registered engine agrees with the recurrence, read from the
     sequence module and not through the registry: per k, one pass of
     values_from and sums_from over the grid's indices, which step by no
@@ -75,7 +80,6 @@ def suite_engines(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
     step 1 of indices n >= 0, as the CLI parses it and `run_suites` checks
     it; like every range generator, values_from rejects a negative
     start."""
-    result = SuiteResult("engines")
     cell = f"n={ns.start}..{ns.stop - 1}"
     for k in ks:
         values = list(values_from(k, ns.start, ns.stop))
@@ -111,10 +115,9 @@ def _read_back(text: str) -> Decimal | None:
     return Decimal(text) if text.isascii() and text.isdecimal() else None
 
 
-def suite_closed_form(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
+def suite_closed_form(result: SuiteResult, ks: range, ns: range, cap: int | None, cells: dict) -> SuiteResult:
     """Identities internal to the closed forms: base case, raised limits,
     difference identity, term folding and integrality."""
-    result = SuiteResult("closed-form")
     for k in ks:
         for n in ns:
             base = compute_sum(k, n, "dunkel")
@@ -144,14 +147,10 @@ def suite_closed_form(ks: range, ns: range, cap: int | None = None) -> SuiteResu
     return result
 
 
-def suite_tilings(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
+def suite_tilings(result: SuiteResult, ks: range, ns: range, cap: int | None, cells: dict) -> SuiteResult:
     """Enumeration counts match the sequence engines tile for tile."""
-    result = SuiteResult("tilings")
-    top = max(ns, default=-1)
-    if top < 0:
-        return result
     for k in ks:
-        prefix = kbonacci_prefix(k, top)
+        prefix = kbonacci_prefix(k, ns[-1])
         for n in ns:
             exact = list(exact_tiles(k, n, cap))
             result.expect(
@@ -182,12 +181,11 @@ def suite_tilings(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
     return result
 
 
-def suite_hash_marks(ks: range, ns: range, cap: int | None = None) -> SuiteResult:
+def suite_hash_marks(result: SuiteResult, ks: range, ns: range, cap: int | None, cells: dict) -> SuiteResult:
     """|U| = 2^n and the mark-subset -> tiling map is a bijection.
 
     Independent of k; the k range is ignored.
     """
-    result = SuiteResult("hash-marks")
     for n in ns:
         tilings = list(unrestricted_tiles(n, cap))
         distinct = set(tilings)
@@ -219,11 +217,9 @@ def _identity_cell(cells: dict, k: int, n: int, cap: int | None) -> tuple[int, l
 
 
 def suite_inclusion_exclusion(
-    ks: range, ns: range, cap: int | None = None, cells: dict | None = None
+    result: SuiteResult, ks: range, ns: range, cap: int | None, cells: dict
 ) -> SuiteResult:
     """The subtraction skeleton and the intersection-count identity."""
-    result = SuiteResult("inclusion-exclusion")
-    cells = {} if cells is None else cells
     for k in ks:
         for n in ns:
             with_oversized, reports = _identity_cell(cells, k, n, cap)
@@ -241,11 +237,9 @@ def suite_inclusion_exclusion(
 
 
 def suite_bijection(
-    ks: range, ns: range, cap: int | None = None, cells: dict | None = None
+    result: SuiteResult, ks: range, ns: range, cap: int | None, cells: dict
 ) -> SuiteResult:
     """Mark expansion is injective and fills the counted union exactly."""
-    result = SuiteResult("bijection")
-    cells = {} if cells is None else cells
     for k in ks:
         for n in ns:
             _, reports = _identity_cell(cells, k, n, cap)
@@ -284,27 +278,33 @@ SUITES = dict(
 # Suites that enumerate, so run_suites checks their whole n grid against the
 # cap before any of them starts.
 _ENUMERATING = {"tilings", "hash-marks", "inclusion-exclusion", "bijection"}
-# Suites that read the identity cells; run_suites computes each cell once
-# for all of them.
-_SHARE_CELLS = {"inclusion-exclusion", "bijection"}
 
 
 def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[SuiteResult]:
-    if ns and _ENUMERATING.intersection(names):
+    """Run the named suites, in order, over the grid ks by ns, once all of
+    the input passes: the suite names, the grids' shape and ends, and the
+    cap.  A malformed cap is refused whatever the suites; only the suites
+    that enumerate are bound by it."""
+    if not names:
+        raise ValueError(f"no suite named; choose from {sorted(SUITE_NAMES)}")
+    unknown = [name for name in names if name not in SUITE_NAMES]
+    if unknown:
+        raise ValueError(f"unknown suite(s) {unknown}; choose from {sorted(SUITE_NAMES)}")
+    for axis, grid in (("k", ks), ("n", ns)):
+        if not grid or grid.step != 1:
+            raise ValueError(f"the {axis} grid must be a non-empty range of step 1, got {grid}")
+    _check_enumerable(0, cap)  # the cap alone: n = 0 passes any cap
+    if _ENUMERATING.intersection(names):
         # The cap bounds n from above: the grid's first n, and the first n
         # past the cap if the grid reaches it, stand for the whole grid.
         _check_enumerable(ns[0], cap)
         effective = DEFAULT_CAP if cap is None else cap
         if ns[-1] > effective:
             _check_enumerable(effective + 1, cap)
-    for end in (*ks[:1], *ks[-1:]):
+    for end in (ks[0], ks[-1]):
         _check_k(end)
-    for end in (*ns[:1], *ns[-1:]):
+    for end in (ns[0], ns[-1]):
         _check_index(end)
-    if ns:
-        _check_n(ns[0])
+    _check_n(ns[0])
     cells: dict = {}
-    return [
-        SUITES[name](ks, ns, cap, cells) if name in _SHARE_CELLS else SUITES[name](ks, ns, cap)
-        for name in names
-    ]
+    return [SUITES[name](SuiteResult(name), ks, ns, cap, cells) for name in names]

@@ -297,6 +297,11 @@ def _option(sub, dest):
     return next(a for a in subcommands.choices[sub]._actions if a.dest == dest)
 
 
+def _engines_suite(ks, ns):
+    """The engines suite called directly, past run_suites' checks."""
+    return verify.suite_engines(verify.SuiteResult("engines"), ks, ns, None, {})
+
+
 def test_every_reader_takes_its_engines_from_the_registry(capsys, monkeypatch):
     values, sums = list(engines._VALUE_DISPATCH), list(engines._SUM_DISPATCH)
     assert _option("eval", "engine").choices == sorted(values)
@@ -315,7 +320,7 @@ def test_every_reader_takes_its_engines_from_the_registry(capsys, monkeypatch):
     for table in (engines._VALUE_DISPATCH, engines._SUM_DISPATCH):
         for engine in table:
             monkeypatch.setitem(table, engine, wrong)
-    failures = verify.suite_engines(range(2, 3), range(5, 6)).failures
+    failures = _engines_suite(range(2, 3), range(5, 6)).failures
     assert failures == [
         *(f"value {e} mismatch at k=2 n=5" for e in values),
         *(f"sum {e} mismatch at k=2 n=5" for e in sums),
@@ -327,9 +332,9 @@ def test_every_reader_takes_its_engines_from_the_registry(capsys, monkeypatch):
 def test_the_engines_suite_takes_indices_n_at_least_0():
     # run_suites rejects n < 0 before any suite; called directly, the suite
     # rejects it as its baseline does
-    assert verify.suite_engines(range(2, 3), range(0, 4)).failures == []
+    assert _engines_suite(range(2, 3), range(0, 4)).failures == []
     with pytest.raises(ValueError, match="n must be non-negative, got -1"):
-        verify.suite_engines(range(2, 3), range(-1, 2))
+        _engines_suite(range(2, 3), range(-1, 2))
 
 
 def _engines_failures(capsys):
@@ -771,10 +776,7 @@ class TestJsonRoundTrip:
             assert json.dumps(parsed, sort_keys=True, separators=(",", ":")) == line
 
 
-def _failing_suite(ks, ns, cap=None):
-    from kbonacci.verify import SuiteResult
-
-    result = SuiteResult("engines")
+def _failing_suite(result, ks, ns, cap, cells):
     for i in range(30):
         result.expect(i >= 25, f"forced mismatch {i}")
     return result
@@ -915,7 +917,7 @@ class TestVerify:
 
     def test_cap_checked_before_any_suite_runs(self, capsys, monkeypatch):
         ran = []
-        monkeypatch.setitem(verify.SUITES, "engines", lambda ks, ns, cap=None: ran.append(ns))
+        monkeypatch.setitem(verify.SUITES, "engines", lambda result, ks, ns, cap, cells: ran.append(ns))
         for suite in ("tilings", "hash-marks", "inclusion-exclusion", "bijection"):
             code, out, err = run(
                 capsys, "verify", "--suite", f"engines,{suite}", "--n", "0..30", "--format", "csv"
@@ -942,7 +944,7 @@ class TestVerify:
     def test_grid_bound_checked_before_any_suite_runs(self, capsys, monkeypatch, option, grid):
         # a suite that does not enumerate would sweep the cheap cells first
         ran = []
-        monkeypatch.setitem(verify.SUITES, "engines", lambda ks, ns, cap=None: ran.append(ns))
+        monkeypatch.setitem(verify.SUITES, "engines", lambda result, ks, ns, cap, cells: ran.append(ns))
         code, out, err = run(capsys, "verify", "--suite", "engines", option, grid)
         assert (code, out, ran) == (2, "", [])
         assert err.startswith("error: ") and "sys.maxsize" in err
@@ -971,6 +973,40 @@ class TestVerify:
         ran = self._suites_run(monkeypatch)
         code, out, err = run(capsys, "verify", "--suite", suites, "--n", "-3..2")
         assert (code, out, err, ran) == (2, "", "error: n must be non-negative, got -3\n", [])
+
+    @pytest.mark.parametrize("names", [["bogus"], ["engines", "bogus"]])
+    def test_library_refuses_an_unknown_suite(self, monkeypatch, names):
+        ran = self._suites_run(monkeypatch)
+        with pytest.raises(ValueError, match=r"unknown suite\(s\) \['bogus'\]; choose from"):
+            verify.run_suites(names, range(1, 3), range(0, 4))
+        assert ran == []
+
+    @pytest.mark.parametrize(
+        "ks, ns",
+        [
+            (range(2, 3), range(0, 10, 2)),
+            (range(1, 5, 2), range(0, 4)),
+            (range(2, 3), range(3, -1, -1)),
+            (range(1, 1), range(0, 4)),
+            (range(1, 3), range(0, 0)),
+            (range(1, 3), range(5, 0)),
+        ],
+    )
+    def test_library_refuses_an_empty_or_stepped_grid(self, monkeypatch, ks, ns):
+        # a stepped grid would be swept at the wrong indices, and an empty
+        # one would pass with no check run
+        ran = self._suites_run(monkeypatch)
+        with pytest.raises(ValueError, match="grid must be a non-empty range of step 1"):
+            verify.run_suites(engines.SUITE_NAMES, ks, ns)
+        assert ran == []
+
+    @pytest.mark.parametrize("suites, cap", [*((s, "-1") for s in verify.SUITES), ("engines,closed-form", "-5")])
+    def test_malformed_cap_refused_whatever_the_suites(self, capsys, monkeypatch, suites, cap):
+        ran = self._suites_run(monkeypatch)
+        code, out, err = run(capsys, "verify", "--suite", suites, "--cap", cap, "--n", "0..3")
+        assert (code, out, ran) == (2, "", [])
+        assert err == run(capsys, "tilings", "--k", "2", "--n", "3", "--cap", cap)[2]
+        assert err == f"error: enumeration cap must be non-negative, got {cap}\n"
 
     def test_cap_ignored_by_suites_that_do_not_enumerate(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "engines", "--n", "20..25")
@@ -1009,7 +1045,7 @@ class TestVerify:
         import kbonacci.verify as verify_mod
 
         monkeypatch.setitem(
-            verify_mod.SUITES, "engines", lambda ks, ns, cap=None: _broken_result()
+            verify_mod.SUITES, "engines", lambda result, *grid: _broken_result(result)
         )
         code, out, _ = run(capsys, "verify", "--suite", "engines")
         assert code == 1
@@ -1017,10 +1053,7 @@ class TestVerify:
         assert "forced mismatch" in out
 
 
-def _broken_result():
-    from kbonacci.verify import SuiteResult
-
-    result = SuiteResult("engines")
+def _broken_result(result):
     result.expect(False, "forced mismatch")
     return result
 

@@ -1,5 +1,7 @@
+import ast
 import sys
 from itertools import accumulate, combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -404,3 +406,14 @@ def test_subtraction_skeleton():
                 1 for t in unrestricted_tiles(n) if any(x > k for x in t)
             )
             assert (1 << n) - with_oversized == compute_sum(k, n)
+
+
+def test_the_laboratory_imports_only_sequence_from_the_package():
+    # the identity suites check closed_form's formula against this module,
+    # so it must share no code with closed_form, its binomial above all
+    tree = ast.parse(Path(tilings.__file__).read_text(encoding="utf-8"))
+    imported = [
+        "." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ] + [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    package = [name for name in imported if name.startswith(".") or name.partition(".")[0] == "kbonacci"]
+    assert package == [".sequence"], imported
