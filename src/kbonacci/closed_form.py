@@ -26,7 +26,7 @@ m = n-jk, and takes C(m-1, j-1) = C(m, j) j / m from the row of n alone.
 
 A range start..stop-1 folds its first index alone, its row as the row is
 made, in O(n) bits, and yields it before anything else is folded.  The
-next k indices at most form one block, whose sums S(n) are folded column
+next k-1 indices at most form one block, whose sums S(n) are folded column
 by column: column j holds C(m, j) for the m of every index of the block,
 and each index keeps its own Horner accumulator, folded as j ascends.  A
 column starts from its entry in the row of the block's first index and
@@ -45,13 +45,14 @@ summed over the signed, 2-power-weighted row, gives
     S(n+1) = 2 S(n) - S(n-k),   n >= 0,
 
 the recurrence of P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), and f follows
-it from n = 1 on.  So the fold and the block are only a range's head, its
-first k+1 indices at most, `_closed_head`, from which the registry's
-`dunkel` and `dunkel-term` streams (see `engines`) go on by
-`engines._continued`, the one tail of every engine's range, in Decimal
-for text.  `term_breakdown` lists the summands of the rows.  The
-extended form is the base fold plus the raised-limit binomials, each
-checked to be 0.
+it from n = 1 on.  Its k-term form, S(n) = S(n-1) + ... + S(n-k) + 1
+and f(n) = f(n-1) + ... + f(n-k), gives index start+k from the k before
+it.  So the fold and the block are only a range's head, its first k
+indices at most, `_closed_head`, from which the registry's `dunkel` and
+`dunkel-term` streams (see `engines`) go on by `engines._continued`, the
+one tail of every engine's range, in Decimal for text.  `term_breakdown`
+lists the summands of the rows.  The extended form is the base fold plus
+the raised-limit binomials, each checked to be 0.
 
 Powers of two are produced by shifting; no floating point anywhere.
 """
@@ -180,7 +181,7 @@ def _doubled(k: int, n: int) -> Iterator[int]:
 
 
 def _closed_head(k: int, start: int, count: int, term: bool) -> Iterator[int]:
-    """S(n) (term=False) or f(n) (term=True) for the first min(count, k+1)
+    """S(n) (term=False) or f(n) (term=True) for the first min(count, k)
     indices n of the range from start, the head that `engines._continued`
     goes on from.
 
@@ -188,15 +189,15 @@ def _closed_head(k: int, start: int, count: int, term: bool) -> Iterator[int]:
     shifts the fold by n mod (k+1), the power of two of the last summand.
     A value halves its doubled fold, since a doubled entry carries
     2^(e-1), e = n - j(k+1); at n = 0 the lone term is 2 * 2^-1 = 1.  The
-    next k indices at most fold their sums as one block, in O(k n) bits,
+    next k-1 indices at most fold their sums as one block, in O(k n) bits,
     and a block of values differences the sums of the block and of the
-    index before it.
+    index before it: k-1 sums for S and k for f.
     """
     if not count:
         return
     row = _doubled(k, start) if term else _row(k, start)
     yield (_fold_row(row, k) << start % (k + 1)) >> term
-    head = range(start + 1, start + min(count, k + 1))
+    head = range(start + 1, start + min(count, k))
     if head:
         sums = _block_folds(k, range(head.start - term, head.stop))
         yield from map(sub, sums[1:], sums) if term else sums

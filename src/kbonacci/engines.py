@@ -5,21 +5,24 @@ every engine is assembled here.
 `_VALUE_DISPATCH` holds the engines of f(n) and `_SUM_DISPATCH` those of
 S(n) = f(0) + ... + f(n), keyed by the names the CLI accepts; the first
 entry of each table is its default.  Each entry is built by one factory,
-`_engine(head, cost)`, and is a range generator,
+`_engine(head, cost, constant)`, and is a range generator,
 stream(k, start, stop, text=False), for the indices start..stop-1, stop
 exclusive as in range(): `compute_*` and `bench` pass n+1, `eval` and
 `sum` the end of their --n range.
 
 An engine's head, head(k, start, count, text), yields the values from
-start on, of which the stream pulls the range's first k+1 at most, each
+start on, of which the stream pulls the range's first k at most, each
 by the engine's own method: `sequence.values` for recurrence and direct
 (the latter accumulated), `closed_form._closed_head` for dunkel and
 dunkel-term, and `matrix_power._head` for matrix.  Every later index,
-whatever the engine, is one step of the one tail of every range,
-`_continued`, which steps ints or Decimals alike.  The stream is the one
-place a range chooses between them: with text, it converts the head's
-values by the one rule of `render` before the tail, and prints what the
-tail yields; the int ranges and `compute_*` never convert to Decimal.
+whatever the engine, comes from the one tail of every range,
+`_continued`, which steps ints or Decimals alike: index start+k is the
+sum of the k values before it, plus the table's constant, 1 for S and 0
+for f, and each index after it one step of `_later`.  The stream is the
+one place a range chooses between them: with text, it converts the
+head's values by the one rule of `render` before the tail, and prints
+what the tail yields; the int ranges and `compute_*` never convert to
+Decimal.
 Text is an argument, not a second generator, so a wrapper put around a
 table entry sees every call, of either kind.
 
@@ -73,37 +76,46 @@ def _later(window: deque) -> Iterator:
         yield window[-1]
 
 
-def _continued(head: Iterator, k: int, count: int) -> Iterator:
-    """The count terms of S, or of f, from an index start >= 0: the first
-    min(count, k+1) from the engine's own head, which is pulled no further,
-    and every later one by one step of _later over the last k+1, in the
-    type the head yields."""
-    head = islice(head, min(count, k + 1))
+def _continued(head: Iterator, k: int, count: int, constant: int) -> Iterator:
+    """The count terms of S (constant=1), or of f (constant=0), from an
+    index start >= 0: the first min(count, k) from the engine's own head,
+    which is pulled no further, then index start+k as the sum of the k
+    before it plus constant, since S(n) = S(n-1) + ... + S(n-k) + 1 from
+    n = k and f(n) = f(n-1) + ... + f(n-k) from n = 1, and every later one
+    by one step of _later over the last k+1, in the type the head
+    yields."""
+    head = islice(head, min(count, k))
     window = []
     for term in head:
         window.append(term)
         yield term
     del head  # the engine's own state is not held while the range steps
+    if count > k:
+        window.append(sum(window, constant))
+        yield window[-1]
     if count > k + 1:
         yield from islice(_later(deque(window, maxlen=k + 1)), count - k - 1)
 
 
-def _engine(head: Callable[[int, int, int, bool], Iterator], cost: Callable[[int, int], int]):
+def _engine(
+    head: Callable[[int, int, int, bool], Iterator], cost: Callable[[int, int], int], constant: int
+):
     """The range generator of an engine, with cost as its cost model: the
-    first k+1 indices of the range from head(k, start, count, text), the
-    rest stepped by `_continued`.  With text, the head's values become
-    Decimals by `render._decimals`, each once, before the tail, and what
-    it yields is printed by `render._texts`, under whose exact() context
-    all of it runs.  A generator, so that it checks its input at the
-    first next(), as the registry's readers expect."""
+    first k indices of the range from head(k, start, count, text), the
+    rest by `_continued` with constant, 1 for a sum engine and 0 for a
+    value engine.  With text, the head's values become Decimals by
+    `render._decimals`, each once, before the tail, and what it yields is
+    printed by `render._texts`, under whose exact() context all of it
+    runs.  A generator, so that it checks its input at the first next(),
+    as the registry's readers expect."""
 
     def stream(k: int, start: int, stop: int, text: bool = False) -> Iterator:
         count = _count(k, start, stop)
         # the head is passed on, not named, so that `_continued` frees it
         if text:
-            yield from _texts(_continued(_decimals(head(k, start, count, True)), k, count))
+            yield from _texts(_continued(_decimals(head(k, start, count, True)), k, count, constant))
         else:
-            yield from _continued(head(k, start, count, False), k, count)
+            yield from _continued(head(k, start, count, False), k, count, constant)
 
     stream.cost = cost
     return stream
@@ -115,21 +127,23 @@ def _terms(k: int, n: int) -> int:
 
 
 _VALUE_DISPATCH = {
-    "recurrence": _engine(lambda k, start, count, text: islice(values(k), start, None), lambda k, n: 2 * n),
-    "dunkel-term": _engine(
-        lambda k, start, count, text: _closed_head(k, start, count, True), lambda k, n: 4 * _terms(k, n)
+    "recurrence": _engine(
+        lambda k, start, count, text: islice(values(k), start, None), lambda k, n: 2 * n, 0
     ),
-    "matrix": _engine(partial(_head, sums=False), matrix_cost),
+    "dunkel-term": _engine(
+        lambda k, start, count, text: _closed_head(k, start, count, True), lambda k, n: 4 * _terms(k, n), 0
+    ),
+    "matrix": _engine(partial(_head, sums=False), matrix_cost, 0),
 }
 
 _SUM_DISPATCH = {
     "direct": _engine(
-        lambda k, start, count, text: islice(accumulate(values(k)), start, None), lambda k, n: 3 * n
+        lambda k, start, count, text: islice(accumulate(values(k)), start, None), lambda k, n: 3 * n, 1
     ),
     "dunkel": _engine(
-        lambda k, start, count, text: _closed_head(k, start, count, False), lambda k, n: 2 * _terms(k, n)
+        lambda k, start, count, text: _closed_head(k, start, count, False), lambda k, n: 2 * _terms(k, n), 1
     ),
-    "matrix": _engine(partial(_head, sums=True), matrix_cost),
+    "matrix": _engine(partial(_head, sums=True), matrix_cost, 1),
 }
 
 VALUE_NAMES = tuple(_VALUE_DISPATCH)

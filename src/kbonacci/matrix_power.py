@@ -36,8 +36,8 @@ residue is built from k on at the earliest.  The residue of x^(n+1) is x
 times that of x^n: the coefficients move up by one place, and the one that
 leaves, t = r[k-1], comes back by x^k = 1 + x + ... + x^(k-1) at all k
 places.  Since Q(2) = 1, the new r(2) is 2r(2) - t, and the new r(1) is
-r(1) + (k - 1) t, so each of a range's first k+1 indices costs about k
-additions and no multiplication; every later one is a step of
+r(1) + (k - 1) t, so each of a range's first k indices costs about k
+additions and no multiplication; every later one comes from
 `engines._continued`.  No floats: exactness is the point.
 
 A single index stops the powering one squaring short.  The numerators
@@ -57,12 +57,12 @@ its indices.
 
 `_head` is the head of the registry's two `matrix` streams (see
 `engines`), which start it at a range's first index and pull its first
-k+1 indices at most; an `OpCount` passed to it tallies the
+k indices at most; an `OpCount` passed to it tallies the
 multiplications.  Without text it yields ints.  With text, for the CLI's
 decimal output, it squares in ints while the coefficients are narrow,
 converts them once past _DECIMAL_BITS, then finishes the squarings, the
 reduction, the fold at 2, a single index's finish, the exact
-division and the steps of the range's first k+1 indices in Decimal under
+division and the steps of the range's first k indices in Decimal under
 `render.exact()`, whose products are subquadratic from a few ten thousand
 bits on (libmpdec's number-theoretic transform against CPython's
 Karatsuba; Brent & Zimmermann, Modern Computer Arithmetic, sections 1.3

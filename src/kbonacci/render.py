@@ -10,10 +10,10 @@ nothing.  `exact()` is the context all of it runs under: unbounded
 precision and exponent, with Inexact trapped, so integer arithmetic on
 Decimals is exact or raises instead of printing a wrong digit.
 
-Every engine's text range converts each value its head yields once, in
-`engines._engine`'s stream, before the range's tail, which steps its
-later indices in Decimal, so they need no binary to decimal conversion
-at all; `terms` converts its magnitudes alike, and `matrix_power` its
+Every engine's text range converts each value its head yields, its
+first k at most, once, in `engines._engine`'s stream, before the range's
+tail, which makes its later indices in Decimal, so they need no binary
+to decimal conversion at all; `terms` converts its magnitudes alike, and `matrix_power` its
 residue once it is wide.
 """
 

@@ -12,7 +12,7 @@ the defining recurrence and take non-negative indices only; `engines`,
 the one entry that computes f(n) and S(n) by engine name, reads an index
 n < 0 as f(n) = 0.  The window engines of its registry, recurrence and
 direct, take their heads from `values`.  Every engine's range past its
-first k+1 indices steps by the tail in `engines`, which nothing here
+first k indices goes on by the tail in `engines`, which nothing here
 calls, so the tail is checked against `values_from` and `sums_from`.
 """
 

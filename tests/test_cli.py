@@ -347,6 +347,25 @@ def _engines_failures(capsys):
     return lines[1:]
 
 
+def test_the_engines_suite_checks_the_sum_step_of_every_range(monkeypatch):
+    # index start+k of every engine's range is the sum of the k values
+    # before it plus the table's constant, which no single index reaches;
+    # one more makes it, and the steps from it, off by one
+    real = engines._continued
+    monkeypatch.setattr(
+        engines, "_continued", lambda head, k, count, constant: real(head, k, count, constant + 1)
+    )
+    [result] = verify.run_suites(["engines"], range(1, 5), range(0, 13), None)
+    assert not result.passed
+    assert result.failures == [
+        f"{quantity} {engine} {path} mismatch at k={k} n=0..12"
+        for k in range(1, 5)
+        for quantity, names in (("value", engines.VALUE_NAMES), ("sum", engines.SUM_NAMES))
+        for engine in names
+        for path in ("range", "text")
+    ]
+
+
 def test_the_engines_suite_checks_the_step_of_every_range(capsys, monkeypatch):
     # past its first k+1 indices every engine's range steps by _later,
     # which no single index reaches
@@ -363,7 +382,7 @@ def test_the_engines_suite_checks_the_step_of_every_range(capsys, monkeypatch):
 
 
 def test_the_engines_suite_checks_the_text_of_every_range(capsys, monkeypatch):
-    # a text range converts its first k+1 values to Decimal; a wrong
+    # a text range converts its first k values to Decimal; a wrong
     # conversion shows in the text alone
     real = engines._decimals
     monkeypatch.setattr(engines, "_decimals", lambda ints: real(n + 1 for n in ints))

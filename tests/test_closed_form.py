@@ -241,15 +241,16 @@ def test_single_index_streams_its_row(fn):
 
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(1, 12), start=st.integers(0, 400), length=st.integers(1, 120))
-# lengths k, k+1 (the first index and one block of k, no step), k+2 (one
-# step) and 2k+3 (steps past the whole window), from starts 0, 1 and k
+# lengths k (the first index and one block of k-1), k+1 (index start+k as
+# the sum of the k before it), k+2 (one step) and 2k+3 (steps past the
+# whole window), from starts 0, 1 and k
 @example(k=1, start=0, length=1)
 @example(k=1, start=1, length=2)
 @example(k=1, start=0, length=3)  # f(2) = 2 f(1) - f(0) steps from f(0)
 @example(k=1, start=1, length=5)
 @example(k=1, start=1, length=3)
 @example(k=3, start=3, length=3)
-@example(k=3, start=200, length=4)  # a block of k sums, k+1 for values
+@example(k=3, start=200, length=4)  # a block of k-1 sums, k for values
 @example(k=3, start=200, length=5)
 @example(k=3, start=0, length=9)
 @example(k=7, start=1, length=8)
@@ -280,7 +281,7 @@ def test_short_range_holds_no_row():
 
 
 def test_range_memory_does_not_grow_with_its_length():
-    # A range holds one block of at most k indices, then its last k+1
+    # A range holds one block of at most k-1 indices, then its last k+1
     # values, whatever its length; the row C(n-j, j) of n = 4000 alone
     # holds about 1.2 MiB.
     start, stop = 4_000, 4_000 + 710
@@ -297,7 +298,7 @@ def test_range_memory_does_not_grow_with_its_length():
 @pytest.mark.parametrize("stream, engine", [(stream_sums, "dunkel"), (stream_values, "dunkel-term")])
 def test_the_first_record_comes_before_the_block(monkeypatch, stream, engine):
     # the first index is folded alone, so a range's first record does not
-    # wait for the block of the next k indices
+    # wait for the block of the next k-1 indices
     calls = []
     real = closed_form._block_folds
 
@@ -311,3 +312,39 @@ def test_the_first_record_comes_before_the_block(monkeypatch, stream, engine):
     assert calls == []
     next(records)
     assert len(calls) == 1
+
+
+def _head_counts(k):
+    return sorted({1, 2, max(k - 1, 1), k, k + 1, k + 2})
+
+
+@pytest.mark.parametrize("term", [False, True], ids=["sums", "values"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_head_is_the_single_index_folds(k, term):
+    # the first min(count, k) indices, each what a single index folds,
+    # whether the head folds it alone or in its block
+    for start in (0, 1, 5, 37, 200):
+        single = [next(closed_form._closed_head(k, n, 1, term)) for n in range(start, start + k)]
+        for count in _head_counts(k):
+            assert list(closed_form._closed_head(k, start, count, term)) == single[:count], (start, count)
+
+
+@pytest.mark.parametrize("term", [False, True], ids=["sums", "values"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_block_holds_the_head_after_its_first_index(monkeypatch, k, term):
+    # k-1 sums for S, and for f the k sums of the same indices and of the
+    # first, which its differences need
+    calls = []
+    real = closed_form._block_folds
+
+    def spy(k, block):
+        calls.append(block)
+        return real(k, block)
+
+    monkeypatch.setattr(closed_form, "_block_folds", spy)
+    for start in (0, 1, 5, 37, 200):
+        for count in _head_counts(k):
+            calls.clear()
+            list(closed_form._closed_head(k, start, count, term))
+            block = range(start + 1 - term, start + min(count, k))
+            assert calls == ([block] if min(count, k) > 1 else []), (start, count)

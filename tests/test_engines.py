@@ -236,11 +236,11 @@ def test_a_text_range_converts_each_head_value_once(conversions, k, start):
                 conversions.clear()
                 expected = list(stream(k, start, start + count, engine))
                 assert conversions == [], (engine, k, start, count)
-                # the first min(count, k+1) values, once each, whether or
+                # the first min(count, k) values, once each, whether or
                 # not the range steps past them, and in Decimal from there
                 texts = stream(k, start, start + count, engine, text=True)
                 assert list(texts) == list(map(str, expected))
-                assert conversions == expected[: k + 1], (engine, k, start, count)
+                assert conversions == expected[:k], (engine, k, start, count)
 
 
 @pytest.mark.parametrize(
@@ -251,10 +251,11 @@ def test_a_text_range_converts_each_head_value_once(conversions, k, start):
         (stream_values, 2, 5000, 40, "recurrence"),
     ],
 )
-def test_a_stepping_range_converts_k_plus_1_values(conversions, stream, k, start, count, engine):
-    # its first value once, not a second time when the range steps
+def test_a_stepping_range_converts_k_values(conversions, stream, k, start, count, engine):
+    # its first value once, not a second time when the range steps, and
+    # index start+k, the sum of the k before it, not at all
     list(stream(k, start, start + count, engine, text=True))
-    assert len(conversions) == k + 1
+    assert len(conversions) == k
 
 
 def test_a_head_value_already_in_decimal_is_not_converted(conversions, monkeypatch):
@@ -311,17 +312,17 @@ def _oracle(k, total, sums):
 
 @pytest.mark.parametrize("text", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_continued_pulls_at_most_k_plus_1_head_terms(k, text):
+def test_continued_pulls_at_most_k_head_terms(k, text):
     for count in range(3 * k + 3):
         head = _Head(naive_prefix(k, 4 * k + 4))
         with exact():
-            assert len(list(_continued(_decimals(head) if text else head, k, count))) == count
-        assert head.pulled == min(count, k + 1), (k, count)
+            assert len(list(_continued(_decimals(head) if text else head, k, count, 0))) == count
+        assert head.pulled == min(count, k), (k, count)
 
 
 def test_continued_pulls_nothing_for_no_terms():
     head = _Head([1, 1, 2])
-    assert list(_continued(_decimals(head), 2, 0)) == []
+    assert list(_continued(_decimals(head), 2, 0, 0)) == []
     assert head.pulled == 0
 
 
@@ -330,24 +331,42 @@ def test_continued_converts_each_head_term_once(conversions, k):
     for count in range(1, 3 * k + 3):
         conversions.clear()
         with exact():
-            out = list(_continued(_decimals(iter(naive_prefix(k, 4 * k))), k, count))
-        # the head's first min(count, k+1) terms, whether or not the range
+            out = list(_continued(_decimals(iter(naive_prefix(k, 4 * k))), k, count, 0))
+        # the head's first min(count, k) terms, whether or not the range
         # steps past them, and every term printed from Decimal
-        assert conversions == naive_prefix(k, min(count, k + 1) - 1), (k, count)
+        assert conversions == naive_prefix(k, min(count, k) - 1), (k, count)
         assert all(type(t) is Decimal for t in out)
         assert out == naive_prefix(k, count - 1)
         conversions.clear()
-        assert list(_continued(iter(naive_prefix(k, 4 * k)), k, count)) == naive_prefix(k, count - 1)
+        assert list(_continued(iter(naive_prefix(k, 4 * k)), k, count, 0)) == naive_prefix(k, count - 1)
         assert conversions == [], (k, count)
 
 
 def test_continued_leaves_a_decimal_head_as_it_is(conversions):
     k, count = 3, 12
     with exact():
-        out = list(_continued(_decimals(map(Decimal, naive_prefix(k, k))), k, count))
+        out = list(_continued(_decimals(map(Decimal, naive_prefix(k, k))), k, count, 0))
     assert conversions == []
     assert all(type(t) is Decimal for t in out)
     assert out == naive_prefix(k, count - 1)
+
+
+@pytest.mark.parametrize("sums", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_continued_sums_the_head_into_index_start_plus_k(k, sums):
+    # S(n) = S(n-1) + ... + S(n-k) + 1 and f(n) = f(n-1) + ... + f(n-k):
+    # from a head of exactly k terms, pulled once each, index start+k and
+    # the step after it, in the head's type
+    for start in (0, 1, k, 40):
+        expected = _oracle(k, start + k + 1, sums)[start:]
+        for count in (k, k + 1, k + 2):
+            for kind in (int, Decimal):
+                head = _Head(map(kind, expected[:k]))
+                with exact():
+                    out = list(_continued(head, k, count, int(sums)))
+                assert out == expected[:count], (start, count, kind)
+                assert head.pulled == k
+                assert {type(t) for t in out} == {kind}
 
 
 @pytest.mark.parametrize("sums", [False, True])
@@ -357,8 +376,8 @@ def test_continued_matches_the_oracle(k, sums):
     for start in (0, 1, k - 1, k, k + 1, 2 * k + 3):
         for count in range(3 * k + 3):
             expected = _oracle(k, start + count - 1, sums)[start:]
-            head = iter(_oracle(k, start + k, sums)[start:])
-            assert list(_continued(head, k, count)) == expected, (k, start, count)
-            head = iter(_oracle(k, start + k, sums)[start:])
+            head = iter(_oracle(k, start + k - 1, sums)[start:])
+            assert list(_continued(head, k, count, int(sums))) == expected, (k, start, count)
+            head = iter(_oracle(k, start + k - 1, sums)[start:])
             with exact():
-                assert list(_continued(_decimals(head), k, count)) == expected, (k, start, count)
+                assert list(_continued(_decimals(head), k, count, int(sums))) == expected, (k, start, count)
