@@ -28,27 +28,27 @@ A range start..stop-1 folds its first index alone, its row as the row is
 made, in O(n) bits, and yields it before anything else is folded.  The
 next k-1 indices at most form one block, whose sums S(n) are folded column
 by column: column j holds C(m, j) for the m of every index of the block,
-and each index keeps its own Horner accumulator, folded as j ascends.  A
-column starts from its entry in the row of the block's first index and
-steps down the block by the ratio rule C(m+1, j) = C(m, j)(m+1) / (m+1-j):
-one row step and b-1 exact divisions per column of a block of b indices,
-where stepping the row of each index costs b row steps, each a product
-and a quotient of k+1 factors.  The block holds O(k n) bits.  A block of
-values folds the sums of its indices and of the one before them, and
-takes the differences f(n) = S(n) - S(n-1).  A single index, or the
-first of a range, folds the doubled row instead: one fold where a
-difference takes two.
+and each index keeps its own Horner accumulator, folded as j ascends
+from 0.  A column starts from its entry in the row of the block's last
+index, which reaches every column, and steps down the block by the ratio
+rule C(m-1, j) = C(m, j)(m-j) / m to its own zeros: one row step and b-1
+exact divisions per column of a block of b indices, where stepping the
+row of each index costs b row steps, each a product and a quotient of
+k+1 factors.  The block holds O(k n) bits.  A block of values folds
+the sums of its indices and of the one before them, and takes the
+differences f(n) = S(n) - S(n-1).  A single index, or the first of a
+range, folds the doubled row instead: one fold where a difference takes
+two.
 
-Every later index takes one shift and one subtraction.  Pascal's rule,
-summed over the signed, 2-power-weighted row, gives
+Every later index is the sum of the k values before it,
 
-    S(n+1) = 2 S(n) - S(n-k),   n >= 0,
+    S(n) = S(n-1) + ... + S(n-k) + 1,   n >= k,
 
-the recurrence of P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), and f follows
-it from n = 1 on.  Its k-term form, S(n) = S(n-1) + ... + S(n-k) + 1
-and f(n) = f(n-1) + ... + f(n-k), gives index start+k from the k before
-it.  So the fold and the block are only a range's head, its first k
-indices at most, `_closed_head`, from which the registry's `dunkel` and
+and f(n) = f(n-1) + ... + f(n-k) from n = 1, a sum kept running by
+S(n+1) = 2 S(n) - S(n-k), two additions an index, which is also
+Pascal's rule summed over the signed, 2-power-weighted row.  So the fold
+and the block are only a range's head, its first k indices at most,
+`_closed_head`, from which the registry's `dunkel` and
 `dunkel-term` streams (see `engines`) go on by `engines._continued`, the
 one tail of every engine's range, in Decimal for text.  `term_breakdown`
 lists the summands of the rows.  The extended form is the base fold plus
@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import chain, islice, repeat
 from operator import sub
 
 from .sequence import _check_int, _check_k, _check_n
@@ -130,36 +129,34 @@ def _fold_row(row, k: int) -> int:
 
 
 def _columns(k: int, lo: int, hi: int):
-    """Yield column j for j = 1..floor((hi-1)/(k+1)), where at the indices
+    """Yield column j for j = 0..floor((hi-1)/(k+1)), where at the indices
     n = lo + i, lo <= n < hi, column[i] = C(n - jk, j).
 
-    Column j starts from C(lo - jk, j), entry j of the row of lo, or past
-    the row's end from C(m, j) = 0 up to C(j, j) = 1, and steps by the
-    ratio rule C(m, j) = C(m-1, j) m / (m-j): one row step per column and
-    one exact division per later entry.
+    Column j starts from C(hi-1 - jk, j), entry j of the row of hi-1,
+    which reaches every column, and steps down by the ratio rule
+    C(m-1, j) = C(m, j) (m-j) / m: one row step per column and one exact
+    division per earlier entry.  An entry is 0 from m = j - 1 down, and
+    stays 0 without a division.
     """
-    seeds = chain(islice(_row(k, lo), 1, None), repeat(0))
-    for j, c in zip(range(1, (hi - 1) // (k + 1) + 1), seeds):
-        m = lo - j * k  # the m of the first entry
-        if c:
-            column = [c]
-        else:  # the column reaches m = j, since j <= (hi-1-jk)
-            column, c, m = [0] * (j - m) + [1], 1, j
-        for m in range(m + 1, hi - j * k):
-            c = c * m // (m - j)
+    for j, c in enumerate(_row(k, hi - 1)):
+        column = [c]
+        for m in range(hi - 1 - j * k, lo - j * k, -1):
+            c = c and c * (m - j) // m
             column.append(c)
+        column.reverse()
         yield column
 
 
 def _block_folds(k: int, block: range) -> list[int]:
     """The sums of the indices of block, by Horner's rule in 2^(k+1), one
-    accumulator per index, column by column from _columns.  Index n folds
-    the zero entries of the columns j > floor(n/(k+1)) too, and drops their
-    shifts at the end.
+    accumulator per index, from 0, column by column from _columns, each
+    stepped down from the row of the block's last index, column 0 first.
+    Index n folds the zero entries of the columns j > floor(n/(k+1)) too,
+    and drops their shifts at the end.
     """
     shift = k + 1
-    acc = [1] * len(block)  # column 0: C(m, 0) = 1
-    for j, column in enumerate(_columns(k, block.start, block.stop), 1):
+    acc = [0] * len(block)
+    for j, column in enumerate(_columns(k, block.start, block.stop)):
         if j & 1:
             acc = [(x << shift) - c for x, c in zip(acc, column)]
         else:

@@ -16,9 +16,9 @@ by the engine's own method: `sequence.values` for recurrence and direct
 (the latter accumulated), `closed_form._closed_head` for dunkel and
 dunkel-term, and `matrix_power._head` for matrix.  Every later index,
 whatever the engine, comes from the one tail of every range,
-`_continued`, which steps ints or Decimals alike: index start+k is the
-sum of the k values before it, plus the table's constant, 1 for S and 0
-for f, and each index after it one step of `_later`.  The stream is the
+`_continued`, which steps ints or Decimals alike: every index past the
+head is the sum of the k values before it, plus the table's constant, 1
+for S and 0 for f, which `_later` keeps running.  The stream is the
 one place a range chooses between them: with text, it converts the
 head's values by the one rule of `render` before the tail, and prints
 what the tail yields; the int ranges and `compute_*` never convert to
@@ -65,36 +65,34 @@ from .render import _decimals, _texts
 from .sequence import _check_index, _check_int, _check_k, _count, values
 
 
-def _later(window: deque) -> Iterator:
-    """Yield the terms after window of t(n+1) = 2 t(n) - t(n-k), where
-    window holds the last k+1 = window.maxlen terms: the recurrence of
-    P(x) = x^(k+1) - 2x^k + 1 = (x - 1) Q(x), which S follows from n = 0
-    and f from n = 1.  The terms are ints or Decimals, as window's are."""
+def _later(window: deque, constant: int) -> Iterator:
+    """Yield the terms after window, which holds the last k = window.maxlen
+    terms: first their sum plus constant, S(n) = S(n-1) + ... + S(n-k) + 1
+    from n = k and f(n) = f(n-1) + ... + f(n-k) from n = 1, then that sum
+    kept running, t(n+1) = t(n) + t(n) - t(n-k), as each term joins window
+    and its oldest leaves.  The terms are ints or Decimals, as window's
+    are."""
+    term = sum(window, constant)
     while True:
-        last = window[-1]
-        window.append(last + last - window[0])
-        yield window[-1]
+        yield term
+        oldest = window[0]
+        window.append(term)
+        term = term + term - oldest
 
 
 def _continued(head: Iterator, k: int, count: int, constant: int) -> Iterator:
     """The count terms of S (constant=1), or of f (constant=0), from an
     index start >= 0: the first min(count, k) from the engine's own head,
-    which is pulled no further, then index start+k as the sum of the k
-    before it plus constant, since S(n) = S(n-1) + ... + S(n-k) + 1 from
-    n = k and f(n) = f(n-1) + ... + f(n-k) from n = 1, and every later one
-    by one step of _later over the last k+1, in the type the head
-    yields."""
+    which is pulled no further, and every later one from the k before it
+    by _later, in the type the head yields."""
     head = islice(head, min(count, k))
-    window = []
+    window = deque(maxlen=k)
     for term in head:
         window.append(term)
         yield term
     del head  # the engine's own state is not held while the range steps
     if count > k:
-        window.append(sum(window, constant))
-        yield window[-1]
-    if count > k + 1:
-        yield from islice(_later(deque(window, maxlen=k + 1)), count - k - 1)
+        yield from islice(_later(window, constant), count - k)
 
 
 def _engine(

@@ -367,12 +367,12 @@ def test_the_engines_suite_checks_the_sum_step_of_every_range(monkeypatch):
 
 
 def test_the_engines_suite_checks_the_step_of_every_range(capsys, monkeypatch):
-    # past its first k+1 indices every engine's range steps by _later,
+    # past its first k indices every engine's range steps by _later,
     # which no single index reaches
     real = engines._later
 
-    def off_by_one(window):
-        for term in real(window):
+    def off_by_one(window, constant):
+        for term in real(window, constant):
             yield term + 1
 
     monkeypatch.setattr(engines, "_later", off_by_one)

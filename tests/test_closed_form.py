@@ -56,15 +56,16 @@ class TestBinomial:
 
     def test_block_columns_match_pascal_triangle(self):
         # column j of a block lo..hi-1 holds C(n - jk, j) for each n, 0 where
-        # n - jk < j, at every block width a range folds (up to k+1)
-        for k in range(1, 8):
+        # n - jk < j, from column 0 of ones, at every block width a range
+        # folds (up to k) and one more
+        for k in range(1, 10):
             for lo in range(0, 60):
                 for width in range(1, k + 2):
                     hi = lo + width
                     columns = list(closed_form._columns(k, lo, hi))
                     assert columns == [
                         [PASCAL[n - j * k][j] if n - j * k >= j else 0 for n in range(lo, hi)]
-                        for j in range(1, (hi - 1) // (k + 1) + 1)
+                        for j in range((hi - 1) // (k + 1) + 1)
                     ], (k, lo, width)
 
     def test_incremental_row_matches_direct_evaluation(self):

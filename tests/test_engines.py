@@ -22,7 +22,7 @@ from kbonacci import (
     oversized_members,
     partial_sum_dunkel_extended,
 )
-from kbonacci import matrix_power
+from kbonacci import engines, matrix_power
 from kbonacci.cli import main
 from kbonacci.engines import (
     _SUM_DISPATCH,
@@ -381,3 +381,27 @@ def test_continued_matches_the_oracle(k, sums):
             head = iter(_oracle(k, start + k - 1, sums)[start:])
             with exact():
                 assert list(_continued(_decimals(head), k, count, int(sums))) == expected, (k, start, count)
+
+
+@pytest.mark.parametrize("sums", [False, True])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_every_range_steps_from_a_window_of_k(monkeypatch, k, sums):
+    # past its head every engine's range steps from a deque of the k values
+    # before index start+k, which holds no more than them
+    real = engines._later
+    windows = []
+
+    def spy(window, constant):
+        windows.append((window.maxlen, len(window)))
+        return real(window, constant)
+
+    monkeypatch.setattr(engines, "_later", spy)
+    count = 2 * k + 3
+    for name, stream in (_SUM_DISPATCH if sums else _VALUE_DISPATCH).items():
+        for start in (0, 37):
+            expected = _oracle(k, start + count - 1, sums)[start:]
+            for text in (False, True):
+                windows.clear()
+                out = list(stream(k, start, start + count, text))
+                assert out == (list(map(str, expected)) if text else expected), (name, start, text)
+                assert windows == [(k, k)], (name, start, text)
