@@ -281,9 +281,9 @@ _ENUMERATING = {"tilings", "hash-marks", "inclusion-exclusion", "bijection"}
 
 
 def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[SuiteResult]:
-    """Run the named suites, in order, over the grid ks by ns, once all of
-    the input passes: the suite names, the grids' shape and ends, and the
-    cap.  A malformed cap is refused whatever the suites; only the suites
+    """Run the named suites, each once in the order first named, over the
+    grid ks by ns, once all of the input passes: the suite names, the
+    grids' shape and ends, and the cap.  A malformed cap is refused whatever the suites; only the suites
     that enumerate are bound by it."""
     if not names:
         raise ValueError(f"no suite named; choose from {sorted(SUITE_NAMES)}")
@@ -307,4 +307,4 @@ def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[Suit
         _check_index(end)
     _check_n(ns[0])
     cells: dict = {}
-    return [SUITES[name](SuiteResult(name), ks, ns, cap, cells) for name in names]
+    return [SUITES[name](SuiteResult(name), ks, ns, cap, cells) for name in dict.fromkeys(names)]

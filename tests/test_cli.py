@@ -29,6 +29,7 @@ from kbonacci import cli, engines, matrix_power, tilings, verify
 from kbonacci.cli import FORMATS, build_parser, main, parse_range
 from kbonacci.render import _LEAF_BITS, _decimals, _texts, exact
 
+from cells import CELLS, disagreements
 from oracles import subset_tilings
 
 needs_digit_limit = pytest.mark.skipif(
@@ -292,9 +293,13 @@ def test_every_registered_engine_prints_the_same_or_exits_2(k, start, length):
         assert (code, out == "") in ((0, False), (2, True)), (sub, code)
 
 
+def _subparsers(parser) -> dict:
+    """The parser's subcommands: name -> its ArgumentParser."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _option(sub, dest):
-    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in subcommands.choices[sub]._actions if a.dest == dest)
+    return next(a for a in _subparsers(build_parser())[sub]._actions if a.dest == dest)
 
 
 def _engines_suite(ks, ns):
@@ -922,6 +927,23 @@ class TestVerify:
         assert out.splitlines()[0].startswith("PASS engines")
         assert out.splitlines()[1].startswith("PASS inclusion-exclusion")
 
+    @pytest.mark.parametrize(
+        "suites",
+        [
+            ["--suite", "engines,closed-form,engines"],
+            ["--suite", "engines", "--suite", "closed-form,engines"],
+            ["--suite", "engines,closed-form", "--suite", "closed-form,,engines"],
+        ],
+    )
+    def test_a_suite_named_twice_runs_once(self, capsys, suites):
+        code, out, _ = run(capsys, "verify", *suites, "--k", "1..2", "--n", "0..3", "--format", "csv")
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()] == ["suite", "engines", "closed-form"]
+
+    def test_run_suites_runs_a_suite_named_twice_once(self):
+        results = verify.run_suites(["tilings", "engines", "tilings"], range(1, 3), range(0, 4))
+        assert [res.name for res in results] == ["tilings", "engines"]
+
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
@@ -1243,6 +1265,83 @@ def test_usage_error_exits_2(capsys):
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, ""), argv
         assert message in err, argv
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=str)
+def test_a_cells_engines_print_the_same_text(cell):
+    # the table that CI also runs against the installed package
+    assert disagreements([cell]) == []
+
+
+class TestOneParser:
+    """main parses every command of a process with one parser, and no
+    command leaves anything in it for the next."""
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser()
+        per_build = len(built)
+        cli._parser.cache_clear()
+        del built[:]
+        for sub in ("eval", "sum", "terms"):
+            assert run(capsys, sub, "--k", "2", "--n", "4")[0] == 0
+        assert per_build == 7 and len(built) == per_build
+
+    def test_a_suite_list_does_not_carry_over(self, capsys):
+        grid = ("--k", "1..2", "--n", "0..3")
+        code, out, _ = run(capsys, "verify", "--suite", "engines", *grid)
+        assert (code, out.count("PASS")) == (0, 1)
+        code, out, _ = run(capsys, "verify", *grid)
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()] == list(verify.SUITES)
+
+    def test_a_usage_error_leaves_the_next_command_whole(self, capsys):
+        for argv in (["eval", "--k", "2"], ["verify", "--suite"]):
+            err = io.StringIO()
+            with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert err.getvalue().startswith(f"usage: kbonacci {argv[0]} ")
+            assert run(capsys, "eval", "--k", "2", "--n", "4") == (0, "5\n", "")
+
+    @pytest.mark.parametrize("sub, name", [("eval", "stream_values"), ("sum", "stream_sums")])
+    def test_a_stream_patched_after_a_command_is_the_one_called(self, capsys, monkeypatch, sub, name):
+        assert run(capsys, sub, "--k", "2", "--n", "4")[0] == 0
+
+        def patched(k, start, stop, engine, text=False):
+            yield f"{name} {k} {start} {stop}"
+
+        monkeypatch.setattr(cli, name, patched)
+        assert run(capsys, sub, "--k", "2", "--n", "4") == (0, f"{name} 2 4 5\n", "")
+
+    def test_building_the_parser_rebinds_no_module_name(self, capsys):
+        before = dict(vars(cli))
+        cli._parser.cache_clear()
+        assert run(capsys, "eval", "--k", "2", "--n", "4")[0] == 0
+        assert run(capsys, "bench", "--k", "2", "--n", "4", "--reps", "1")[0] == 0
+        assert dict(vars(cli)) == before
+
+    @pytest.mark.parametrize("columns", ["60", "120"])
+    def test_help_is_a_fresh_parsers_help(self, capsys, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run(capsys, "sum", "--k", "2", "--n", "0..3")[0] == 0
+        with pytest.raises(SystemExit):
+            main(["eval", "--k", "x"])
+        fresh = build_parser()
+        helps = {(): fresh.format_help()}
+        helps.update(((sub,), parser.format_help()) for sub, parser in _subparsers(fresh).items())
+        assert len(helps) == 7
+        for argv, text in helps.items():
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert (exc.value.code, capsys.readouterr()) == (0, (text, "")), argv
 
 
 # Tokens of the error contract's fuzz: numbers legal and not, ranges of
