@@ -17,15 +17,21 @@ rendered, so a range holds one record at a time.
 its elapsed_ns is the compute and render that `eval` or `sum` print.
 
 Every subcommand builds records, dicts of its fields, and hands them to one
-writer, `_emit`, which owns the three formats (plain, json, csv).  The one
-exception is the `tilings` listing: text is most of a listing command's
-time, so it joins its rows by hand, byte for byte what the json and csv
-modules would write, and writes them 1024 to a call.  It reads the
-enumeration as `tilings.subtrees` gives it, a walk over prefixes and one
-suffix table per room left: each table is rendered once into the format's
-suffix texts, so a row is one concatenation of its prefix's text with a
-suffix text, and `--count` adds up the sizes of the walked tables without
-building a tiling.
+writer, `_emit`, which owns the three formats (plain, json, csv).  It joins
+each json and csv line by hand, byte for byte what the json and csv modules
+would write: every field is an int, a bool, verify's list of failures
+(its only text that may need escaping, which json.dumps writes) or a str
+that needs no escaping or quoting, a value's decimal digits or a name from
+an engine, suite or status table.  The modules scanned each character of
+a value: a json record of 2,000 digits took 15.7 us through json.dumps
+and a csv row 53 us through csv.writer, against about 2 us joined
+(CPython 3.11.7).  The one exception is the `tilings` listing: text is
+most of a listing command's time, so it joins its rows itself, and writes
+them 1024 to a call.  It reads the enumeration as `tilings.subtrees` gives
+it, a walk over prefixes and one suffix table per room left: each table is
+rendered once into the format's suffix texts, so a row is one
+concatenation of its prefix's text with a suffix text, and `--count` adds
+up the sizes of the walked tables without building a tiling.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or parameter error, or an input too large
 for memory (the error line names the function that ran out, and records
@@ -38,7 +44,8 @@ command's time.  This module imports `argparse` and the engine modules,
 `sequence`), which is all that `eval`, `sum`, `terms` and `bench` run.
 `tilings` imports `kbonacci.tilings`, and `verify` imports
 `kbonacci.verify` (and through it `tilings`), inside their commands.  The
-json and csv modules are imported by the first command of their format.
+csv module is never imported, and json only to write a json `verify`
+record's failures.
 The help texts read `DEFAULT_CAP` from `sequence` and the suite names
 from `engines`, so `--help` imports neither laboratory module, and the
 out-of-memory handler reads the frame that ran out from the traceback
@@ -99,32 +106,58 @@ def parse_range(text: str) -> range:
     return range(start, stop + 1)
 
 
-def _jdump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _jdump(rec) -> str:
+    """rec as one compact json object with sorted keys, joined by hand,
+    byte for byte what json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    writes.  An int field is its digits, a bool true or false, and a list
+    (verify's failures, the one field whose text may need escaping) goes
+    through json.dumps.  Every other field is a str written verbatim: a
+    value's decimal digits, or an engine, suite or status name from its
+    table, none of which json escapes.  The type tests name int, bool and
+    list only, since a tracer may put a wrapper in place of `str` here."""
+    fields = []
+    for key in sorted(rec):
+        v = rec[key]
+        t = type(v)
+        if t is int:
+            fields.append(f'"{key}":{v}')
+        elif t is bool:
+            fields.append(f'"{key}":{"true" if v else "false"}')
+        elif t is list:
+            import json
+
+            fields.append(f'"{key}":{json.dumps(v, separators=(",", ":"))}')
+        else:
+            fields.append(f'"{key}":"{v}"')
+    return f"{{{','.join(fields)}}}"
 
 
-def _csv_writer():
-    import csv
+class _CsvWriter:
+    """csv.writer(sys.stdout, lineterminator="\\n") for the CLI's rows: no
+    field holds a comma, a quote or a line break (a list field is passed
+    as its length), so each field is written as format() gives it, as the
+    csv module would."""
 
-    return csv.writer(sys.stdout, lineterminator="\n")
+    @staticmethod
+    def writerow(row) -> None:
+        print(",".join(map(format, row)))
+
+
+def _csv_writer() -> _CsvWriter:
+    return _CsvWriter()
 
 
 def _emit(records, fmt: str, fields: list[str], plain) -> None:
     """Write each record as it arrives.  plain: the record's text, one
-    line or more.  json: one compact object with sorted keys per line.
-    csv: a header row of fields, then the fields of each record in that
-    order, a list field (verify's failures) as its length.
-
-    The json and csv modules are imported by the first command of their
-    format; json is bound at module level, where _jdump reads it for
-    each record."""
-    global json
+    line or more.  json: one compact object with sorted keys per line,
+    from _jdump.  csv: a header row of fields, then the fields of each
+    record in that order, a list field (verify's failures) as its length,
+    from _csv_writer's rows.  Both are module names read at each call, so
+    a wrapper put in their place is the one called."""
     if fmt == "plain":
         for rec in records:
             print(plain(rec))
     elif fmt == "json":
-        import json
-
         for rec in records:
             print(_jdump(rec))
     else:

@@ -11,8 +11,9 @@ import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from functools import partial, wraps
-from itertools import accumulate
+from itertools import accumulate, count
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -644,21 +645,54 @@ _NOT_FOR_EVAL = (
 )
 
 
-@pytest.mark.parametrize("fmt, loaded", [("plain", []), ("json", ["json"])])
-def test_a_fresh_eval_imports_only_what_it_runs(fmt, loaded):
-    # -S: without site, whose hooks may import any of these on their own
+def _last_line_of_a_fresh_process(code: str) -> str:
+    # -S: without site, whose hooks may import any module on their own
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=_with_src_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.stderr == ""
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_fresh_eval_imports_only_what_it_runs(fmt):
     code = (
         "import sys\n"
         "from kbonacci.cli import main\n"
         f"code = main(['eval', '--k', '2', '--n', '4', '--format', {fmt!r}])\n"
         f"print(code, [m for m in {_NOT_FOR_EVAL!r} if m in sys.modules])\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=_with_src_env(), capture_output=True, text=True, timeout=60
+    # the exit code, then the modules of the list that were imported
+    assert _last_line_of_a_fresh_process(code) == "0 []"
+
+
+def test_a_fresh_csv_verify_imports_no_csv():
+    code = (
+        "import sys\n"
+        "from kbonacci.cli import main\n"
+        "code = main(['verify', '--k', '1..2', '--n', '0..4', '--format', 'csv'])\n"
+        "print(code, [m for m in ('csv', 'json') if m in sys.modules])\n"
     )
-    assert result.stderr == ""
-    # the last line: the exit code, then the modules of the list that were imported
-    assert result.stdout.splitlines()[-1] == f"0 {loaded}"
+    assert _last_line_of_a_fresh_process(code) == "0 []"
+
+
+def test_the_first_command_of_each_format_binds_no_module_name():
+    # a fresh process, so that each command is the first of its format
+    code = (
+        "from kbonacci import cli, verify\n"
+        "def failing(result, ks, ns, cap, cells):\n"
+        "    result.expect(False, 'forced mismatch')\n"
+        "    return result\n"
+        "verify.SUITES['engines'] = failing\n"
+        "before = set(vars(cli))\n"
+        "codes = [cli.main(argv) for argv in (\n"
+        "    ['eval', '--k', '2', '--n', '0..4', '--format', 'json'],\n"
+        "    ['verify', '--suite', 'engines', '--k', '1', '--n', '0', '--format', 'json'],\n"
+        "    ['tilings', '--k', '2', '--n', '4', '--count', '--format', 'csv'],\n"
+        ")]\n"
+        "print(codes, sorted(set(vars(cli)) ^ before))\n"
+    )
+    assert _last_line_of_a_fresh_process(code) == "[0, 1, 0] []"
 
 
 class TestTerms:
@@ -806,6 +840,13 @@ def _failing_suite(result, ks, ns, cap, cells):
     return result
 
 
+def _escaping_suite(result, ks, ns, cap, cells):
+    # texts that json escapes (a quote, a backslash, non-ASCII, a tab) or csv quotes (a comma)
+    for text in ('a "quoted" name', "a back\\slash", "one, two", "\u03c0 \u2248 3.14159", "a\ttab"):
+        result.expect(False, text)
+    return result
+
+
 def _verify_plain(rec):
     failures = rec["failures"]
     lines = [f"{rec['status'].upper()} {rec['suite']} checks={rec['checks']}"]
@@ -818,8 +859,6 @@ def _verify_plain(rec):
 def _terms_plain(rec):
     return [f"{rec['j']} {'+' if rec['sign'] > 0 else '-'} {rec['magnitude']}"]
 
-
-_BENCH_TIMINGS = ("elapsed_ns",)
 
 # name: (argv, csv header, plain lines of one json record, exit code)
 _CROSS_FORMAT = {
@@ -857,6 +896,10 @@ _CROSS_FORMAT = {
         ("verify", "--suite", "engines,closed-form", "--k", "1..2", "--n", "0..6"),
         ["suite", "checks", "failures", "status"], _verify_plain, 1,
     ),
+    "verify-escapes": (
+        ("verify", "--suite", "engines", "--k", "1", "--n", "0"),
+        ["suite", "checks", "failures", "status"], _verify_plain, 1,
+    ),
     "bench": (
         ("bench", "--k", "2", "--n", "40", "--reps", "1", "--engines", "recurrence,matrix"),
         ["k", "n", "engine", "value", "elapsed_ns", "ops"],
@@ -866,50 +909,83 @@ _CROSS_FORMAT = {
 }
 
 
-def _masked(name, rec, zero):
-    """rec with bench's timings set to zero: they differ from run to run."""
-    return {**rec, **dict.fromkeys(_BENCH_TIMINGS, zero)} if name == "bench" else rec
+# the suite each failing case puts in place of `engines`
+_FAILING_SUITES = {"verify-failing": _failing_suite, "verify-escapes": _escaping_suite}
 
 
-def _csv_cell(value):
-    return str(len(value) if type(value) is list else value)
-
-
-@pytest.mark.parametrize("name", sorted(_CROSS_FORMAT))
-def test_every_format_writes_the_same_records(capsys, monkeypatch, name):
-    """Json objects, csv rows and plain lines describe the same records:
-    one compact sorted object per line; a header, then each record's fields
-    in its order, a list field as its length; each record's plain lines."""
-    argv, header, plain, code = _CROSS_FORMAT[name]
-    if name == "verify-failing":
-        monkeypatch.setitem(verify.SUITES, "engines", _failing_suite)
+def _outputs(capsys, monkeypatch, name):
+    """{format: stdout} of the case's command, each exit code and stderr
+    checked.  bench reads a clock that ticks 1000 ns a call, so its
+    elapsed_ns is the same in every format."""
+    argv, _, _, code = _CROSS_FORMAT[name]
+    if name in _FAILING_SUITES:
+        monkeypatch.setitem(verify.SUITES, "engines", _FAILING_SUITES[name])
+    if name == "bench":
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter_ns=count(0, 1000).__next__))
     outs = {}
     for fmt in FORMATS:
         got_code, out, err = run(capsys, *argv, "--format", fmt)
         assert (got_code, err) == (code, ""), fmt
         outs[fmt] = out
-    lines = outs["json"].splitlines()
-    for line in lines:
-        assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
-    records = [_masked(name, json.loads(line), 0) for line in lines]
+    return outs
+
+
+@pytest.mark.parametrize("name", sorted(_CROSS_FORMAT))
+def test_every_format_writes_the_same_records(capsys, monkeypatch, name):
+    """Json lines and csv rows are byte for byte what the json and csv
+    modules write of the records handed to `_jdump`: one compact sorted
+    object per line; a header, then each record's fields in its order, a
+    list field as its length.  Plain lines describe the same records."""
+    argv, header, plain, code = _CROSS_FORMAT[name]
+    records = []
+    jdump = cli._jdump
+
+    def spy(rec):
+        records.append(rec)
+        return jdump(rec)
+
+    monkeypatch.setattr(cli, "_jdump", spy)
+    outs = _outputs(capsys, monkeypatch, name)
     assert records and all(sorted(rec) == sorted(header) for rec in records)
-    rows = list(csv.reader(io.StringIO(outs["csv"])))
-    assert rows[0] == header
-    assert [_masked(name, dict(zip(header, row)), "0") for row in rows[1:]] == [
-        {f: _csv_cell(rec[f]) for f in header} for rec in records
-    ]
+    assert outs["json"] == "".join(
+        json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records
+    )
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([len(v) if type(v) is list else v for v in map(rec.get, header)] for rec in records)
+    assert outs["csv"] == expected.getvalue()
     plain_lines = outs["plain"].splitlines()
-    if name == "bench":
-        plain_lines = [re.sub(r"\belapsed_ns=\d+", "elapsed_ns=0", line) for line in plain_lines]
     assert plain_lines == [line for rec in records for line in plain(rec)]
     if name == "verify-failing":
         assert [len(rec["failures"]) for rec in records] == [25, 0]
-        assert [row[2] for row in rows[1:]] == ["25", "0"]
+        assert [row.split(",")[2] for row in outs["csv"].splitlines()[1:]] == ["25", "0"]
         assert plain_lines[:22] == (
             ["FAIL engines checks=30"]
             + [f"  - forced mismatch {i}" for i in range(20)]
             + ["  - ... and 5 more"]
         )
+    if name == "verify-escapes":
+        assert [len(rec["failures"]) for rec in records] == [5]
+
+
+def _passing_through(fn):
+    """A plain wrapper of fn, as the benchmark's tracer puts in place of
+    `str` and `print` in `cli`'s namespace."""
+
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("name", sorted(_CROSS_FORMAT))
+def test_wrapped_str_and_print_write_the_same_bytes(capsys, monkeypatch, name):
+    outs = _outputs(capsys, monkeypatch, name)
+    monkeypatch.setattr(cli, "str", _passing_through(str), raising=False)
+    monkeypatch.setattr(cli, "print", _passing_through(print), raising=False)
+    assert _outputs(capsys, monkeypatch, name) == outs
 
 
 class TestVerify:
