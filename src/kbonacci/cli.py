@@ -240,11 +240,10 @@ def cmd_tilings(args) -> int:
         opening = "["
     elif fmt == "json":
         opening = '{"tiles":['
-    else:
+    else:  # every csv row starts with its own total
         print("total,tiles")
-        opening = "," if args.bounded else digits[n] + ","
-        if args.bounded:  # a bounded csv row starts with its own total
-            totals = [[total(room, tiles) for tiles in table] for room, table in enumerate(tables)]
+        opening = ","
+        totals = [[total(room, tiles) for tiles in table] for room, table in enumerate(tables)]
 
     def subtree_rows(prefix, room):
         suffixes = texts[room] if prefix else [text.removeprefix(sep) for text in texts[room]]

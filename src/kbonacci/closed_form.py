@@ -178,9 +178,10 @@ def _doubled(k: int, n: int) -> Iterator[int]:
 
 
 def _closed_head(k: int, start: int, count: int, term: bool) -> Iterator[int]:
-    """S(n) (term=False) or f(n) (term=True) for the first min(count, k)
-    indices n of the range from start, the head that `engines._continued`
-    goes on from.
+    """S(n) (term=False) or f(n) (term=True), the head that
+    `engines._continued` goes on from: the range's first index, start, and
+    then its block, the next min(count, k) - 1 indices.  The stream pulls
+    min(count, k) values at most, so an empty range never starts it.
 
     The first index folds its row as the row is made, in O(n) bits, and
     shifts the fold by n mod (k+1), the power of two of the last summand.
@@ -190,8 +191,6 @@ def _closed_head(k: int, start: int, count: int, term: bool) -> Iterator[int]:
     and a block of values differences the sums of the block and of the
     index before it: k-1 sums for S and k for f.
     """
-    if not count:
-        return
     row = _doubled(k, start) if term else _row(k, start)
     yield (_fold_row(row, k) << start % (k + 1)) >> term
     head = range(start + 1, start + min(count, k))

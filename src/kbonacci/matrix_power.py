@@ -378,14 +378,14 @@ def _divide(x: int | Decimal, d: int) -> int | Decimal:
     k - 1, j! <= (2k - 2)! in _toom_square, or the finish's divisor times
     the D of _form.
 
-    An int is shifted (d = 2) or floor-divided.  A Decimal is divided under
-    exact() and raises decimal.Inexact if d does not divide it.  Plain x / d
-    would not do: it is exact at unbounded
-    precision, so an odd x / 2 ends in .5, and a quotient that does not
-    terminate, such as 10 / 3, makes libmpdec raise MemoryError.
+    An int is floor-divided, which is exact as d divides it, negative x
+    too.  A Decimal is divided under exact() and raises decimal.Inexact if
+    d does not divide it.  Plain x / d would not do: it is exact at
+    unbounded precision, so an odd x / 2 ends in .5, and a quotient that
+    does not terminate, such as 10 / 3, makes libmpdec raise MemoryError.
     """
     if type(x) is int:
-        return x >> 1 if d == 2 else x // d
+        return x // d
     quotient, remainder = divmod(x, d)
     if remainder:
         raise Inexact(f"division by {d} is not exact")
@@ -398,7 +398,8 @@ def _head(k: int, start: int, count: int, text: bool, sums: bool, ops: OpCount |
     divided by d: N(r) = r(2) + r(0), c = 0 and d = 2 for f, and
     N(r) = (k - 1) r(2) + r(1), c = 1 and d = k - 1 for S.  Below k,
     r = x^n, so r(2) = 2^n, r(1) = 1 and r(0) = 1 at n = 0 alone, and the
-    residue is built from k on at the earliest; at k = 1, where Q = x - 1,
+    residue is built from k on at the earliest: a range below a k as large
+    as sys.maxsize builds no k-long list.  At k = 1, where Q = x - 1,
     f(n) = 1 and S(n) = n + 1.  A range of one index whose powering
     squares is taken _by_halves, whose total T = D N(r) is divided as
     (T - Dc) / (Dd).  text is _residue's.

@@ -1,14 +1,15 @@
 """Exact decimal text of big integers, shared by the CLI and the engines.
 
 An int becomes decimal text in one place and by one rule: `_decimals`
-converts it to a Decimal by divide and conquer (`_to_decimal`),
-subquadratic in the digit count, where `int.__str__` is quadratic on
-CPython before 3.12, and independent of the interpreter's int/str digit
-limit; a Decimal, such as a matrix residue finished in Decimal, passes
-through as it is.  `_texts` prints Decimals with str() and converts
-nothing.  `exact()` is the context all of it runs under: unbounded
-precision and exponent, with Inexact trapped, so integer arithmetic on
-Decimals is exact or raises instead of printing a wrong digit.
+converts it to a Decimal by divide and conquer (`_to_decimal`), with
+powers of two from Decimal's own exact power, subquadratic in the digit
+count, where `int.__str__` is quadratic on CPython before 3.12, and
+independent of the interpreter's int/str digit limit; a Decimal, such as
+a matrix residue finished in Decimal, passes through as it is.  `_texts`
+prints Decimals with str() and converts nothing.  `exact()` is the
+context all of it runs under: unbounded precision and exponent, with
+Inexact trapped, so integer arithmetic on Decimals is exact or raises
+instead of printing a wrong digit.
 
 Every engine's text range converts each value its head yields, its
 first k at most, once, in `engines._engine`'s stream, before the range's
@@ -67,27 +68,16 @@ def _to_decimal(n: int, width: int, powers: dict) -> decimal.Decimal:
     alike and the two are combined with Decimal arithmetic, whose large
     multiplications are subquadratic (Brent & Zimmermann, Modern Computer
     Arithmetic, section 1.7; CPython 3.12's _pylong does the same).  A value
-    of at most _LEAF_BITS bits is a single leaf.  A negative n splits
-    alike: hi = n >> half is floored, so lo stays in [0, 2^half) and
-    n = lo + hi * 2^half still holds.
+    of at most _LEAF_BITS bits is a single leaf.  2^half is
+    Decimal(2) ** half, exact under exact(), taken once per half into
+    powers.  A negative n splits alike: hi = n >> half is floored, so lo
+    stays in [0, 2^half) and n = lo + hi * 2^half still holds.
     """
     if width <= _LEAF_BITS:
         return decimal.Decimal(n)
     half = width >> 1
     hi = n >> half
     lo = _to_decimal(n - (hi << half), half, powers)
-    return lo + _to_decimal(hi, width - half, powers) * _pow2(half, powers)
-
-
-def _pow2(w: int, powers: dict) -> decimal.Decimal:
-    """2^w as the product of two cached halves, which the levels below use
-    too: about 10% faster than Decimal(2) ** w on 10^5 to 7*10^5-bit
-    values, on the machine named at _LEAF_BITS."""
-    p = powers.get(w)
-    if p is None:
-        if w <= _LEAF_BITS:
-            p = decimal.Decimal(1 << w)
-        else:
-            p = _pow2(w >> 1, powers) * _pow2(w - (w >> 1), powers)
-        powers[w] = p
-    return p
+    if half not in powers:
+        powers[half] = decimal.Decimal(2) ** half
+    return lo + _to_decimal(hi, width - half, powers) * powers[half]

@@ -71,7 +71,9 @@ def _count(k: int, start: int, stop: int) -> int:
 def _after(window: deque) -> Iterator[int]:
     """Yield the terms after window of f(n) = f(n-1) + ... + f(n-k),
     k = window.maxlen, where window holds the last min(n, k) terms, f(0)
-    among them, and the terms before it are 0."""
+    among them, and the terms before it are 0.  A short window is not
+    padded with those zeros: at k up to sys.maxsize that would build a
+    k-long list."""
     k = window.maxlen
     total = sum(window)  # the next term
     while True:

@@ -513,8 +513,14 @@ def test_halving_an_odd_decimal_raises_inexact():
         for k in (3, 4, 6):
             with pytest.raises(decimal.Inexact):
                 _divide(Decimal(10**30 + 1), k - 1)
+        # _toom_square divides negative forward differences by j!
+        assert str(_divide(Decimal(-14), 2)) == "-7"
+        with pytest.raises(decimal.Inexact):
+            _divide(Decimal(-15), 2)
     assert _divide(14, 2) == 7
     assert _divide(12, 3) == 4
+    assert _divide(-14, 2) == -7
+    assert _divide(-6 * 10**40, 6) == -(10**40)
 
 
 def test_library_stays_on_ints(monkeypatch):
