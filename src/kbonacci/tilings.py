@@ -21,7 +21,9 @@ normal marks, tile between the marks, then lengthen each tile ending at a
 dashed mark by k units, shifting everything to its right.
 `identity_report` checks both the count identity and that the
 construction is a bijection, by brute force, from one sweep of U by
-`oversized_members` that serves every i of a (k, n) cell.  The module
+`oversized_members` that serves every i of a (k, n) cell; the sweep of
+U(top) holds U(n) for every n <= top, as the members with marks below
+2 << n, each with the same oversized ends.  The module
 shares no code with the closed forms it checks: it takes only its input
 checks and cap from `sequence`, and the right side's binomial from
 `math.comb`.

@@ -12,12 +12,16 @@ suite sweeps its cheap cells before a k or an index it cannot take.  It
 then calls every suite alike, as SUITES[name](SuiteResult(name), ks, ns,
 cap, cells), so a suite's name is written once, in `SUITE_NAMES`.  cells
 is one dict per call, in which each (k, n) cell of the intersection
-identity is computed once, from one sweep of U, for every suite of the
-call that reads it.
+identity is computed once for every suite of the call that reads it.  U is
+swept once per k, at the grid's top n, and every cell of that k reads its
+members from the one sweep; cells drops the sweep once the top cell is
+built, so a call holds one k's sweep at a time and leaves only (k, n)
+cells behind.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from decimal import Decimal
 from itertools import chain, combinations
 from operator import sub
@@ -184,19 +188,26 @@ def suite_tilings(result: SuiteResult, ks: range, ns: range, cap: int | None, ce
 def suite_hash_marks(result: SuiteResult, ks: range, ns: range, cap: int | None, cells: dict) -> SuiteResult:
     """|U| = 2^n and the mark-subset -> tiling map is a bijection.
 
-    Independent of k; the k range is ignored.
+    Independent of k; the k range is ignored.  The oracle is built from
+    mark subsets alone, once per call: the tiles of a sorted subset are the
+    gaps between its marks, 0 included, so they add up to its last mark m,
+    and the oracle at n is the union of the layers m = 0..n.  One set grows
+    by each new layer as n rises.
     """
+    from_subsets = {()}  # layer 0: no mark past 0
+    last = 0
     for n in ns:
         tilings = list(unrestricted_tiles(n, cap))
         distinct = set(tilings)
         result.expect(len(tilings) == 1 << n, f"|U| != 2^{n}")
         result.expect(len(distinct) == len(tilings), f"duplicate unrestricted tilings at n={n}")
-        # the tiles of a sorted subset are the gaps between its marks, 0 included
-        from_subsets = {
-            tuple(map(sub, marks, (0, *marks)))
-            for r in range(n + 1)
-            for marks in combinations(range(1, n + 1), r)
-        }
+        for m in range(last + 1, n + 1):  # layer m: m and any subset of 1..m-1
+            from_subsets.update(
+                tuple(map(sub, (*marks, m), (0, *marks)))
+                for r in range(m)
+                for marks in combinations(range(1, m), r)
+            )
+        last = n
         result.expect(
             from_subsets == distinct and len(from_subsets) == 1 << n,
             f"mark-subset map is not a bijection at n={n}",
@@ -204,13 +215,33 @@ def suite_hash_marks(result: SuiteResult, ks: range, ns: range, cap: int | None,
     return result
 
 
-def _identity_cell(cells: dict, k: int, n: int, cap: int | None) -> tuple[int, list]:
+def _identity_cell(cells: dict, k: int, n: int, top: int, cap: int | None) -> tuple[int, list]:
     """(count of the members of U with an oversized tile, identity reports
-    for i = 1..n//(k+1)) of cell (k, n): one sweep of U, kept in cells so
-    that the suites of one run_suites call share it."""
+    for i = 1..n//(k+1)) of cell (k, n), kept in cells so that the suites
+    of one run_suites call share it.
+
+    U is swept once per k, at top, the grid's last n, and the sweep waits
+    in cells[k] until the top cell is built.  Members come in increasing
+    order of marks and their oversized ends do not depend on n, so the
+    members of U(n) are each group's prefix of marks below 2 << n.  A group
+    with an end past n has no member in U(n), and any other group has one:
+    a member's marks past n leave its ends as they are, so dropping them
+    gives a member of U(n) in the same group."""
     cell = cells.get((k, n))
     if cell is None:
-        members = oversized_members(k, n, cap)
+        swept = cells.pop(k, None)
+        if swept is None:
+            swept = oversized_members(k, top, cap)
+        if n == top:
+            members = swept
+        else:
+            cells[k] = swept
+            limit = 2 << n
+            members = {
+                ends: group[: bisect_left(group, limit)]
+                for ends, group in swept.items()
+                if ends < limit
+            }
         reports = [identity_report(k, n, i, members) for i in range(1, n // (k + 1) + 1)]
         cell = cells[k, n] = (sum(map(len, members.values())), reports)
     return cell
@@ -222,7 +253,7 @@ def suite_inclusion_exclusion(
     """The subtraction skeleton and the intersection-count identity."""
     for k in ks:
         for n in ns:
-            with_oversized, reports = _identity_cell(cells, k, n, cap)
+            with_oversized, reports = _identity_cell(cells, k, n, ns[-1], cap)
             result.expect(
                 (1 << n) - with_oversized == compute_sum(k, n),
                 f"2^n minus oversized count misses the partial sum at k={k} n={n}",
@@ -242,7 +273,7 @@ def suite_bijection(
     """Mark expansion is injective and fills the counted union exactly."""
     for k in ks:
         for n in ns:
-            _, reports = _identity_cell(cells, k, n, cap)
+            _, reports = _identity_cell(cells, k, n, ns[-1], cap)
             for report in reports:
                 i = report.i
                 result.expect(
@@ -283,8 +314,8 @@ _ENUMERATING = {"tilings", "hash-marks", "inclusion-exclusion", "bijection"}
 def run_suites(names, ks: range, ns: range, cap: int | None = None) -> list[SuiteResult]:
     """Run the named suites, each once in the order first named, over the
     grid ks by ns, once all of the input passes: the suite names, the
-    grids' shape and ends, and the cap.  A malformed cap is refused whatever the suites; only the suites
-    that enumerate are bound by it."""
+    grids' shape and ends, and the cap.  A malformed cap is refused
+    whatever the suites; only the suites that enumerate are bound by it."""
     if not names:
         raise ValueError(f"no suite named; choose from {sorted(SUITE_NAMES)}")
     unknown = [name for name in names if name not in SUITE_NAMES]

@@ -1143,10 +1143,146 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "oversized_members", counted)
         shared = verify.run_suites(["inclusion-exclusion", "bijection"], ks, ns)
-        assert sorted(sweeps) == [(k, n) for k in ks for n in ns]
+        # one sweep of U per k, at the grid's top n, for every cell of both suites
+        assert sorted(sweeps) == [(k, ns[-1]) for k in ks]
         assert [(r.name, r.checks, r.failures) for r in shared] == [
             (r.name, r.checks, r.failures) for r in alone
         ]
+
+    def test_each_cell_reads_the_members_of_its_n(self, monkeypatch):
+        ks, ns = range(1, 6), range(0, 13)
+        read, kept = {}, []
+        report = verify.identity_report
+
+        def recorded(k, n, i, members):
+            read.setdefault((k, n), []).append([(ends, list(group)) for ends, group in members.items()])
+            return report(k, n, i, members)
+
+        suite = verify.SUITES["inclusion-exclusion"]
+
+        def keeping(result, ks, ns, cap, cells):
+            kept.append(cells)
+            return suite(result, ks, ns, cap, cells)
+
+        monkeypatch.setattr(verify, "identity_report", recorded)
+        monkeypatch.setitem(verify.SUITES, "inclusion-exclusion", keeping)
+        [result] = verify.run_suites(["inclusion-exclusion"], ks, ns)
+        assert result.passed
+        [cells] = kept
+        for k in ks:
+            for n in ns:
+                members = list(tilings.oversized_members(k, n).items())
+                assert read.get((k, n), []) == [members] * (n // (k + 1)), (k, n)
+                assert cells[k, n][0] == sum(len(group) for _, group in members), (k, n)
+
+    @pytest.mark.parametrize(
+        "suites",
+        [
+            ["inclusion-exclusion"],
+            ["bijection"],
+            ["inclusion-exclusion", "bijection"],
+            ["bijection", "inclusion-exclusion"],
+        ],
+    )
+    def test_a_call_holds_one_sweep_at_a_time(self, monkeypatch, suites):
+        ks, ns = range(1, 4), range(2, 9)
+        kept, held = [], []
+        sweep = verify.oversized_members
+
+        def counted(k, n, cap=None):
+            # the sweeps that cells holds when a new one starts
+            held.append([key for key in kept[0] if not isinstance(key, tuple)])
+            return sweep(k, n, cap)
+
+        def keeping(suite):
+            def run(result, ks, ns, cap, cells):
+                kept.append(cells)
+                return suite(result, ks, ns, cap, cells)
+
+            return run
+
+        monkeypatch.setattr(verify, "oversized_members", counted)
+        for name in suites:
+            monkeypatch.setitem(verify.SUITES, name, keeping(verify.SUITES[name]))
+        assert all(r.passed for r in verify.run_suites(suites, ks, ns))
+        assert kept[0] is kept[-1] and held == [[]] * len(ks)
+        assert sorted(kept[0]) == [(k, n) for k in ks for n in ns]
+
+    def test_a_member_dropped_from_the_sweep_fails_its_n_and_above(self, monkeypatch):
+        k, ns, n0 = 2, range(0, 11), 6
+        sweep = verify.oversized_members
+        lone = 1 | 1 << n0  # one tile of length n0, oversized, in U(n0) and not U(n0 - 1)
+
+        def dropped(k, n, cap=None):
+            members = sweep(k, n, cap)
+            if n >= n0:
+                members[1 << n0].remove(lone)
+            return members
+
+        monkeypatch.setattr(verify, "oversized_members", dropped)
+        [result] = verify.run_suites(["inclusion-exclusion"], range(k, k + 1), ns)
+        failed = {int(re.search(r" n=(\d+)", line)[1]) for line in result.failures}
+        assert failed == set(range(n0, ns[-1] + 1))
+        assert all(f"at k={k} n=" in line for line in result.failures)
+
+    @pytest.mark.parametrize(
+        "change, failures",
+        [
+            (lambda tilings: tilings[:-1], ["|U| != 2^6", "mark-subset map is not a bijection at n=6"]),
+            (lambda tilings: tilings + tilings[-1:], ["|U| != 2^6", "duplicate unrestricted tilings at n=6"]),
+        ],
+        ids=["dropped", "duplicated"],
+    )
+    def test_a_changed_enumeration_fails_hash_marks_at_its_n_only(self, monkeypatch, change, failures):
+        enumerate_u = verify.unrestricted_tiles
+
+        def changed(n, cap=None):
+            tilings = list(enumerate_u(n, cap))
+            return iter(change(tilings) if n == 6 else tilings)
+
+        monkeypatch.setattr(verify, "unrestricted_tiles", changed)
+        [result] = verify.run_suites(["hash-marks"], range(1, 2), range(0, 11))
+        assert (result.checks, result.failures) == (33, failures)
+
+    def test_each_function_under_test_runs_once_per_cell(self, monkeypatch):
+        ks, ns = range(1, 4), range(2, 10)
+        calls = []
+
+        def counted(name):
+            function = getattr(verify, name)
+
+            def call(*args, **kwargs):
+                calls.append((name, *args[: 3 if name == "identity_report" else 2]))
+                return function(*args, **kwargs)
+
+            return call
+
+        for name in (
+            "exact_tiles",
+            "bounded_tiles",
+            "count_by_rightmost_tile",
+            "unrestricted_tiles",
+            "identity_report",
+        ):
+            monkeypatch.setattr(verify, name, counted(name))
+        assert all(r.passed for r in verify.run_suites(list(verify.SUITES), ks, ns))
+        cells = [(k, n) for k in ks for n in ns]
+        assert sorted(calls) == sorted(
+            [("exact_tiles", *cell) for cell in cells]
+            + [("bounded_tiles", *cell) for cell in cells]
+            + [("count_by_rightmost_tile", *cell) for cell in cells]
+            + [("unrestricted_tiles", n, None) for n in ns]
+            + [("identity_report", k, n, i) for k, n in cells for i in range(1, n // (k + 1) + 1)]
+        )
+
+    def test_checks_past_the_default_grid(self, capsys):
+        # pinned, so that sharing work across cells cannot drop a check unseen
+        code, out, _ = run(capsys, "verify", "--k", "1..5", "--n", "0..14")
+        assert (code, out) == (
+            0,
+            "PASS engines checks=510\nPASS closed-form checks=558\nPASS tilings checks=445\n"
+            "PASS hash-marks checks=45\nPASS inclusion-exclusion checks=202\nPASS bijection checks=381\n",
+        )
 
     def test_json_format(self, capsys):
         code, out, _ = run(
